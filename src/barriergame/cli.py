@@ -293,7 +293,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_MAX_AGREEMENT = 100_000
+_MAX_GRID = 10_000_000
+
+
 def _cmd_verify(args) -> int:
+    # allocation sizes are checked before any work starts
+    n = args.agreement
+    if n is not None and not 1 <= n <= _MAX_AGREEMENT:
+        raise CliError(f"--agreement must lie in 1..{_MAX_AGREEMENT}, "
+                       f"got {n}")
+    if args.grid > _MAX_GRID:
+        raise CliError(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
     params = _collect_params(args)
     _require_valid(params)
     mode = _MODES[args.mode]
@@ -375,13 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="deviation-check a built-in profile")
     _add_param_flags(sp)
     sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
-    sp.add_argument("--grid", type=int, default=10_000)
+    sp.add_argument("--grid", type=int, default=10_000,
+                    help=f"offer-scan grid points (at most {_MAX_GRID})")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--thresholds", action="store_true",
                     help="also re-derive thresholds by bisection")
     sp.add_argument("--agreement", type=int, metavar="N",
                     help="emit an oracle-vs-formula agreement summary over "
-                         "N random points")
+                         "N random points, bisected as one batch "
+                         f"(1..{_MAX_AGREEMENT})")
     sp.add_argument("--agreement-csv", help="agreement summary output path")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--out")

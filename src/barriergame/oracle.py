@@ -14,12 +14,23 @@ barrier-keeping profile, the responder's acceptance rule, and the
 stationary phase via the one-shot deviation principle.  Cross-elimination
 deviations answered by the profile's sequentially-rational opponent are
 reported as diagnostics; see the `diagnostics` field.
+
+The thresholds are re-derived by lockstep bisection.  A batch of points
+becomes numpy lanes, one lane per bisection, and every step evaluates one
+array predicate over all lanes: first the period-1 feasibility gain for
+`cbar_D` and `clow_D` together (two lanes per point, told apart by a
+per-lane profile mask), then the eliminate-then-war gain for `Clow` (one
+lane per point, at a feasible `c_D`).  The predicate reads these gains from
+the same helper as `verify_period1`, applied to a `ModelParams` whose
+fields are arrays, and the postwar mean is iterated once per point.  Each
+lane takes exactly the steps a lone bisection would, so a point's brackets
+do not depend on the batch it is in.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,16 +40,37 @@ from .params import ModelParams, sample_valid_params
 
 
 def postwar_market_mean(params: ModelParams, tol: float = 1e-14,
-                        max_iter: int = 100_000) -> float:
+                        max_iter: int = 100_000):
     """Mean postwar market value by fixed-point iteration of the
-    renormalization recursion x = rho + (1-rho)*((1-delta)*mu + delta*x)."""
+    renormalization recursion x = rho + (1-rho)*((1-delta)*mu + delta*x).
+
+    The fields may be arrays of lanes: each lane stops at its own
+    convergence step, so it holds exactly the value of a scalar call.
+    Scalars iterate on plain floats, which is many times faster than on
+    0-d arrays.
+    """
     rho, delta, mu = params.rho, params.delta, params.mu
-    x = mu
+
+    def step(x):
+        return rho + (1.0 - rho) * ((1.0 - delta) * mu + delta * x)
+
+    if np.ndim(mu) == 0:
+        x = mu
+        for _ in range(max_iter):
+            nxt = step(x)
+            if abs(nxt - x) <= tol:
+                return nxt
+            x = nxt
+        return x
+    x = np.array(mu, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(max_iter):
-        nxt = rho + (1.0 - rho) * ((1.0 - delta) * mu + delta * x)
-        if abs(nxt - x) <= tol:
-            return nxt
-        x = nxt
+        nxt = step(x)
+        converged = np.abs(nxt - x) <= tol
+        np.copyto(x, nxt, where=live)
+        live &= ~converged
+        if not live.any():
+            break
     return x
 
 
@@ -70,6 +102,54 @@ class VerificationReport:
         }
 
 
+def _pick(efficient, a, b):
+    """a under the efficient-peace profile, b under the barrier-keeping one;
+    efficient is a bool or a per-lane mask."""
+    if isinstance(efficient, np.ndarray):
+        return np.where(efficient, a, b)
+    return a if efficient else b
+
+
+class _Period1(NamedTuple):
+    """Period-1 terms of a built-in profile.  Each field is a float, or an
+    array with one entry per lane."""
+
+    v_d2: Any       # stationary continuations: responder held at its war
+    v_r2: Any       # value, proposer keeps the complement of the full pie
+    war_free: Any   # (proposer, responder) war payoffs, barrier gone
+    war_bar: Any    # (proposer, responder) war payoffs, barrier standing
+    y1: Any         # period-1 resource on the profile's path
+    cutoff1: Any    # offer that holds the responder at its war value
+    v_eq_r: Any     # proposer's equilibrium value
+
+    @property
+    def feasibility(self):
+        """How much the responder prefers war over the best feasible offer;
+        the profile's period-1 offer fits the resource exactly when this is
+        <= 0."""
+        return self.cutoff1 - self.y1
+
+    @property
+    def eliminate_then_war(self):
+        """Proposer's gain from eliminating first, answered by the
+        profile's war trigger: the joint-cost condition."""
+        return self.war_free[0] - self.v_eq_r
+
+
+def _period1(q: ModelParams, m, efficient) -> _Period1:
+    """Period-1 terms at postwar mean m.  The fields of q may be arrays of
+    lanes, with efficient a matching profile mask."""
+    delta = q.delta
+    v_d2 = q.p / (1.0 - delta) - q.c_D
+    v_r2 = (1.0 - q.p) / (1.0 - delta) + q.c_D
+    war_free = engine.expected_war_payoffs(q, 1, False, 1.0, m)
+    war_bar = engine.expected_war_payoffs(q, 1, True, q.h0, m)
+    y1 = _pick(efficient, 1.0, q.h0)
+    cutoff1 = _pick(efficient, war_free[1], war_bar[1]) - delta * v_d2
+    v_eq_r = (y1 - cutoff1) + delta * v_r2
+    return _Period1(v_d2, v_r2, war_free, war_bar, y1, cutoff1, v_eq_r)
+
+
 def _offer_candidates(y: float, cutoff: float, n: int) -> np.ndarray:
     grid = np.linspace(0.0, y, max(int(n), 2))
     if 0.0 <= cutoff <= y:
@@ -84,41 +164,26 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     """Deviation-check one built-in profile at period 1; the stationary phase
     is certified by exact one-shot checks.
 
-    Works on raw cost values without consulting parameter validation, so
-    threshold bisections may probe virtual points.
+    Works on raw cost values without consulting parameter validation; the
+    threshold bisections read the same period-1 terms at virtual points.
     """
     if mode is ProfileMode.CUSTOM:
         raise ValueError("only built-in profiles can be certified")
     q = params
     delta = q.delta
-    m = postwar_market_mean(q)
-    # stationary continuations: responder held at its war value, proposer
-    # keeps the complement of the full pie
-    v_d2 = q.p / (1.0 - delta) - q.c_D
-    v_r2 = (1.0 - q.p) / (1.0 - delta) + q.c_D
-
-    war_r_free, war_d_free = engine.expected_war_payoffs(q, 1, False, 1.0, m)
-    war_r_bar, war_d_bar = engine.expected_war_payoffs(q, 1, True, q.h0, m)
-
     efficient = mode is ProfileMode.EFFICIENT_PEACE
-    if efficient:
-        y1 = 1.0
-        war_d_onpath, war_r_onpath = war_d_free, war_r_free
-    else:
-        y1 = q.h0
-        war_d_onpath, war_r_onpath = war_d_bar, war_r_bar
+    t = _period1(q, postwar_market_mean(q), efficient)
+    v_d2, v_r2, y1, cutoff1, v_eq_r = t.v_d2, t.v_r2, t.y1, t.cutoff1, t.v_eq_r
+    war_r_free, war_d_free = t.war_free
+    war_r_bar, war_d_bar = t.war_bar
+    war_r_onpath, war_d_onpath = t.war_free if efficient else t.war_bar
 
-    cutoff1 = war_d_onpath - delta * v_d2
-    feasibility_gain_d = cutoff1 - y1
-    feasible = feasibility_gain_d <= tol
-    v_eq_r = (y1 - cutoff1) + delta * v_r2
+    feasible = t.feasibility <= tol
 
     gains: dict[str, float] = {}
     diagnostics: dict[str, float] = {}
 
-    # how much the responder prefers war over the best feasible offer; the
-    # profile's period-1 offer fits the resource exactly when this is <= 0
-    gains["feasibility"] = feasibility_gain_d
+    gains["feasibility"] = t.feasibility
     # responder's one-shot check at the indifference offer (zero up to
     # rounding by construction)
     gains["responder_period1"] = war_d_onpath - (cutoff1 + delta * v_d2)
@@ -157,9 +222,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
             best = max(best, (q.h0 - cutoff_keep) + delta * v_r2)
         diagnostics["keep_best_response"] = best - v_eq_r
     else:
-        # eliminating first, answered by the profile's war trigger: this is
-        # the joint-cost condition
-        gains["eliminate_then_war"] = war_r_free - v_eq_r
+        gains["eliminate_then_war"] = t.eliminate_then_war
         best = war_r_free
         if cutoff_eff <= 1.0:
             best = max(best, (1.0 - cutoff_eff) + delta * v_r2)
@@ -215,42 +278,74 @@ class OracleThresholds:
         }
 
 
-def _bisect_up_set(predicate: Callable[[float], bool], search_tol: float,
-                   lo: float = -1.0, hi: float = 1.0,
-                   max_expand: int = 64) -> tuple[Bracket, Optional[str]]:
-    """Locate the boundary of a pass region of the form [threshold, inf)."""
+def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray], n: int,
+                    search_tol: float, max_expand: int = 64
+                    ) -> list[tuple[Bracket, Optional[str]]]:
+    """Locate, in lockstep, the boundaries of n pass regions of the form
+    [threshold, inf).
+
+    predicate maps an array of n points to n booleans, lane by lane, and
+    must not depend on the other lanes.  Each lane expands its bracket,
+    bisects and probes exactly as a lone bisection would; a lane that has
+    stopped keeps its state while the others finish.  Returns one
+    (bracket, anomaly note or None) per lane.
+    """
+    lo = np.full(n, -1.0)
+    hi = np.full(n, 1.0)
+    has_hi = np.zeros(n, dtype=bool)
     for _ in range(max_expand):
-        if predicate(hi):
+        has_hi |= predicate(hi)
+        if has_hi.all():
             break
-        hi = hi * 2.0 if hi > 0 else hi * 0.5 + 1.0
-    else:
-        return Bracket(math.nan, lo, hi), f"no passing point up to {hi}"
+        hi = np.where(has_hi, hi, np.where(hi > 0, hi * 2.0, hi * 0.5 + 1.0))
+    has_lo = np.zeros(n, dtype=bool)
     for _ in range(max_expand):
-        if not predicate(lo):
+        has_lo |= has_hi & ~predicate(lo)
+        settled = has_lo | ~has_hi
+        if settled.all():
             break
-        lo = lo * 2.0 if lo < 0 else lo * 0.5 - 1.0
-    else:
-        return Bracket(math.nan, lo, hi), f"no failing point down to {lo}"
-    while hi - lo > search_tol:
+        lo = np.where(settled, lo, np.where(lo < 0, lo * 2.0, lo * 0.5 - 1.0))
+    active = has_hi & has_lo
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (hi - lo > search_tol) & (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
+        up = predicate(mid)
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
     value = 0.5 * (lo + hi)
-    note = None
     probe = max(search_tol * 100.0, 1e-6)
-    if predicate(value - probe) or not predicate(value + probe):
-        note = (f"predicate not monotone around {value}; "
-                f"the existence condition may not be an interval")
-    return Bracket(value, lo, hi), note
+    odd = predicate(value - probe) | ~predicate(value + probe)
+
+    out = []
+    for i in range(n):
+        lo_i, hi_i = float(lo[i]), float(hi[i])
+        if not has_hi[i]:
+            out.append((Bracket(math.nan, lo_i, hi_i),
+                        f"no passing point up to {hi_i}"))
+        elif not has_lo[i]:
+            out.append((Bracket(math.nan, lo_i, hi_i),
+                        f"no failing point down to {lo_i}"))
+        else:
+            v = float(value[i])
+            note = (f"predicate not monotone around {v}; the existence "
+                    f"condition may not be an interval") if odd[i] else None
+            out.append((Bracket(v, lo_i, hi_i), note))
+    return out
 
 
-def oracle_thresholds(params: ModelParams, search_tol: float = 1e-8,
-                      offer_grid_n: int = 64) -> OracleThresholds:
-    """Re-derive the three thresholds by bisecting verify_period1 outcomes.
+def _lanes(points: Sequence[ModelParams]) -> ModelParams:
+    """One ModelParams whose numeric fields are arrays, a lane per point."""
+    return ModelParams(**{
+        f.name: np.array([getattr(q, f.name) for q in points], dtype=float)
+        for f in fields(ModelParams) if f.name != "elimination_mode"})
+
+
+def oracle_thresholds_batch(points: Sequence[ModelParams],
+                            search_tol: float = 1e-8) -> list[OracleThresholds]:
+    """Re-derive the three thresholds at every point by lockstep bisection
+    of period-1 gains; one OracleThresholds per point.
 
     The two cost-of-war thresholds come from the feasibility flip of the
     period-1 offer; the joint threshold comes from the eliminate-then-fight
@@ -258,36 +353,42 @@ def oracle_thresholds(params: ModelParams, search_tol: float = 1e-8,
     """
     if search_tol <= 0:
         raise ValueError("search_tol must be positive")
-    anomalies: list[str] = []
+    n = len(points)
+    lanes = _lanes(points)
+    m = postwar_market_mean(lanes)
 
-    def feasible_at(mode: ProfileMode, c_d: float) -> bool:
-        report = verify_period1(params.with_overrides(c_D=c_d), mode,
-                                offer_grid_n=offer_grid_n)
-        return report.gains["feasibility"] <= 0.0
+    # lanes [0, n) bisect cbar_D, lanes [n, 2n) bisect clow_D
+    pair = _lanes([*points, *points])
+    pair_m = np.concatenate([m, m])
+    efficient = np.arange(2 * n) < n
+    feasibility = _bisect_up_sets(
+        lambda c: _period1(pair.with_overrides(c_D=c), pair_m,
+                           efficient).feasibility <= 0.0,
+        2 * n, search_tol)
+    cbar, clow = feasibility[:n], feasibility[n:]
 
-    cbar, note = _bisect_up_set(
-        lambda c: feasible_at(ProfileMode.EFFICIENT_PEACE, c), search_tol)
-    if note:
-        anomalies.append(f"cbar_D: {note}")
-    clow, note = _bisect_up_set(
-        lambda c: feasible_at(ProfileMode.INEFFICIENT_PEACE, c), search_tol)
-    if note:
-        anomalies.append(f"clow_D: {note}")
+    clow_value = np.array([b.value for b, _ in clow])
+    cd_star = np.where(np.isfinite(clow_value), clow_value + 1.0, lanes.c_D)
+    at_cd = lanes.with_overrides(c_D=cd_star)
+    joint = _bisect_up_sets(
+        lambda s: _period1(at_cd.with_overrides(c_R=s - cd_star), m,
+                           False).eliminate_then_war <= 0.0,
+        n, search_tol)
 
-    cd_star = clow.value + 1.0 if math.isfinite(clow.value) else params.c_D
+    results = []
+    for per_point in zip(cbar, clow, joint):
+        brackets, notes = zip(*per_point)
+        anomalies = tuple(f"{name}: {note}" for name, note
+                          in zip(("cbar_D", "clow_D", "Clow"), notes) if note)
+        results.append(OracleThresholds(*brackets, search_tol=search_tol,
+                                        anomalies=anomalies))
+    return results
 
-    def joint_ok(s: float) -> bool:
-        probe = params.with_overrides(c_D=cd_star, c_R=s - cd_star)
-        report = verify_period1(probe, ProfileMode.INEFFICIENT_PEACE,
-                                offer_grid_n=offer_grid_n)
-        return report.gains["eliminate_then_war"] <= 0.0
 
-    cjoint, note = _bisect_up_set(joint_ok, search_tol)
-    if note:
-        anomalies.append(f"Clow: {note}")
-
-    return OracleThresholds(cbar_D=cbar, clow_D=clow, Clow=cjoint,
-                            search_tol=search_tol, anomalies=tuple(anomalies))
+def oracle_thresholds(params: ModelParams,
+                      search_tol: float = 1e-8) -> OracleThresholds:
+    """Re-derive the three thresholds at one point: a batch of one."""
+    return oracle_thresholds_batch([params], search_tol)[0]
 
 
 AGREEMENT_CSV_HEADER = (
@@ -299,24 +400,25 @@ AGREEMENT_CSV_HEADER = (
 def agreement_rows(n_points: int, seed: Optional[int] = None,
                    search_tol: float = 1e-8) -> list[str]:
     """Summary rows comparing bisected thresholds against the closed forms
-    at random valid parameter points; pairs with AGREEMENT_CSV_HEADER."""
+    at random valid parameter points; pairs with AGREEMENT_CSV_HEADER.
+    All points are sampled first and bisected as one batch."""
     # local import: the closed forms stay out of the verification machinery
     from .thresholds import compute_thresholds
 
     rng = np.random.default_rng(seed)
+    points = [sample_valid_params(rng) for _ in range(n_points)]
     rows = []
-    for _ in range(n_points):
-        params = sample_valid_params(rng)
+    for params, result in zip(points,
+                              oracle_thresholds_batch(points, search_tol)):
         ts = compute_thresholds(params)
-        result = oracle_thresholds(params, search_tol=search_tol)
         diff = max(abs(result.cbar_D.value - ts.cbar_D),
                    abs(result.clow_D.value - ts.clow_D),
                    abs(result.Clow.value - ts.Clow))
-        fields = [params.delta, params.p, params.p1, params.mu, params.h0,
+        values = [params.delta, params.p, params.p1, params.mu, params.h0,
                   params.rho, params.theta,
                   ts.cbar_D, result.cbar_D.value,
                   ts.clow_D, result.clow_D.value,
                   ts.Clow, result.Clow.value, diff]
-        rows.append(",".join(format(v, ".12g") for v in fields)
+        rows.append(",".join(format(v, ".12g") for v in values)
                     + f",{len(result.anomalies)}")
     return rows

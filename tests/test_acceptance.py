@@ -17,7 +17,11 @@ from barriergame.engine import (
     equilibrium_profile,
     simulate,
 )
-from barriergame.oracle import oracle_thresholds, verify_period1
+from barriergame.oracle import (
+    oracle_thresholds,
+    oracle_thresholds_batch,
+    verify_period1,
+)
 from barriergame.params import BarrierDistribution, EliminationMode, ModelParams
 from barriergame.cli import run
 from barriergame.thresholds import (
@@ -51,11 +55,11 @@ def _sample_costs(rng, ts) -> tuple[float, float]:
 def test_criterion_1_oracle_threshold_agreement():
     rng = np.random.default_rng(20240817)
     n_points = 1000
+    points = [random_valid_params(rng) for _ in range(n_points)]
     worst = 0.0
-    for _ in range(n_points):
-        params = random_valid_params(rng)
+    for params, result in zip(points,
+                              oracle_thresholds_batch(points, search_tol=1e-8)):
         ts = compute_thresholds(params)
-        result = oracle_thresholds(params, search_tol=1e-8)
         worst = max(worst,
                     abs(result.cbar_D.value - ts.cbar_D),
                     abs(result.clow_D.value - ts.clow_D),

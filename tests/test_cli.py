@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from barriergame import cli
 from barriergame.cli import run
 from barriergame.params import validate
 from barriergame.presets import list_presets
@@ -233,6 +236,28 @@ class TestVerifyCommand:
         assert len(lines) == 4
         for line in lines[1:]:
             assert float(line.split(",")[-2]) <= 1e-6
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--agreement", "100001"],
+        ["--agreement", "1000000000000"],
+        ["--agreement", "0"],
+        ["--agreement", "-3"],
+        ["--grid", "10000001"],
+        ["--grid", "1000000000000"],
+    ])
+    def test_allocation_caps(self, capsys, monkeypatch, flags):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in ("_collect_params", "verify_period1", "oracle_thresholds",
+                     "agreement_rows"):
+            monkeypatch.setattr(cli, name, no_work)
+        code = run(["verify", "--preset", "demo-b", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flags[0] in json.loads(captured.err)["error"]
 
 
 class TestPresetsCommand:

@@ -1,11 +1,18 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
 from barriergame.engine import ProfileMode
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
+    Bracket,
+    _bisect_up_sets,
+    _lanes,
     agreement_rows,
     oracle_thresholds,
+    oracle_thresholds_batch,
     postwar_market_mean,
     verify_period1,
 )
@@ -24,11 +31,32 @@ def make(**kw):
     return ModelParams(**base)
 
 
+EDGE_POINTS = [
+    ModelParams(delta=0.99, p=0.3, p1=0.7, mu=0.8, h0=0.6,
+                c_R=1.0, c_D=25.0),
+    ModelParams(delta=0.8, p=0.0, p1=1.0, mu=0.7, h0=0.4,
+                c_R=2.0, c_D=8.0),
+    # theta at its admissible cap: theta * p1 == 1
+    ModelParams(delta=0.6, p=0.2, p1=0.8, mu=0.9, h0=0.5,
+                c_R=1.0, c_D=5.0, theta=1.25),
+    ModelParams(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6,
+                c_R=1.0, c_D=25.0, rho=0.5, theta=1.2),
+]
+
+
 class TestPostwarMean:
     def test_matches_closed_form(self):
         for rho in (0.0, 0.25, 0.5, 0.9, 1.0):
             params = make(rho=rho)
             assert_close(postwar_market_mean(params), effective_mu(params), 1e-10)
+
+    def test_lanes_match_scalar_calls(self):
+        # lanes converge after different numbers of steps; each must stop at
+        # its own step, not at the slowest lane's
+        points = [make(rho=rho, delta=delta)
+                  for rho in (0.0, 1e-3, 0.3, 1.0) for delta in (0.2, 0.99)]
+        got = postwar_market_mean(_lanes(points))
+        assert got.tolist() == [postwar_market_mean(q) for q in points]
 
 
 class TestVerify:
@@ -181,17 +209,9 @@ class TestOracleThresholds:
             assert_close(result.clow_D.value, ts.clow_D, 1e-6)
             assert_close(result.Clow.value, ts.Clow, 1e-6)
 
-    @pytest.mark.parametrize("params", [
-        ModelParams(delta=0.99, p=0.3, p1=0.7, mu=0.8, h0=0.6,
-                    c_R=1.0, c_D=25.0),
-        ModelParams(delta=0.8, p=0.0, p1=1.0, mu=0.7, h0=0.4,
-                    c_R=2.0, c_D=8.0),
-        # theta at its admissible cap: theta * p1 == 1
-        ModelParams(delta=0.6, p=0.2, p1=0.8, mu=0.9, h0=0.5,
-                    c_R=1.0, c_D=5.0, theta=1.25),
-        ModelParams(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6,
-                    c_R=1.0, c_D=25.0, rho=0.5, theta=1.2),
-    ], ids=["patient", "p-zero-p1-one", "theta-cap", "composed"])
+    @pytest.mark.parametrize("params", EDGE_POINTS,
+                             ids=["patient", "p-zero-p1-one", "theta-cap",
+                                  "composed"])
     def test_edge_parameter_agreement(self, params):
         ts = compute_thresholds(params)
         result = oracle_thresholds(params, search_tol=1e-8)
@@ -199,3 +219,64 @@ class TestOracleThresholds:
         assert_close(result.cbar_D.value, ts.cbar_D, 1e-6)
         assert_close(result.clow_D.value, ts.clow_D, 1e-6)
         assert_close(result.Clow.value, ts.Clow, 1e-6)
+
+
+class TestLockstepBatch:
+    def test_agreement_golden_bytes(self):
+        # brackets are bit-for-bit those of the one-point-at-a-time scalar
+        # bisection that produced this file; a one-ulp move fails here
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "agreement-seed11.csv")
+        with open(path) as fh:
+            golden = fh.read()
+        text = AGREEMENT_CSV_HEADER + "\n" + "\n".join(
+            agreement_rows(20, seed=11)) + "\n"
+        assert text == golden
+
+    def test_lanes_independent_of_batch(self):
+        points = [
+            make(rho=0.0), make(rho=0.37), make(rho=1.0),
+            make(theta=1.2), make(theta=0.9, rho=0.6),
+            # negative clow_D and Clow
+            make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5),
+            *EDGE_POINTS,
+        ]
+        rng = np.random.default_rng(7)
+        points += [random_valid_params(rng) for _ in range(10)]
+        batch = oracle_thresholds_batch(points, search_tol=1e-8)
+        assert len(batch) == len(points)
+        for params, result in zip(points, batch):
+            assert result == oracle_thresholds(params, search_tol=1e-8)
+        assert oracle_thresholds_batch([], search_tol=1e-8) == []
+
+    def test_search_tol_must_be_positive(self):
+        with pytest.raises(ValueError):
+            oracle_thresholds_batch([make()], search_tol=0.0)
+
+    def test_anomaly_paths(self):
+        def predicate(x):
+            return np.array([
+                False,                                  # never passes
+                True,                                   # never fails
+                # a passing island just below the boundary at 2.5
+                x[2] >= 2.5 or 2.5 - 1.5e-6 < x[2] < 2.5 - 0.5e-6,
+                x[3] >= 0.37,                           # well behaved
+            ])
+
+        (never_pass, n0), (never_fail, n1), (island, n2), (normal, n3) = \
+            _bisect_up_sets(predicate, 4, 1e-8)
+        assert math.isnan(never_pass.value)
+        assert (never_pass.lo, never_pass.hi) == (-1.0, 2.0 ** 64)
+        assert n0 == "no passing point up to 1.8446744073709552e+19"
+        assert math.isnan(never_fail.value)
+        assert (never_fail.lo, never_fail.hi) == (-(2.0 ** 64), 1.0)
+        assert n1 == "no failing point down to -1.8446744073709552e+19"
+        assert island == Bracket(2.4999985015019774, 2.4999984968453646,
+                                 2.4999985061585903)
+        assert n2 == ("predicate not monotone around 2.4999985015019774; "
+                      "the existence condition may not be an interval")
+        assert normal == Bracket(0.3700000010430813, 0.369999997317791,
+                                 0.3700000047683716)
+        assert n3 is None
+        # the same lane alone takes the same steps
+        assert _bisect_up_sets(lambda x: x >= 0.37, 1, 1e-8) == [(normal, None)]
