@@ -6,7 +6,6 @@ from .params import (
     EliminationMode,
     ModelParams,
     ValidationResult,
-    sample_h,
     validate,
 )
 from .thresholds import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -59,6 +60,13 @@ _MODES = {
     "inefficient": ProfileMode.INEFFICIENT_PEACE,
     "cooperative": ProfileMode.COOPERATIVE_INEFFICIENT,
 }
+
+# upper bounds on the sizes that set allocations
+_MAX_AGREEMENT = 100_000
+_MAX_GRID = 10_000_000
+_MAX_RESOLUTION = 4_000
+_MAX_RUNS = 10_000_000
+_MAX_HORIZON = 1_000_000
 
 
 class CliError(Exception):
@@ -130,8 +138,30 @@ def _out_path(path: str) -> str:
     return os.path.join(os.environ.get("BARRIERGAME_OUTDIR", "."), path)
 
 
+def _finite(value):
+    # strict JSON has no token for inf or nan; they are reported as null
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_text(payload: dict, **fmt) -> str:
+    """Serialize a stdout, --out or stderr payload as strict JSON."""
+    return json.dumps(_finite(payload), allow_nan=False, **fmt) + "\n"
+
+
+def _require_size(value: int, flag: str, cap: int) -> None:
+    # called before any work starts, since these sizes set allocations
+    if not 1 <= value <= cap:
+        raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload, indent=2, sort_keys=True)
     if out:
         with open(_out_path(out), "w") as fh:
             fh.write(text)
@@ -230,6 +260,7 @@ _FIGURE_TITLES = {
 
 
 def _cmd_figure(args) -> int:
+    _require_size(args.resolution, "--resolution", _MAX_RESOLUTION)
     params = _collect_params(args)
     _require_valid(params)
     knob, default_values = _FIGURE_DEFAULTS[args.figure_id]
@@ -272,6 +303,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_size(args.runs, "--runs", _MAX_RUNS)
+    _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     params = _collect_params(args)
     _require_valid(params)
     mode = _MODES[args.mode]
@@ -293,16 +326,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_MAX_AGREEMENT = 100_000
-_MAX_GRID = 10_000_000
-
-
 def _cmd_verify(args) -> int:
-    # allocation sizes are checked before any work starts
-    n = args.agreement
-    if n is not None and not 1 <= n <= _MAX_AGREEMENT:
-        raise CliError(f"--agreement must lie in 1..{_MAX_AGREEMENT}, "
-                       f"got {n}")
+    if args.agreement is not None:
+        _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if args.grid > _MAX_GRID:
         raise CliError(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
     params = _collect_params(args)
@@ -363,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("-o", "--out", required=True, help="SVG output path")
     sp.add_argument("--csv", help="CSV twin output path")
-    sp.add_argument("--resolution", type=int, default=40)
+    sp.add_argument("--resolution", type=int, default=40,
+                    help=f"cells per axis (1..{_MAX_RESOLUTION})")
     sp.add_argument("--cr-range", default="0:10")
     sp.add_argument("--cd-range", default="0:40")
     sp.add_argument("--values", help="override knob values for shift figures")
@@ -372,8 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="Monte Carlo payoffs under a profile")
     _add_param_flags(sp)
     sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
-    sp.add_argument("--runs", type=int, default=10_000)
-    sp.add_argument("--horizon", type=int, default=400)
+    sp.add_argument("--runs", type=int, default=10_000,
+                    help=f"Monte Carlo runs (1..{_MAX_RUNS})")
+    sp.add_argument("--horizon", type=int, default=400,
+                    help=f"periods per run (1..{_MAX_HORIZON})")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dist", choices=["degenerate", "uniform", "scaled-beta"],
                     default="degenerate")
@@ -419,10 +448,10 @@ def run(argv: Sequence[str]) -> int:
         payload = {"error": str(e)}
         if e.detail is not None:
             payload["detail"] = e.detail
-        sys.stderr.write(json.dumps(payload) + "\n")
+        sys.stderr.write(_json_text(payload))
         return 2
     except (GameError, InvalidParamsError, OSError, ValueError) as e:
-        sys.stderr.write(json.dumps({"error": str(e)}) + "\n")
+        sys.stderr.write(_json_text({"error": str(e)}))
         return 2
 
 

@@ -23,7 +23,6 @@ from .params import (
     EliminationMode,
     ModelParams,
     require_mean_matches,
-    sample_h,
     validate,
 )
 from .thresholds import (
@@ -58,7 +57,6 @@ class GameState:
     t: int
     barrier_present: bool
     y: float                # resource disputed this period, before elimination
-    h_prev: float           # last realized barrier draw
     war_occurred: bool = False
     winner: Optional[str] = None
 
@@ -90,7 +88,7 @@ def new_game(params: ModelParams,
         raise GameError("invalid params: " + "; ".join(result.violations))
     if dist is not None:
         require_mean_matches(dist, params)
-    return GameState(t=1, barrier_present=True, y=params.h0, h_prev=params.h0)
+    return GameState(t=1, barrier_present=True, y=params.h0)
 
 
 def win_prob_d(params: ModelParams, t: int, barrier_present: bool) -> float:
@@ -152,17 +150,14 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
         wp = win_prob_d(params, state.t, barrier_after)
         d_wins = bool(rng.random() < wp)
         terminal = GameState(t=state.t, barrier_present=barrier_after, y=y_eff,
-                             h_prev=state.h_prev, war_occurred=True,
-                             winner="D" if d_wins else "R")
+                             war_occurred=True, winner="D" if d_wins else "R")
         return TerminalOutcome(state=terminal, period=state.t,
                                barrier_at_war=barrier_after, y_at_war=y_eff,
                                d_wins=d_wins, d_win_prob=wp)
     if barrier_after:
-        h_next = sample_h(dist, rng)
-        return GameState(t=state.t + 1, barrier_present=True, y=h_next,
-                         h_prev=h_next)
-    return GameState(t=state.t + 1, barrier_present=False, y=1.0,
-                     h_prev=state.h_prev)
+        return GameState(t=state.t + 1, barrier_present=True,
+                         y=float(dist.sample(rng)))
+    return GameState(t=state.t + 1, barrier_present=False, y=1.0)
 
 
 @dataclass(frozen=True)
@@ -378,27 +373,29 @@ def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
 
 def _war_continuation(params: ModelParams, dist: BarrierDistribution,
                       barrier_at_war: bool, periods_left: int,
-                      rng: np.random.Generator) -> float:
+                      rng: np.random.Generator,
+                      discounts: np.ndarray) -> float:
     """Realized discounted flow captured by the war winner after the war
     period, evaluated at the war period.  With the barrier standing, each
     postwar period renormalizes to the full resource with probability rho,
-    absorbing once it happens."""
+    absorbing once it happens.
+
+    The whole postwar path is drawn in one call: ``periods_left`` barrier
+    values, then (when rho > 0) ``periods_left`` renormalization coins whose
+    running OR sets the flow to 1 from the first landed coin on.
+    ``discounts[k]`` is ``delta ** (k + 1)``, for at least ``periods_left``
+    entries."""
     delta = params.delta
     if periods_left <= 0:
         return 0.0
     if not barrier_at_war:
         # full resource every remaining period
         return delta * (1.0 - delta ** periods_left) / (1.0 - delta)
-    total = 0.0
-    disc = delta
-    renormalized = False
-    for _ in range(periods_left):
-        if not renormalized and params.rho > 0.0 and rng.random() < params.rho:
-            renormalized = True
-        flow = 1.0 if renormalized else sample_h(dist, rng)
-        total += disc * flow
-        disc *= delta
-    return total
+    flows = dist.sample(rng, periods_left)
+    if params.rho > 0.0:
+        landed = rng.random(periods_left) < params.rho
+        flows[np.logical_or.accumulate(landed)] = 1.0
+    return float(flows @ discounts[:periods_left])
 
 
 def _simulate_general(profile: StrategyProfile, params: ModelParams,
@@ -406,6 +403,7 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                       seed: Optional[int], trace: Optional[IO[str]],
                       trace_runs: int) -> SimStats:
     delta = params.delta
+    discounts = delta ** np.arange(1, horizon)
     streams = np.random.SeedSequence(seed).spawn(n_runs)
     payoff_r = np.empty(n_runs)
     payoff_d = np.empty(n_runs)
@@ -413,7 +411,7 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
     elim_counts: dict = {}
     for i in range(n_runs):
         rng = np.random.default_rng(streams[i])
-        state = GameState(t=1, barrier_present=True, y=params.h0, h_prev=params.h0)
+        state = GameState(t=1, barrier_present=True, y=params.h0)
         v_r = 0.0
         v_d = 0.0
         elim_at = None
@@ -447,7 +445,8 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
             if isinstance(outcome, TerminalOutcome):
                 disc = delta ** (t - 1)
                 spoils = outcome.y_at_war + _war_continuation(
-                    params, dist, outcome.barrier_at_war, horizon - t, rng)
+                    params, dist, outcome.barrier_at_war, horizon - t, rng,
+                    discounts)
                 if outcome.d_wins:
                     v_d += disc * (spoils - params.c_D)
                     v_r += disc * (-params.c_R)
@@ -494,7 +493,10 @@ def simulate(profile: StrategyProfile, params: ModelParams,
 
     Runs draw independent generator streams from the master seed; built-in
     profiles take a deterministic fast path since their on-path play never
-    touches the draws.
+    touches the draws.  Custom profiles step period by period, one barrier
+    draw per period the barrier stands; a run that ends in war draws its
+    whole postwar path in one call, so after the war draw its stream holds
+    every postwar barrier value first, then the renormalization coins.
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")

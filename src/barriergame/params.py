@@ -118,10 +118,10 @@ def validate(params: ModelParams) -> ValidationResult:
         v.append(f"0 < mu <= 1 required, got {q.mu}")
     if not (q.p1 > q.p):
         v.append(f"p1 > p required (declining power), got p1={q.p1}, p={q.p}")
-    if not (q.c_R >= 0.0):
-        v.append(f"c_R >= 0 required, got {q.c_R}")
-    if not (q.c_D >= 0.0):
-        v.append(f"c_D >= 0 required, got {q.c_D}")
+    if not (0.0 <= q.c_R < math.inf):
+        v.append(f"finite c_R >= 0 required, got {q.c_R}")
+    if not (0.0 <= q.c_D < math.inf):
+        v.append(f"finite c_D >= 0 required, got {q.c_D}")
     if not (0.0 <= q.rho <= 1.0):
         v.append(f"0 <= rho <= 1 required, got {q.rho}")
     if not (q.theta > 0.0):
@@ -215,11 +215,6 @@ class BarrierDistribution:
         if self.kind is DistributionKind.UNIFORM:
             return f"Uniform({self.a}, {self.b})"
         return f"ScaledBeta({self.a}, {self.b})"
-
-
-def sample_h(dist: BarrierDistribution, rng: np.random.Generator) -> float:
-    """Draw one barrier value from the distribution."""
-    return float(dist.sample(rng))
 
 
 def require_mean_matches(dist: BarrierDistribution, params: ModelParams,

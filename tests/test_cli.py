@@ -16,6 +16,20 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def assert_no_work(monkeypatch, names):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, no_work)
+
+
 class TestClassifyCommand:
     def test_demo_point(self, capsys):
         payload = run_json(capsys, ["classify", "--preset", "demo-b",
@@ -38,6 +52,25 @@ class TestClassifyCommand:
         error = json.loads(captured.err)
         assert error["error"] == "invalid parameters"
         assert any("p1 > p" in v for v in error["detail"])
+
+    @pytest.mark.parametrize("flag", ["--c-d", "--c-r"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_cost_rejected(self, capsys, flag, value):
+        code = run(["classify", "--preset", "demo-b", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = strict_json(captured.err)
+        assert error["error"] == "invalid parameters"
+        name = {"--c-d": "c_D", "--c-r": "c_R"}[flag]
+        assert any(name in v for v in error["detail"])
+
+    def test_finite_output_bytes_are_plain_json(self, capsys):
+        code = run(["classify", "--preset", "demo-b"])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = strict_json(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_missing_params(self, capsys):
         code = run(["classify", "--c-d", "5"])
@@ -162,6 +195,18 @@ class TestFigureCommand:
         assert (tmp_path / "mu-mu-0.5.csv").exists()
         assert (tmp_path / "mu-mu-0.8.csv").exists()
 
+    @pytest.mark.parametrize("value", ["4001", "1000000000000", "0", "-3"])
+    def test_resolution_cap(self, capsys, monkeypatch, value):
+        assert_no_work(monkeypatch, ("_collect_params", "region_grid",
+                                     "emit_svg", "emit_csv"))
+        code = run(["figure", "regions", "--preset", "demo-b",
+                    "-o", "never.svg", "--resolution", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"] == \
+            f"--resolution must lie in 1..4000, got {value}"
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
         assert run(["figure", "regions", "--preset", "demo-b",
@@ -183,6 +228,23 @@ class TestSimulateCommand:
         assert len(lines) == 300
         first = json.loads(lines[0])
         assert first["period"] == 1 and first["y"] == 0.6
+
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "10000001"],
+        ["--runs", "1000000000000"],
+        ["--runs", "0"],
+        ["--horizon", "1000001"],
+        ["--horizon", "1000000000000"],
+        ["--horizon", "-1"],
+    ])
+    def test_allocation_caps(self, capsys, monkeypatch, flags):
+        assert_no_work(monkeypatch, ("_collect_params", "equilibrium_profile",
+                                     "simulate"))
+        code = run(["simulate", "--preset", "demo-b", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flags[0] in strict_json(captured.err)["error"]
 
     def test_refused_profile(self, capsys):
         code = run(["simulate", "--preset", "demo-b", "--c-d", "20",
@@ -227,6 +289,15 @@ class TestVerifyCommand:
         assert payload["report"]["passed"] is False
         assert "responder" in payload["report"]["best_deviation"]
 
+    def test_nonfinite_gain_is_null(self, capsys):
+        # the offer scan finds no acceptable offer at this point, so its gain
+        # is -inf, which strict JSON reports as null
+        code = run(["verify", "--preset", "demo-b", "--c-d", "5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        payload = strict_json(captured.out)
+        assert payload["report"]["gains"]["offer_scan"] is None
+
     def test_agreement_summary(self, capsys, tmp_path):
         csv_path = tmp_path / "agree.csv"
         run_json(capsys, ["verify", "--preset", "demo-b", "--agreement", "3",
@@ -247,12 +318,8 @@ class TestVerifyCommand:
         ["--grid", "1000000000000"],
     ])
     def test_allocation_caps(self, capsys, monkeypatch, flags):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the size check")
-
-        for name in ("_collect_params", "verify_period1", "oracle_thresholds",
-                     "agreement_rows"):
-            monkeypatch.setattr(cli, name, no_work)
+        assert_no_work(monkeypatch, ("_collect_params", "verify_period1",
+                                     "oracle_thresholds", "agreement_rows"))
         code = run(["verify", "--preset", "demo-b", *flags])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from barriergame.engine import (
     Response,
     StrategyProfile,
     TerminalOutcome,
+    _war_continuation,
     analytic_payoffs,
     equilibrium_profile,
     expected_war_payoffs,
@@ -103,7 +105,7 @@ class TestStateMachine:
 
     def test_post_shift_war_odds(self):
         params = make()
-        state = GameState(t=3, barrier_present=False, y=1.0, h_prev=0.8)
+        state = GameState(t=3, barrier_present=False, y=1.0)
         outcome = step(state, reject(), params, DIST, np.random.default_rng(0))
         assert outcome.d_win_prob == params.p
 
@@ -219,6 +221,14 @@ class TestAnalyticPayoffs:
             analytic_payoffs(make(c_D=20.0), ProfileMode.INEFFICIENT_PEACE)
 
 
+def always_war(params):
+    return StrategyProfile(
+        mode=ProfileMode.CUSTOM, params=params,
+        custom_eliminate=lambda t, y, b: False,
+        custom_offer=lambda t, y, b: 0.0,
+        custom_accept=lambda t, y, b, o: False)
+
+
 class TestSimulate:
     def test_matches_analytic_degenerate(self):
         params = make(c_D=25.0)
@@ -266,11 +276,7 @@ class TestSimulate:
 
     def test_always_reject_forces_war(self):
         params = make()
-        profile = StrategyProfile(
-            mode=ProfileMode.CUSTOM, params=params,
-            custom_eliminate=lambda t, y, b: False,
-            custom_offer=lambda t, y, b: 0.0,
-            custom_accept=lambda t, y, b, o: False)
+        profile = always_war(params)
         stats = simulate(profile, params, DIST, horizon=150, n_runs=4000,
                          seed=5)
         assert stats.war_frequency == 1.0
@@ -283,11 +289,7 @@ class TestSimulate:
         estimates = []
         for dist in (BarrierDistribution.uniform_with_mean(0.8, 0.3),
                      BarrierDistribution.scaled_beta_with_mean(0.8)):
-            profile = StrategyProfile(
-                mode=ProfileMode.CUSTOM, params=params,
-                custom_eliminate=lambda t, y, b: False,
-                custom_offer=lambda t, y, b: 0.0,
-                custom_accept=lambda t, y, b, o: False)
+            profile = always_war(params)
             stats = simulate(profile, params, dist, horizon=150, n_runs=4000,
                              seed=6)
             estimates.append((stats.payoff_d_mean, stats.payoff_d_se))
@@ -298,11 +300,7 @@ class TestSimulate:
     def test_postwar_renormalization(self):
         # with rho = 1 the postwar market is the full resource every period
         params = make(rho=1.0)
-        profile = StrategyProfile(
-            mode=ProfileMode.CUSTOM, params=params,
-            custom_eliminate=lambda t, y, b: False,
-            custom_offer=lambda t, y, b: 0.0,
-            custom_accept=lambda t, y, b, o: False)
+        profile = always_war(params)
         horizon = 200
         stats = simulate(profile, params, DIST, horizon=horizon, n_runs=3000,
                          seed=7)
@@ -315,11 +313,7 @@ class TestSimulate:
         # interior rho: simulated war spoils price the renormalization
         # recursion behind the effective postwar market mean
         params = make(rho=0.5)
-        profile = StrategyProfile(
-            mode=ProfileMode.CUSTOM, params=params,
-            custom_eliminate=lambda t, y, b: False,
-            custom_offer=lambda t, y, b: 0.0,
-            custom_accept=lambda t, y, b, o: False)
+        profile = always_war(params)
         stats = simulate(profile, params, DIST, horizon=250, n_runs=6000,
                          seed=8)
         war_r, war_d = expected_war_payoffs(params, 1, True, params.h0)
@@ -359,6 +353,123 @@ class TestSimulate:
                                       ProfileMode.INEFFICIENT_PEACE)
         with pytest.raises(ValueError):
             simulate(profile, make(c_D=25.0), DIST, horizon=0, n_runs=1)
+
+
+class TestWarContinuation:
+    @staticmethod
+    def continuation(params, dist, barrier_at_war, n, rng):
+        discounts = params.delta ** np.arange(1, n + 1)
+        return _war_continuation(params, dist, barrier_at_war, n, rng,
+                                 discounts)
+
+    @pytest.mark.parametrize("n", [1, 7, 149])
+    def test_degenerate_without_renormalization(self, n):
+        params = make()
+        d, mu = params.delta, params.mu
+        got = self.continuation(params, BarrierDistribution.degenerate(mu),
+                                True, n, np.random.default_rng(0))
+        assert abs(got - d * mu * (1.0 - d ** n) / (1.0 - d)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 149])
+    def test_certain_renormalization_is_full_resource(self, n):
+        # rng.random() < 1 always, so the first coin lands
+        params = make(rho=1.0)
+        d = params.delta
+        got = self.continuation(params,
+                                BarrierDistribution.uniform_with_mean(0.8, 0.3),
+                                True, n, np.random.default_rng(1))
+        assert abs(got - d * (1.0 - d ** n) / (1.0 - d)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_period_reference(self, seed):
+        # the per-period law on the same draws: the flow is 1 from the first
+        # period whose coin lands, that period included, and a draw before it
+        params = make(rho=0.1)
+        dist = BarrierDistribution.uniform_with_mean(0.8, 0.3)
+        n = 60
+        ref_rng = np.random.default_rng(seed)
+        draws = dist.sample(ref_rng, n)
+        coins = ref_rng.random(n)
+        want, disc, renormalized = 0.0, params.delta, False
+        for h, coin in zip(draws, coins):
+            renormalized = renormalized or coin < params.rho
+            want += disc * (1.0 if renormalized else h)
+            disc *= params.delta
+        got = self.continuation(params, dist, True, n,
+                                np.random.default_rng(seed))
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("barrier_at_war", [True, False])
+    def test_no_periods_left(self, barrier_at_war):
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        assert self.continuation(make(rho=0.5), DIST, barrier_at_war, 0,
+                                 rng) == 0.0
+        assert rng.bit_generator.state == before
+
+    def test_barrier_gone_is_closed_form(self):
+        params = make(rho=0.5)
+        d = params.delta
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        got = self.continuation(params,
+                                BarrierDistribution.uniform_with_mean(0.8, 0.3),
+                                False, 40, rng)
+        assert got == d * (1.0 - d ** 40) / (1.0 - d)
+        assert rng.bit_generator.state == before
+
+    def test_seeded_war_runs_reproduce(self):
+        params = make(rho=0.3)
+        dist = BarrierDistribution.scaled_beta_with_mean(0.8)
+        runs = [simulate(always_war(params), params, dist, horizon=60,
+                         n_runs=50, seed=seed) for seed in (11, 11, 12)]
+        assert runs[0] == runs[1]
+        assert runs[0].payoff_r_mean != runs[2].payoff_r_mean
+        assert runs[0].payoff_d_mean != runs[2].payoff_d_mean
+
+
+class TestPeaceStreams:
+    """Peace runs draw one barrier value per standing period through
+    ``step``; their seeded results and trace bytes are pinned."""
+
+    PINNED = {
+        "Uniform": ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 5.4398733571123,
+            "payoff_r_se": 0.016621109103242084,
+            "payoff_d_mean": 3.1948462573516685,
+            "payoff_d_se": 0.009761603759046958,
+            "war_frequency": 0.0, "elimination_periods": {"5": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "fc908532f8b8d1c0bdc0f23ffcc30cf79034d12cd85585c27be574e586c19cc9"),
+        "ScaledBeta": ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 5.464608029726838,
+            "payoff_r_se": 0.01941111822520932,
+            "payoff_d_mean": 3.2093729698395714,
+            "payoff_d_se": 0.011400180544964247,
+            "war_frequency": 0.0, "elimination_periods": {"5": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "59255bb6888090969680fc84be2db73b54daac9fb60cfad63c35292ef7e86e06"),
+    }
+
+    @pytest.mark.parametrize("dist", [
+        BarrierDistribution.uniform_with_mean(0.8, 0.3),
+        BarrierDistribution.scaled_beta_with_mean(0.8)],
+        ids=lambda dist: dist.kind.value)
+    def test_keep_barrier_stream_pinned(self, dist):
+        params = make(c_D=25.0)
+        profile = StrategyProfile(
+            mode=ProfileMode.CUSTOM, params=params,
+            custom_eliminate=lambda t, y, b: t >= 5,
+            custom_offer=lambda t, y, b: 0.37 * y,
+            custom_accept=lambda t, y, b, o: True)
+        buf = io.StringIO()
+        stats = simulate(profile, params, dist, horizon=30, n_runs=25,
+                         seed=2024, trace=buf, trace_runs=25)
+        want_stats, want_sha = self.PINNED[dist.kind.value]
+        assert stats.to_dict() == want_stats
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
 
 
 class TestCooperativeEquivalence:

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from barriergame.params import (
     EliminationMode,
     ModelParams,
     require_mean_matches,
-    sample_h,
     validate,
 )
 
@@ -48,6 +48,14 @@ class TestValidate:
     def test_negative_costs(self):
         result = validate(make(c_R=-1.0, c_D=-2.0))
         assert sum("c_R" in v or "c_D" in v for v in result.violations) == 2
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_costs(self, value):
+        for name in ("c_R", "c_D"):
+            result = validate(make(**{name: value}))
+            assert not result.ok
+            assert [v for v in result.violations if name in v] == \
+                [f"finite {name} >= 0 required, got {value}"]
 
     @given(
         delta=st.floats(-1, 2, allow_nan=False),
@@ -88,7 +96,8 @@ class TestDistributions:
     def test_degenerate_bit_identical(self):
         dist = BarrierDistribution.degenerate(0.5)
         rng = np.random.default_rng(0)
-        assert all(sample_h(dist, rng) == 0.5 for _ in range(100))
+        assert all(dist.sample(rng) == 0.5 for _ in range(100))
+        assert (dist.sample(rng, 100) == 0.5).all()
 
     def test_uniform_support(self):
         dist = BarrierDistribution.uniform(0.3, 0.7)
