@@ -8,6 +8,7 @@ The BARRIERGAME_OUTDIR environment variable prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .classifier import (
+    SWEEPABLE_KNOBS,
     InvalidParamsError,
     classify,
     comparative_static,
@@ -174,6 +176,11 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
         raise CliError(f"{flag} expects LO:HI, got {text!r}")
+    # nan or inf in either end, or a width that overflows, makes hi - lo
+    # non-finite; any of them would put nan into the figure's geometry
+    if not math.isfinite(hi - lo):
+        raise CliError(f"{flag} requires finite LO, HI and HI - LO, "
+                       f"got {text!r}")
     if not hi > lo:
         raise CliError(f"{flag} requires HI > LO, got {text!r}")
     return lo, hi
@@ -261,11 +268,11 @@ _FIGURE_TITLES = {
 
 def _cmd_figure(args) -> int:
     _require_size(args.resolution, "--resolution", _MAX_RESOLUTION)
+    cr_range = _parse_range(args.cr_range, "--cr-range")
+    cd_range = _parse_range(args.cd_range, "--cd-range")
     params = _collect_params(args)
     _require_valid(params)
     knob, default_values = _FIGURE_DEFAULTS[args.figure_id]
-    cr_range = _parse_range(args.cr_range, "--cr-range")
-    cd_range = _parse_range(args.cd_range, "--cd-range")
     if knob is None:
         panels = [("base", region_grid(params, cr_range, cd_range,
                                        args.resolution))]
@@ -285,10 +292,7 @@ def _cmd_figure(args) -> int:
                            region_grid(point, cr_range, cd_range,
                                        args.resolution)))
     spec = FigureSpec(figure_id=args.figure_id,
-                      title=_FIGURE_TITLES[args.figure_id],
-                      knob=knob,
-                      values=tuple(v for _, v in
-                                   ((p[0], 0.0) for p in panels)) if knob else ())
+                      title=_FIGURE_TITLES[args.figure_id], knob=knob)
     emit_svg(panels, spec, _out_path(args.out))
     if args.csv:
         base = _out_path(args.csv)
@@ -329,8 +333,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
-    if args.grid > _MAX_GRID:
-        raise CliError(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
+    _require_size(args.grid, "--grid", _MAX_GRID)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
     params = _collect_params(args)
     _require_valid(params)
     mode = _MODES[args.mode]
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="comparative statics along one knob")
     _add_param_flags(sp)
     sp.add_argument("--knob", required=True,
-                    choices=["mu", "p", "h0", "c_D", "c_R", "rho", "theta"])
+                    choices=SWEEPABLE_KNOBS)
     sp.add_argument("--values", required=True, help="comma-separated values")
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_sweep)
@@ -436,10 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the tree untouched and the handlers look up the library
+    # functions as module globals when called, so one tree serves every
+    # in-process run; a shell command still builds exactly one
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as e:
         # --help and friends

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -207,6 +208,23 @@ class TestFigureCommand:
         assert strict_json(captured.err)["error"] == \
             f"--resolution must lie in 1..4000, got {value}"
 
+    @pytest.mark.parametrize("flag", ["--cr-range", "--cd-range"])
+    @pytest.mark.parametrize("text", ["0:inf", "-inf:0", "nan:1",
+                                      "-1e308:1e308"])
+    def test_nonfinite_range_refused(self, tmp_path, capsys, monkeypatch,
+                                     flag, text):
+        assert_no_work(monkeypatch, ("_collect_params", "region_grid",
+                                     "emit_svg", "emit_csv"))
+        svg, csv = tmp_path / "f.svg", tmp_path / "f.csv"
+        code = run(["figure", "regions", "--preset", "demo-b", "-o", str(svg),
+                    "--csv", str(csv), f"{flag}={text}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"] == \
+            f"{flag} requires finite LO, HI and HI - LO, got {text!r}"
+        assert not svg.exists() and not csv.exists()
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
         assert run(["figure", "regions", "--preset", "demo-b",
@@ -316,6 +334,8 @@ class TestVerifyCommand:
         ["--agreement", "-3"],
         ["--grid", "10000001"],
         ["--grid", "1000000000000"],
+        ["--grid", "0"],
+        ["--grid", "-5"],
     ])
     def test_allocation_caps(self, capsys, monkeypatch, flags):
         assert_no_work(monkeypatch, ("_collect_params", "verify_period1",
@@ -325,6 +345,17 @@ class TestVerifyCommand:
         assert code == 2
         assert captured.out == ""
         assert flags[0] in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tol_checked(self, capsys, monkeypatch, value):
+        assert_no_work(monkeypatch, ("_collect_params", "verify_period1",
+                                     "oracle_thresholds", "agreement_rows"))
+        code = run(["verify", "--preset", "demo-b", f"--tol={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"] == \
+            f"--tol must be finite and >= 0, got {float(value)}"
 
 
 class TestPresetsCommand:
@@ -343,3 +374,96 @@ class TestPresetsCommand:
         code = run(["classify", "--preset", "nope"])
         assert code == 2
         assert "unknown preset" in json.loads(capsys.readouterr().err)["error"]
+
+
+# one invocation of every subcommand, writing each file it can
+REUSE_COMMANDS = {
+    "thresholds": ["thresholds", "--preset", "demo-b", "--intersection",
+                   "-o", "t.json"],
+    "classify": ["classify", "--preset", "demo-b", "--c-d", "25"],
+    "sweep": ["sweep", "--preset", "demo-b", "--knob", "mu",
+              "--values", "0.5,0.7"],
+    "figure": ["figure", "mu-shift", "--preset", "demo-b", "-o", "f.svg",
+               "--csv", "f.csv", "--resolution", "6"],
+    "simulate": ["simulate", "--preset", "demo-b", "--dist", "uniform",
+                 "--runs", "5", "--horizon", "40", "--seed", "3",
+                 "--trace", "s.jsonl"],
+    "verify": ["verify", "--preset", "demo-b", "--thresholds", "--grid", "500",
+               "--agreement", "2", "--agreement-csv", "a.csv"],
+    "presets": ["presets"],
+}
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def outputs(self, tmp_path, monkeypatch, capsys):
+        """Run argv in a fresh output directory; return the exit status,
+        stdout, stderr and the bytes of every file written."""
+        count = itertools.count()
+
+        def go(argv):
+            outdir = tmp_path / str(next(count))
+            outdir.mkdir()
+            monkeypatch.setenv("BARRIERGAME_OUTDIR", str(outdir))
+            code = run(argv)
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            return code, captured.out, captured.err, files
+
+        return go
+
+    @pytest.mark.parametrize("command", sorted(REUSE_COMMANDS))
+    def test_reused_parser_same_output(self, outputs, command):
+        argv = REUSE_COMMANDS[command]
+        cli._parser.cache_clear()
+        fresh = outputs(argv)
+        assert fresh[0] == 0, fresh[2]
+        assert outputs(argv) == fresh
+        assert outputs(argv) == fresh
+
+    def test_all_commands_share_one_parser(self, outputs):
+        fresh = {}
+        for command, argv in REUSE_COMMANDS.items():
+            cli._parser.cache_clear()
+            fresh[command] = outputs(argv)
+        cli._parser.cache_clear()
+        for _ in range(2):
+            for command, argv in REUSE_COMMANDS.items():
+                assert outputs(argv) == fresh[command], command
+
+    def test_usage_error_and_help_leave_parser_intact(self, outputs):
+        argv = REUSE_COMMANDS["figure"]
+        cli._parser.cache_clear()
+        before = outputs(argv)
+        help_text = outputs(["figure", "--help"])
+        assert help_text[0] == 0 and "--resolution" in help_text[1]
+        for bad in (["figure", "regions", "--bogus", "1"],
+                    ["figure", "nowhere", "-o", "x.svg"],
+                    ["figure", "regions"],
+                    ["sweep", "--preset", "demo-b", "--knob", "delta",
+                     "--values", "1"]):
+            code, out, err, files = outputs(bad)
+            assert code == 2 and out == "" and not files
+            assert strict_json(err)["error"]
+        assert outputs(["--help"])[0] == 0
+        assert outputs(["figure", "--help"]) == help_text
+        assert outputs(argv) == before
+
+    def test_build_parser_returns_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_one_build_per_process(self, outputs, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in [*REUSE_COMMANDS.values(), ["classify", "--bogus"],
+                     ["--help"]]:
+            outputs(argv)
+        assert len(built) == 1
