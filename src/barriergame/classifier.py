@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -83,17 +84,25 @@ def report_from_margins(margins: Margins, thresholds: ThresholdSet) -> Equilibri
 
 
 def classify(params: ModelParams) -> EquilibriumReport:
-    """Map one parameter point to the equilibrium taxonomy."""
+    """Map one parameter point to the equilibrium taxonomy.
+
+    Costs near the float maximum can overflow a margin even though every
+    input is finite; such a point is refused like an invalid one, since a
+    label read off an infinite or nan margin means nothing."""
     result = validate(params)
     if not result.ok:
         raise InvalidParamsError(result.violations)
     ts = compute_thresholds(params)
-    margins = Margins(
-        efficient=params.c_D - ts.cbar_D,
-        cd=params.c_D - ts.clow_D,
-        joint=params.c_D + params.c_R - ts.Clow,
-    )
-    return report_from_margins(margins, ts)
+    c_D = params.c_D
+    efficient = c_D - ts.cbar_D
+    cd = c_D - ts.clow_D
+    joint = c_D + params.c_R - ts.Clow
+    if not (math.isfinite(efficient) and math.isfinite(cd)
+            and math.isfinite(joint)):
+        raise InvalidParamsError([
+            f"finite margins required, got efficient={efficient}, cd={cd}, "
+            f"joint={joint}"])
+    return report_from_margins(Margins(efficient, cd, joint), ts)
 
 
 @dataclass(frozen=True)
@@ -131,34 +140,26 @@ def region_grid(base: ModelParams, cr_range: tuple[float, float],
     crs = _cell_centers(cr_range[0], cr_range[1], resolution)
     cds = _cell_centers(cd_range[0], cd_range[1], resolution)
     ts = compute_thresholds(base)
-    labels: list[tuple[RegionLabel, ...]] = []
-    m_eff: list[tuple[float, ...]] = []
-    m_cd: list[tuple[float, ...]] = []
-    m_joint: list[tuple[float, ...]] = []
+    nan = float("nan")
+    skipped = (RegionLabel.SKIPPED, nan, nan, nan)
+    # one (label, efficient, cd, joint) tuple per cell, transposed per row
+    rows: list[tuple[tuple, ...]] = []
     for cd in cds:
-        row_l, row_e, row_c, row_j = [], [], [], []
+        row = []
         for cr in crs:
-            cell = base.with_overrides(c_D=cd, c_R=cr)
+            # one classify call per cell, Skipped cells included
             try:
-                rep = classify(cell)
+                rep = classify(base.with_overrides(c_D=cd, c_R=cr))
             except InvalidParamsError:
-                row_l.append(RegionLabel.SKIPPED)
-                row_e.append(float("nan"))
-                row_c.append(float("nan"))
-                row_j.append(float("nan"))
+                row.append(skipped)
                 continue
-            row_l.append(rep.label)
-            row_e.append(rep.margins.efficient)
-            row_c.append(rep.margins.cd)
-            row_j.append(rep.margins.joint)
-        labels.append(tuple(row_l))
-        m_eff.append(tuple(row_e))
-        m_cd.append(tuple(row_c))
-        m_joint.append(tuple(row_j))
+            m = rep.margins
+            row.append((rep.label, m.efficient, m.cd, m.joint))
+        rows.append(tuple(zip(*row)))
+    labels, m_eff, m_cd, m_joint = zip(*rows)
     return RegionGrid(
-        cr_values=crs, cd_values=cds, labels=tuple(labels),
-        margins_efficient=tuple(m_eff), margins_cd=tuple(m_cd),
-        margins_joint=tuple(m_joint),
+        cr_values=crs, cd_values=cds, labels=labels,
+        margins_efficient=m_eff, margins_cd=m_cd, margins_joint=m_joint,
         cbar_D=ts.cbar_D, clow_D=ts.clow_D, Clow=ts.Clow,
         cr_range=tuple(cr_range), cd_range=tuple(cd_range),
     )
@@ -204,28 +205,33 @@ class IntersectionResult:
 
 
 def intersection_nonempty(base: ModelParams, grid_points: int = 64) -> IntersectionResult:
-    """Search a finite box for a cost pair supporting inefficient-but-not-
-    efficient peace.  This is a numerical check, not a proof; an empty band
-    is recorded as a counterexample candidate for the nonemptiness claim."""
+    """Find a cost pair supporting inefficient-but-not-efficient peace on a
+    ``grid_points`` grid of a finite box; an empty band is recorded as a
+    counterexample candidate for the nonemptiness claim.
+
+    The band is nonempty iff ``max(clow_D, 0) < cbar_D``.  The witness is the
+    first hit of a row-by-row scan: its lowest row ``c_D = max(clow_D, 0)``
+    always holds one, because the box reaches ``c_R = 10 * max(1, |Clow|)``,
+    and on that row ``c_R`` steps through ``cr_hi * j / grid_points``, so the
+    smallest ``j`` with ``c_D + c_R >= Clow`` is found in closed form."""
+    if grid_points < 1:
+        raise ValueError("grid_points must be positive")
     result = validate(base)
     if not result.ok:
         raise InvalidParamsError(result.violations)
     ts = compute_thresholds(base)
     cr_hi = 10.0 * max(1.0, abs(ts.Clow))
-    cd_lo = max(ts.clow_D, 0.0)
-    cd_hi = ts.cbar_D
-    box = ((0.0, cr_hi), (cd_lo, max(cd_hi, cd_lo)))
-    if not (cd_lo < cd_hi):
+    cd = max(ts.clow_D, 0.0)
+    box = ((0.0, cr_hi), (cd, max(ts.cbar_D, cd)))
+    if not (cd < ts.cbar_D):
         note = (f"band empty: clow_D={ts.clow_D} vs cbar_D={ts.cbar_D}; "
                 f"counterexample candidate for the nonemptiness claim")
         return IntersectionResult(False, None, box, note)
-    for i in range(grid_points):
-        cd = cd_lo + (cd_hi - cd_lo) * i / grid_points
-        if cd >= cd_hi:
-            continue
-        for j in range(grid_points + 1):
-            cr = cr_hi * j / grid_points
-            if cd >= ts.clow_D and cd + cr >= ts.Clow and cd < ts.cbar_D:
-                return IntersectionResult(True, (cr, cd), box, "witness found")
-    return IntersectionResult(False, None, box,
-                              "no witness in searched box despite nonempty band")
+    j = min(max(math.ceil((ts.Clow - cd) * grid_points / cr_hi), 0), grid_points)
+    # the estimate can miss the grid's own rounding by one step either way
+    if j > 0 and cd + cr_hi * (j - 1) / grid_points >= ts.Clow:
+        j -= 1
+    elif cd + cr_hi * j / grid_points < ts.Clow:
+        j += 1
+    return IntersectionResult(True, (cr_hi * j / grid_points, cd), box,
+                              "witness found")

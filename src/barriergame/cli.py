@@ -35,7 +35,7 @@ from .oracle import (
     oracle_thresholds,
     verify_period1,
 )
-from .output import CSV_HEADER, FigureSpec, emit_csv, emit_svg
+from .output import CSV_HEADER, emit_csv, emit_svg
 from .params import (
     BarrierDistribution,
     EliminationMode,
@@ -291,9 +291,7 @@ def _cmd_figure(args) -> int:
             panels.append((f"{knob} = {format(v, '.6g')}",
                            region_grid(point, cr_range, cd_range,
                                        args.resolution)))
-    spec = FigureSpec(figure_id=args.figure_id,
-                      title=_FIGURE_TITLES[args.figure_id], knob=knob)
-    emit_svg(panels, spec, _out_path(args.out))
+    emit_svg(panels, _FIGURE_TITLES[args.figure_id], _out_path(args.out))
     if args.csv:
         base = _out_path(args.csv)
         if len(panels) == 1:

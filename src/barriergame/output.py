@@ -5,9 +5,7 @@ is byte-stable and suitable for golden-file comparison.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .classifier import RegionGrid, RegionLabel
 
@@ -29,39 +27,27 @@ _LEGEND = (
 )
 
 
-def _num(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(x, ".12g")
-
-
 def csv_rows(grid: RegionGrid) -> list[str]:
-    """One row per cell, ordered by increasing c_D then c_R."""
-    rows = []
-    for i, cd in enumerate(grid.cd_values):
-        for j, cr in enumerate(grid.cr_values):
-            rows.append(",".join([
-                _num(cr), _num(cd), grid.labels[i][j].value,
-                _num(grid.margins_efficient[i][j]),
-                _num(grid.margins_cd[i][j]),
-                _num(grid.margins_joint[i][j]),
-            ]))
+    """One row per cell, ordered by increasing c_D then c_R.
+
+    Numbers take 12 significant digits; a Skipped cell's nan margins print
+    as ``nan``.  Each c_R is formatted once per column and each c_D once
+    per row."""
+    cr_texts = [format(cr, ".12g") for cr in grid.cr_values]
+    rows: list[str] = []
+    for cd, labels, m_eff, m_cd, m_joint in zip(
+            grid.cd_values, grid.labels, grid.margins_efficient,
+            grid.margins_cd, grid.margins_joint):
+        mid = f",{cd:.12g},"
+        rows += [f"{cr}{mid}{label.value},{e:.12g},{c:.12g},{j:.12g}"
+                 for cr, label, e, c, j in zip(cr_texts, labels, m_eff,
+                                               m_cd, m_joint)]
     return rows
 
 
 def emit_csv(grid: RegionGrid, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in csv_rows(grid):
-            fh.write(row + "\n")
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    figure_id: str          # regions | mu-shift | p-shift
-    title: str
-    knob: Optional[str] = None
-    values: tuple[float, ...] = ()
+        fh.write("\n".join([CSV_HEADER, *csv_rows(grid)]) + "\n")
 
 
 _PLOT_W = 320.0
@@ -91,14 +77,14 @@ def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[st
     n_cr = len(grid.cr_values)
     cw = _PLOT_W / n_cr
     ch = _PLOT_H / n_cd
+    # each cell's x is formatted once per column and its y once per row
+    heads = [f'<rect x="{_px(x0 + j * cw)}" y="' for j in range(n_cr)]
+    size = f'" width="{_px(cw)}" height="{_px(ch)}" fill="'
     parts = []
-    for i in range(n_cd):
-        for j in range(n_cr):
-            fill = _FILL[grid.labels[i][j]]
-            x = x0 + j * cw
-            y = y0 + _PLOT_H - (i + 1) * ch
-            parts.append(f'<rect x="{_px(x)}" y="{_px(y)}" width="{_px(cw)}" '
-                         f'height="{_px(ch)}" fill="{fill}"/>')
+    for i, labels in enumerate(grid.labels):
+        mid = _px(y0 + _PLOT_H - (i + 1) * ch) + size
+        parts += [f'{head}{mid}{_FILL[label]}"/>'
+                  for head, label in zip(heads, labels)]
     # frame
     parts.append(f'<rect x="{_px(x0)}" y="{_px(y0)}" width="{_px(_PLOT_W)}" '
                  f'height="{_px(_PLOT_H)}" fill="none" stroke="#222" '
@@ -181,8 +167,8 @@ def render_svg(panels: Sequence[tuple[str, RegionGrid]], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(panels: Sequence[tuple[str, RegionGrid]], spec: FigureSpec,
+def emit_svg(panels: Sequence[tuple[str, RegionGrid]], title: str,
              path: str) -> None:
-    svg = render_svg(panels, spec.title)
+    svg = render_svg(panels, title)
     with open(path, "w") as fh:
         fh.write(svg)

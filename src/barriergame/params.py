@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -54,7 +54,9 @@ class ModelParams:
     elimination_mode: EliminationMode = EliminationMode.UNILATERAL
 
     def with_overrides(self, **kwargs: Any) -> "ModelParams":
-        return replace(self, **kwargs)
+        # one constructor call is cheaper than dataclasses.replace, and an
+        # unknown field name still raises TypeError
+        return type(self)(**{**self.__dict__, **kwargs})
 
     def to_dict(self) -> dict:
         return {

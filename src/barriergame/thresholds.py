@@ -84,25 +84,26 @@ class IndifferenceOffers:
     offer_stationary_clamped: float
 
 
-def indifference_offers(params: ModelParams) -> IndifferenceOffers:
-    """Smallest offers making the responder weakly prefer acceptance, in the
-    three bargaining positions: period 1 after elimination, period 1 with the
-    barrier kept, and the stationary phase (full resource, post-shift)."""
+def _offer_values(params: ModelParams, m: float) -> tuple[float, ...]:
+    """The six :class:`IndifferenceOffers` values, in field order, given the
+    effective postwar mean ``m``."""
     delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
     c_D = params.c_D
-    m = effective_mu(params)
     x1_eff = (p1 - delta * p) / (1.0 - delta) - (1.0 - delta) * c_D
     x1_inef = (theta * p1) * h0 - (1.0 - delta) * c_D \
         + delta / (1.0 - delta) * (m * (theta * p1) - p)
     x_stat = p - (1.0 - delta) * c_D
-    return IndifferenceOffers(
-        offer1_efficient=x1_eff,
-        offer1_inefficient=x1_inef,
-        offer_stationary=x_stat,
-        offer1_efficient_clamped=min(max(x1_eff, 0.0), 1.0),
-        offer1_inefficient_clamped=min(max(x1_inef, 0.0), h0),
-        offer_stationary_clamped=min(max(x_stat, 0.0), 1.0),
-    )
+    return (x1_eff, x1_inef, x_stat,
+            min(max(x1_eff, 0.0), 1.0),
+            min(max(x1_inef, 0.0), h0),
+            min(max(x_stat, 0.0), 1.0))
+
+
+def indifference_offers(params: ModelParams) -> IndifferenceOffers:
+    """Smallest offers making the responder weakly prefer acceptance, in the
+    three bargaining positions: period 1 after elimination, period 1 with the
+    barrier kept, and the stationary phase (full resource, post-shift)."""
+    return IndifferenceOffers(*_offer_values(params, effective_mu(params)))
 
 
 @dataclass(frozen=True)
@@ -154,18 +155,14 @@ def extension_label(params: ModelParams) -> str:
 
 
 def compute_thresholds(params: ModelParams) -> ThresholdSet:
-    offers = indifference_offers(params)
+    m = effective_mu(params)
+    # positional, in ThresholdSet field order
     return ThresholdSet(
-        cbar_D=efficient_peace_threshold(params),
-        clow_D=inefficient_cd_threshold(params),
-        Clow=inefficient_joint_threshold(params),
-        postwar_mean=effective_mu(params),
-        theta_floor=theta_floor(params),
-        offer1_efficient=offers.offer1_efficient,
-        offer1_inefficient=offers.offer1_inefficient,
-        offer_stationary=offers.offer_stationary,
-        offer1_efficient_clamped=offers.offer1_efficient_clamped,
-        offer1_inefficient_clamped=offers.offer1_inefficient_clamped,
-        offer_stationary_clamped=offers.offer_stationary_clamped,
-        extension=extension_label(params),
+        efficient_peace_threshold(params),
+        inefficient_cd_threshold(params),
+        inefficient_joint_threshold(params),
+        m,
+        theta_floor(params),
+        *_offer_values(params, m),
+        extension_label(params),
     )

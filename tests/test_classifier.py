@@ -1,9 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barriergame.classifier as classifier_mod
 from barriergame.classifier import (
+    IntersectionResult,
     InvalidParamsError,
     Margins,
     RegionLabel,
@@ -13,7 +18,8 @@ from barriergame.classifier import (
     region_grid,
     report_from_margins,
 )
-from barriergame.params import ModelParams
+from barriergame.params import ModelParams, sample_valid_params
+from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
 from conftest import random_valid_params
 
@@ -51,6 +57,16 @@ class TestClassify:
         with pytest.raises(InvalidParamsError) as err:
             classify(make(p1=0.2))
         assert any("p1 > p" in v for v in err.value.violations)
+
+    def test_nonfinite_margins_refused(self):
+        # finite costs whose sum overflows: the joint margin is inf
+        demo = get_preset("demo-b").params
+        with pytest.raises(InvalidParamsError) as err:
+            classify(demo.with_overrides(c_R=1.7e308, c_D=1.7e308))
+        assert any("finite margins" in v for v in err.value.violations)
+        # one huge cost alone keeps every margin finite
+        rep = classify(demo.with_overrides(c_R=1.7e308, c_D=1.0))
+        assert rep.margins.joint == 1.7e308
 
     def test_boundary_weak_side(self):
         ts = compute_thresholds(make())
@@ -121,6 +137,51 @@ class TestRegionGrid:
         with pytest.raises(ValueError):
             region_grid(make(), (0, 1), (0, 1), 0)
 
+    def test_overflowing_margins_skipped(self):
+        demo = get_preset("demo-b").params
+        grid = region_grid(demo, (1e308, 1.7e308), (1e308, 1.7e308), 2)
+        assert all(l is RegionLabel.SKIPPED for row in grid.labels for l in row)
+        for margins in (grid.margins_efficient, grid.margins_cd,
+                        grid.margins_joint):
+            assert all(math.isnan(m) for row in margins for m in row)
+        # only the cells whose joint cost overflows are Skipped
+        grid = region_grid(demo, (0.0, 1.7e308), (0.0, 1.7e308), 2)
+        assert [[l is RegionLabel.SKIPPED for l in row]
+                for row in grid.labels] == [[False, False], [False, True]]
+
+
+def count_classify(monkeypatch):
+    calls = []
+    real = classifier_mod.classify
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(classifier_mod, "classify", counted)
+    return calls
+
+
+class TestOneClassifyPerPoint:
+    # The benchmark's traced coverage check counts classifier.classify calls
+    # and requires exactly one per raster cell and per sweep point.
+
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_region_grid_calls_classify_per_cell(self, monkeypatch, n):
+        calls = count_classify(monkeypatch)
+        grid = region_grid(make(), (-1.0, 4.0), (-10.0, 40.0), n)
+        assert len(calls) == n * n
+        skipped = sum(l is RegionLabel.SKIPPED for row in grid.labels for l in row)
+        assert n == 1 or skipped > 0   # Skipped cells are classified too
+        assert [(q.c_D, q.c_R) for q in calls] == [
+            (cd, cr) for cd in grid.cd_values for cr in grid.cr_values]
+
+    def test_comparative_static_calls_classify_per_value(self, monkeypatch):
+        calls = count_classify(monkeypatch)
+        values = [0.3, 0.5, 0.7, 0.9, 1.0]
+        comparative_static(make(), "mu", values)
+        assert [q.mu for q in calls] == values
+
 
 class TestComparativeStatic:
     def test_smaller_mu_widens_inefficient_region(self):
@@ -154,7 +215,96 @@ class TestComparativeStatic:
             comparative_static(make(), "delta2", [0.5])
 
 
+def scan_intersection(ts, grid_points=64):
+    """The row-by-row scan ``intersection_nonempty`` used to run over the
+    box its thresholds ``ts`` set; the closed form must agree with it."""
+    cr_hi = 10.0 * max(1.0, abs(ts.Clow))
+    cd_lo = max(ts.clow_D, 0.0)
+    cd_hi = ts.cbar_D
+    box = ((0.0, cr_hi), (cd_lo, max(cd_hi, cd_lo)))
+    if not (cd_lo < cd_hi):
+        note = (f"band empty: clow_D={ts.clow_D} vs cbar_D={ts.cbar_D}; "
+                f"counterexample candidate for the nonemptiness claim")
+        return IntersectionResult(False, None, box, note)
+    for i in range(grid_points):
+        cd = cd_lo + (cd_hi - cd_lo) * i / grid_points
+        if cd >= cd_hi:
+            continue
+        for j in range(grid_points + 1):
+            cr = cr_hi * j / grid_points
+            if cd >= ts.clow_D and cd + cr >= ts.Clow and cd < ts.cbar_D:
+                return IntersectionResult(True, (cr, cd), box, "witness found")
+    return IntersectionResult(False, None, box,
+                              "no witness in searched box despite nonempty band")
+
+
 class TestIntersection:
+    def test_closed_form_matches_scan(self):
+        rng = np.random.default_rng(6)
+        points = [get_preset("demo-b").params, make(), make(p=0.35),
+                  make(mu=1.0)]
+        points += [sample_valid_params(rng) for _ in range(500)]
+        found = 0
+        for params in points:
+            result = intersection_nonempty(params)
+            assert result == scan_intersection(compute_thresholds(params))
+            found += result.found
+        assert 0 < found < len(points)
+
+    @pytest.mark.parametrize("grid_points", [1, 7, 64])
+    def test_closed_form_matches_scan_off_axis(self, monkeypatch, grid_points):
+        # On valid points the witness has always had c_R = 0 (at theta = 1
+        # a nonempty band forces Clow < 0), so synthetic thresholds with
+        # Clow above the band exercise the c_R step, with Clow on grid lines
+        # where rounding decides the step.
+        rng = np.random.default_rng(grid_points)
+        real = compute_thresholds(make())
+        cases = []
+        for _ in range(300):
+            clow_d = rng.uniform(-1.0, 1.0)
+            cd = max(clow_d, 0.0)
+            cbar_d = cd + rng.uniform(0.01, 5.0)
+            k = int(rng.integers(0, grid_points + 1))
+            # on the k-th grid line: c_R steps by 10 / grid_points while
+            # |Clow| <= 1, and by 10 * Clow / grid_points above 1
+            joints = [cd + 10.0 * k / grid_points,
+                      rng.uniform(-20.0, 20.0)]
+            if 10 * k < grid_points:
+                joints.append(cd / (1.0 - 10.0 * k / grid_points))
+            cases += [(clow_d, cbar_d, joint) for joint in joints]
+        steps = set()
+        for clow_d, cbar_d, joint in cases:
+            ts = dataclasses.replace(real, clow_D=clow_d, cbar_D=cbar_d,
+                                     Clow=joint)
+            monkeypatch.setattr(classifier_mod, "compute_thresholds",
+                                lambda params: ts)
+            result = intersection_nonempty(make(), grid_points=grid_points)
+            assert result == scan_intersection(ts, grid_points)
+            assert result.found
+            steps.add(result.witness[0] > 0.0)
+        assert steps == {False, True}
+
+    @pytest.mark.parametrize("cd, joint, naive, want", [
+        (0.9227981833924199, 1.0936867358724978, 2, 1),
+        (0.5612257005298729, 2.565603202422276, 5, 6),
+    ])
+    def test_rounding_step(self, monkeypatch, cd, joint, naive, want):
+        # Clow on a grid line, where ceil((Clow - c_D) * 64 / cr_hi) misses
+        # the scan's first hit by one step, once in each direction
+        cr_hi = 10.0 * max(1.0, joint)
+        assert math.ceil((joint - cd) * 64 / cr_hi) == naive
+        ts = dataclasses.replace(compute_thresholds(make()), clow_D=cd,
+                                 cbar_D=cd + 1.0, Clow=joint)
+        monkeypatch.setattr(classifier_mod, "compute_thresholds",
+                            lambda params: ts)
+        result = intersection_nonempty(make())
+        assert result == scan_intersection(ts)
+        assert result.witness == (cr_hi * want / 64, cd)
+
+    def test_bad_grid_points(self):
+        with pytest.raises(ValueError):
+            intersection_nonempty(make(), grid_points=0)
+
     def test_demo_witness(self):
         result = intersection_nonempty(make())
         assert result.found

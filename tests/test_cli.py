@@ -66,6 +66,18 @@ class TestClassifyCommand:
         name = {"--c-d": "c_D", "--c-r": "c_R"}[flag]
         assert any(name in v for v in error["detail"])
 
+    def test_overflowing_margins_refused(self, capsys):
+        # both costs finite, but c_D + c_R overflows the joint margin
+        code = run(["classify", "--preset", "demo-b", "--c-r", "1.7e308",
+                    "--c-d", "1.7e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = strict_json(captured.err)
+        assert error["error"] == "invalid parameters"
+        assert error["detail"] == ["finite margins required, got "
+                                   "efficient=1.7e+308, cd=1.7e+308, joint=inf"]
+
     def test_finite_output_bytes_are_plain_json(self, capsys):
         code = run(["classify", "--preset", "demo-b"])
         out = capsys.readouterr().out
@@ -157,6 +169,15 @@ class TestSweepCommand:
         clows = [float(line.split(",")[2]) for line in lines[1:]]
         assert clows == sorted(clows)
 
+    def test_overflowing_margins_refused(self, capsys):
+        code = run(["sweep", "--preset", "demo-b", "--c-r", "1.7e308",
+                    "--knob", "c_D", "--values", "1,1.7e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"].startswith(
+            "finite margins required")
+
     def test_unknown_knob_rejected(self, capsys):
         code = run(["sweep", "--preset", "demo-b", "--knob", "mu",
                     "--values", "abc"])
@@ -224,6 +245,17 @@ class TestFigureCommand:
         assert strict_json(captured.err)["error"] == \
             f"{flag} requires finite LO, HI and HI - LO, got {text!r}"
         assert not svg.exists() and not csv.exists()
+
+    def test_overflowing_margins_skipped(self, tmp_path):
+        svg, csv = tmp_path / "g.svg", tmp_path / "g.csv"
+        assert run(["figure", "regions", "--preset", "demo-b", "-o", str(svg),
+                    "--csv", str(csv), "--cr-range=1e308:1.7e308",
+                    "--cd-range=1e308:1.7e308", "--resolution", "2"]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[2:] == ["Skipped", "nan", "nan", "nan"]
+                   for row in rows)
+        assert "inf" not in csv.read_text() and "inf" not in svg.read_text()
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from barriergame.classifier import (
@@ -7,13 +9,20 @@ from barriergame.classifier import (
     report_from_margins,
 )
 from barriergame.output import (
+    _FILL,
+    _MARGIN_L,
+    _MARGIN_T,
+    _PANEL_GAP,
+    _PLOT_H,
+    _PLOT_W,
     CSV_HEADER,
-    FigureSpec,
     csv_rows,
     emit_csv,
+    emit_svg,
     render_svg,
 )
 from barriergame.params import ModelParams
+from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
 
 
@@ -33,6 +42,89 @@ def parse_csv(path):
         rows.append((float(cr), float(cd), label,
                      float(m_eff), float(m_cd), float(m_joint)))
     return rows
+
+
+# Per-cell reference formatters: the emitters as they were before they
+# built their strings from per-row and per-column prefixes.
+
+def reference_num(x):
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    return format(x, ".12g")
+
+
+def reference_csv_rows(grid):
+    rows = []
+    for i, cd in enumerate(grid.cd_values):
+        for j, cr in enumerate(grid.cr_values):
+            rows.append(",".join([
+                reference_num(cr), reference_num(cd), grid.labels[i][j].value,
+                reference_num(grid.margins_efficient[i][j]),
+                reference_num(grid.margins_cd[i][j]),
+                reference_num(grid.margins_joint[i][j]),
+            ]))
+    return rows
+
+
+def reference_cell_rects(grid, x0, y0):
+    def px(v):
+        return f"{v:.2f}"
+
+    cw = _PLOT_W / len(grid.cr_values)
+    ch = _PLOT_H / len(grid.cd_values)
+    parts = []
+    for i in range(len(grid.cd_values)):
+        for j in range(len(grid.cr_values)):
+            fill = _FILL[grid.labels[i][j]]
+            x = x0 + j * cw
+            y = y0 + _PLOT_H - (i + 1) * ch
+            parts.append(f'<rect x="{px(x)}" y="{px(y)}" width="{px(cw)}" '
+                         f'height="{px(ch)}" fill="{fill}"/>')
+    return parts
+
+
+def cell_rects(svg):
+    # cell rects are the rects with neither a stroke nor the white page fill
+    return [line for line in svg.splitlines()
+            if line.startswith("<rect ") and "stroke" not in line
+            and 'fill="#ffffff"' not in line]
+
+
+REFERENCE_GRIDS = [
+    # (base, c_R range, c_D range): Skipped cells below zero, ranges that
+    # cross zero, and a point whose joint threshold is positive
+    (get_preset("demo-b").params, (0.0, 10.0), (0.0, 40.0)),
+    (get_preset("demo-b").params, (-3.0, 3.0), (-10.0, 40.0)),
+    (make(delta=0.5, p=0.5, p1=0.55, mu=0.95, h0=0.1), (-0.5, 1.0), (-0.2, 1.0)),
+    (make(mu=0.5), (-1e-3, 7.25), (-40.0, 40.0)),
+]
+
+
+class TestAgainstPerCellReference:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("case", range(len(REFERENCE_GRIDS)))
+    def test_csv_rows(self, n, case):
+        base, cr_range, cd_range = REFERENCE_GRIDS[case]
+        grid = region_grid(base, cr_range, cd_range, n)
+        assert csv_rows(grid) == reference_csv_rows(grid)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_render_svg_cells(self, n):
+        grids = [region_grid(base, cr_range, cd_range, n)
+                 for base, cr_range, cd_range in REFERENCE_GRIDS]
+        want = []
+        for k, grid in enumerate(grids):
+            want += reference_cell_rects(
+                grid, _MARGIN_L + k * (_PLOT_W + _PANEL_GAP), _MARGIN_T + 16)
+        svg = render_svg([(f"panel {k}", g) for k, g in enumerate(grids)], "t")
+        assert cell_rects(svg) == want
+
+    def test_skipped_and_crossing_zero_covered(self):
+        grid = region_grid(*REFERENCE_GRIDS[1], 64)
+        labels = {l for row in grid.labels for l in row}
+        assert RegionLabel.SKIPPED in labels and len(labels) == 4
+        assert any(cr < 0 for cr in grid.cr_values)
+        assert any(cr > 0 for cr in grid.cr_values)
 
 
 class TestCsv:
@@ -112,6 +204,13 @@ class TestSvg:
         assert all(l is RegionLabel.BOTH for row in grid.labels for l in row)
         svg = render_svg([("base", grid)], "regions")
         assert svg.count('fill="#2e8b57"') >= 4
+
+    def test_emit_svg_takes_title(self, tmp_path):
+        grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 4)
+        path = tmp_path / "fig.svg"
+        emit_svg([("base", grid)], "Some title", str(path))
+        assert path.read_text() == render_svg([("base", grid)], "Some title")
+        assert ">Some title</text>" in path.read_text()
 
     def test_empty_panels_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from barriergame.params import (
     require_mean_matches,
     validate,
 )
+from barriergame.oracle import _lanes
 
 
 def make(**kw):
@@ -73,6 +75,40 @@ class TestValidate:
         # every input yields Ok or a nonempty violation list, never an exception
         result = validate(ModelParams(delta, p, p1, mu, h0, c_r, c_d, rho, theta))
         assert result.ok == (len(result.violations) == 0)
+
+
+def same_fields(a, b):
+    return type(a) is type(b) and all(
+        getattr(a, f.name) is getattr(b, f.name)
+        or np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(ModelParams))
+
+
+class TestWithOverrides:
+    @pytest.mark.parametrize("kw", [
+        {}, {"c_D": 3.0}, {"c_D": 3.0, "c_R": 0.5}, {"mu": 0.9, "rho": 0.4},
+        {"theta": 1.1, "elimination_mode": EliminationMode.COOPERATIVE},
+    ])
+    def test_matches_dataclasses_replace(self, kw):
+        base = make(rho=0.25, theta=1.05)
+        got = base.with_overrides(**kw)
+        assert got == dataclasses.replace(base, **kw)
+        assert same_fields(got, dataclasses.replace(base, **kw))
+        assert base == make(rho=0.25, theta=1.05)   # the base is untouched
+
+    def test_array_lanes(self):
+        lanes = _lanes([make(c_D=1.0), make(c_D=2.0, mu=0.7), make(p=0.1)])
+        cd = np.array([4.0, 5.0, 6.0])
+        for kw in ({"c_D": cd}, {"c_R": 2.0}, {"c_D": cd, "c_R": cd + 1.0}):
+            got = lanes.with_overrides(**kw)
+            assert same_fields(got, dataclasses.replace(lanes, **kw))
+        assert lanes.with_overrides(c_D=cd).c_D is cd
+
+    def test_unknown_field_raises(self):
+        with pytest.raises(TypeError):
+            make().with_overrides(c_d=1.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(make(), c_d=1.0)
 
 
 class TestSerialization:
