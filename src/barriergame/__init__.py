@@ -4,8 +4,10 @@ crisis-bargaining game with a removable trade barrier."""
 from .params import (
     BarrierDistribution,
     EliminationMode,
+    InvalidParamsError,
     ModelParams,
     ValidationResult,
+    require_valid,
     validate,
 )
 from .thresholds import (
@@ -21,7 +23,6 @@ from .thresholds import (
 )
 from .classifier import (
     EquilibriumReport,
-    InvalidParamsError,
     Margins,
     RegionGrid,
     RegionLabel,

@@ -4,18 +4,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .params import ModelParams, validate
+from .params import InvalidParamsError, ModelParams, require_valid
 from .thresholds import ThresholdSet, compute_thresholds
-
-
-class InvalidParamsError(ValueError):
-    """Raised when an operation refuses invalid parameters."""
-
-    def __init__(self, violations: Sequence[str]):
-        super().__init__("; ".join(violations))
-        self.violations = tuple(violations)
 
 
 class RegionLabel(enum.Enum):
@@ -31,6 +23,24 @@ class Margins:
     efficient: float      # c_D - cbar_D
     cd: float             # c_D - clow_D
     joint: float          # c_D + c_R - Clow
+
+    @classmethod
+    def at(cls, params: ModelParams, ts: ThresholdSet) -> "Margins":
+        """The margins of a point whose thresholds are ``ts``.
+
+        Costs near the float maximum can overflow a margin even though every
+        input is finite; such a point is refused like an invalid one, since a
+        label read off an infinite or nan margin means nothing."""
+        c_D = params.c_D
+        efficient = c_D - ts.cbar_D
+        cd = c_D - ts.clow_D
+        joint = c_D + params.c_R - ts.Clow
+        if not (math.isfinite(efficient) and math.isfinite(cd)
+                and math.isfinite(joint)):
+            raise InvalidParamsError([
+                f"finite margins required, got efficient={efficient}, cd={cd}, "
+                f"joint={joint}"])
+        return cls(efficient, cd, joint)
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,9 @@ class EquilibriumReport:
 
 
 def report_from_margins(margins: Margins, thresholds: ThresholdSet) -> EquilibriumReport:
-    """Labels are pure functions of the margins; boundary cells (margin 0)
-    take the weak-inequality side."""
+    """The one statement of the existence conditions.  Labels are pure
+    functions of the margins; boundary cells (margin 0) take the
+    weak-inequality side."""
     efficient = margins.efficient >= 0.0
     inefficient = margins.cd >= 0.0 and margins.joint >= 0.0
     return EquilibriumReport(
@@ -84,25 +95,11 @@ def report_from_margins(margins: Margins, thresholds: ThresholdSet) -> Equilibri
 
 
 def classify(params: ModelParams) -> EquilibriumReport:
-    """Map one parameter point to the equilibrium taxonomy.
-
-    Costs near the float maximum can overflow a margin even though every
-    input is finite; such a point is refused like an invalid one, since a
-    label read off an infinite or nan margin means nothing."""
-    result = validate(params)
-    if not result.ok:
-        raise InvalidParamsError(result.violations)
+    """Map one parameter point to the equilibrium taxonomy; invalid points
+    and points whose margins overflow raise InvalidParamsError."""
+    require_valid(params)
     ts = compute_thresholds(params)
-    c_D = params.c_D
-    efficient = c_D - ts.cbar_D
-    cd = c_D - ts.clow_D
-    joint = c_D + params.c_R - ts.Clow
-    if not (math.isfinite(efficient) and math.isfinite(cd)
-            and math.isfinite(joint)):
-        raise InvalidParamsError([
-            f"finite margins required, got efficient={efficient}, cd={cd}, "
-            f"joint={joint}"])
-    return report_from_margins(Margins(efficient, cd, joint), ts)
+    return report_from_margins(Margins.at(params, ts), ts)
 
 
 @dataclass(frozen=True)
@@ -216,9 +213,7 @@ def intersection_nonempty(base: ModelParams, grid_points: int = 64) -> Intersect
     smallest ``j`` with ``c_D + c_R >= Clow`` is found in closed form."""
     if grid_points < 1:
         raise ValueError("grid_points must be positive")
-    result = validate(base)
-    if not result.ok:
-        raise InvalidParamsError(result.violations)
+    require_valid(base)
     ts = compute_thresholds(base)
     cr_hi = 10.0 * max(1.0, abs(ts.Clow))
     cd = max(ts.clow_D, 0.0)

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .classifier import (
     SWEEPABLE_KNOBS,
-    InvalidParamsError,
     classify,
     comparative_static,
     intersection_nonempty,
@@ -39,8 +38,9 @@ from .output import CSV_HEADER, emit_csv, emit_svg
 from .params import (
     BarrierDistribution,
     EliminationMode,
+    InvalidParamsError,
     ModelParams,
-    validate,
+    require_valid,
 )
 from .presets import get_preset, list_presets
 from .thresholds import compute_thresholds
@@ -72,9 +72,7 @@ _MAX_HORIZON = 1_000_000
 
 
 class CliError(Exception):
-    def __init__(self, message: str, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,12 +124,6 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
         return ModelParams.from_dict(layered)
     except (ValueError, TypeError) as e:
         raise CliError(str(e))
-
-
-def _require_valid(params: ModelParams) -> None:
-    result = validate(params)
-    if not result.ok:
-        raise CliError("invalid parameters", detail=list(result.violations))
 
 
 def _out_path(path: str) -> str:
@@ -198,7 +190,7 @@ def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistrib
 
 def _cmd_thresholds(args) -> int:
     params = _collect_params(args)
-    _require_valid(params)
+    require_valid(params)
     payload = {"params": params.to_dict(),
                "thresholds": compute_thresholds(params).to_dict()}
     if args.intersection:
@@ -209,10 +201,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_classify(args) -> int:
     params = _collect_params(args)
-    try:
-        report = classify(params)
-    except InvalidParamsError as e:
-        raise CliError("invalid parameters", detail=list(e.violations))
+    report = classify(params)
     payload = {"params": params.to_dict(), "report": report.to_dict()}
     _emit_json(payload, args.out)
     return 0
@@ -220,7 +209,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _collect_params(args)
-    _require_valid(params)
+    require_valid(params)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -229,7 +218,7 @@ def _cmd_sweep(args) -> int:
         raise CliError("--values is empty")
     try:
         points = comparative_static(params, args.knob, values)
-    except (ValueError, InvalidParamsError) as e:
+    except ValueError as e:
         raise CliError(str(e))
     header = (f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
               f"efficient,inefficient,war")
@@ -271,7 +260,7 @@ def _cmd_figure(args) -> int:
     cr_range = _parse_range(args.cr_range, "--cr-range")
     cd_range = _parse_range(args.cd_range, "--cd-range")
     params = _collect_params(args)
-    _require_valid(params)
+    require_valid(params)
     knob, default_values = _FIGURE_DEFAULTS[args.figure_id]
     if knob is None:
         panels = [("base", region_grid(params, cr_range, cd_range,
@@ -287,7 +276,7 @@ def _cmd_figure(args) -> int:
         panels = []
         for v in values:
             point = params.with_overrides(**{knob: v})
-            _require_valid(point)
+            require_valid(point)
             panels.append((f"{knob} = {format(v, '.6g')}",
                            region_grid(point, cr_range, cd_range,
                                        args.resolution)))
@@ -308,12 +297,8 @@ def _cmd_simulate(args) -> int:
     _require_size(args.runs, "--runs", _MAX_RUNS)
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     params = _collect_params(args)
-    _require_valid(params)
     mode = _MODES[args.mode]
-    try:
-        profile = equilibrium_profile(params, mode)
-    except GameError as e:
-        raise CliError(str(e))
+    profile = equilibrium_profile(params, mode)
     dist = _build_dist(args, params)
     trace_fh = open(_out_path(args.trace), "w") if args.trace else None
     try:
@@ -335,7 +320,7 @@ def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
     params = _collect_params(args)
-    _require_valid(params)
+    require_valid(params)
     mode = _MODES[args.mode]
     report = verify_period1(params, mode, offer_grid_n=args.grid, tol=args.tol)
     payload = {"params": params.to_dict(), "report": report.to_dict()}
@@ -454,13 +439,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as e:
         # --help and friends
         return int(e.code or 0)
-    except CliError as e:
-        payload = {"error": str(e)}
-        if e.detail is not None:
-            payload["detail"] = e.detail
-        sys.stderr.write(_json_text(payload))
+    except InvalidParamsError as e:
+        sys.stderr.write(_json_text({"error": "invalid parameters",
+                                     "detail": list(e.violations)}))
         return 2
-    except (GameError, InvalidParamsError, OSError, ValueError) as e:
+    except (CliError, GameError, OSError, ValueError) as e:
         sys.stderr.write(_json_text({"error": str(e)}))
         return 2
 

@@ -18,12 +18,13 @@ from typing import Callable, IO, Optional
 
 import numpy as np
 
+from .classifier import Margins, report_from_margins
 from .params import (
     BarrierDistribution,
     EliminationMode,
     ModelParams,
     require_mean_matches,
-    validate,
+    require_valid,
 )
 from .thresholds import (
     compute_thresholds,
@@ -83,9 +84,7 @@ def new_game(params: ModelParams,
              dist: Optional[BarrierDistribution] = None,
              seed: Optional[int] = None) -> GameState:
     """Initial state: period 1, barrier standing, resource at its default."""
-    result = validate(params)
-    if not result.ok:
-        raise GameError("invalid params: " + "; ".join(result.violations))
+    require_valid(params)
     if dist is not None:
         require_mean_matches(dist, params)
     return GameState(t=1, barrier_present=True, y=params.h0)
@@ -228,25 +227,26 @@ class StrategyProfile:
 
 
 def _existence_check(params: ModelParams, mode: ProfileMode) -> None:
+    # the existence conditions are read from the classifier's report
     ts = compute_thresholds(params)
+    report = report_from_margins(Margins.at(params, ts), ts)
     if mode is ProfileMode.EFFICIENT_PEACE:
-        if params.c_D < ts.cbar_D:
+        if not report.efficient_peace_exists:
             raise ProfileExistenceError(
                 f"c_D={params.c_D} below cbar_D={ts.cbar_D}")
-        return
-    if params.c_D < ts.clow_D:
-        raise ProfileExistenceError(
-            f"c_D={params.c_D} below clow_D={ts.clow_D}")
-    if params.c_D + params.c_R < ts.Clow:
+    elif not report.inefficient_peace_exists:
+        if report.margins.cd < 0.0:
+            raise ProfileExistenceError(
+                f"c_D={params.c_D} below clow_D={ts.clow_D}")
         raise ProfileExistenceError(
             f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
 
 
 def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
-    """Build the named profile, refusing when its existence condition fails."""
-    result = validate(params)
-    if not result.ok:
-        raise GameError("invalid params: " + "; ".join(result.violations))
+    """Build the named profile, refusing invalid parameters or overflowing
+    margins (InvalidParamsError) and points where ``classify`` does not
+    report the profile (ProfileExistenceError)."""
+    require_valid(params)
     if mode is ProfileMode.CUSTOM:
         raise GameError("custom profiles are built directly, not requested here")
     if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
@@ -268,6 +268,7 @@ def analytic_payoffs(params: ModelParams, mode: ProfileMode,
     clamped=False the raw indifference transfers are priced, which pegs the
     responder at its war value even where that would require negative offers.
     """
+    require_valid(params)
     _existence_check(params, mode)
     delta = params.delta
     offers = indifference_offers(params)
@@ -415,21 +416,14 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
         v_r = 0.0
         v_d = 0.0
         elim_at = None
-        terminal = None
-        on_path = True
         for t in range(1, horizon + 1):
-            if profile.mode is ProfileMode.CUSTOM:
-                vote_r = (profile.custom_eliminate(t, state.y, state.barrier_present)
-                          if (state.barrier_present and profile.custom_eliminate) else False)
-                vote_d = None
-                if params.elimination_mode is EliminationMode.COOPERATIVE:
-                    vote_d = (profile.custom_eliminate_d(t, state.y, state.barrier_present)
-                              if (state.barrier_present and profile.custom_eliminate_d)
-                              else False)
-            else:
-                vote_r, vote_d = profile.prescribed_votes(t, state.barrier_present)
-                if params.elimination_mode is not EliminationMode.COOPERATIVE:
-                    vote_d = None
+            vote_r = (profile.custom_eliminate(t, state.y, state.barrier_present)
+                      if (state.barrier_present and profile.custom_eliminate) else False)
+            vote_d = None
+            if params.elimination_mode is EliminationMode.COOPERATIVE:
+                vote_d = (profile.custom_eliminate_d(t, state.y, state.barrier_present)
+                          if (state.barrier_present and profile.custom_eliminate_d)
+                          else False)
             probe = ActionRecord(elim_r=vote_r, offer=0.0,
                                  response=Response.ACCEPT, elim_d=vote_d)
             y_eff, barrier_after = resolve_elimination(state, probe, params)
@@ -437,7 +431,7 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                 elim_at = t
             offer = profile.offer(t, y_eff, barrier_after)
             offer = min(max(offer, 0.0), y_eff)
-            accept = profile.accepts(t, y_eff, barrier_after, offer, on_path)
+            accept = profile.accepts(t, y_eff, barrier_after, offer, True)
             actions = ActionRecord(elim_r=vote_r, offer=offer,
                                    response=Response.ACCEPT if accept else Response.REJECT,
                                    elim_d=vote_d)
@@ -456,7 +450,7 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                 if trace is not None and i < trace_runs:
                     trace.write(json.dumps(_trace_record(
                         i, t, y_eff, actions, 0.0, 0.0, True)) + "\n")
-                terminal = outcome
+                wars += 1
                 break
             flow_r, flow_d = _split_flows(y_eff, offer)
             disc = delta ** (t - 1)
@@ -468,8 +462,6 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
             state = outcome
         payoff_r[i] = v_r
         payoff_d[i] = v_d
-        if terminal is not None:
-            wars += 1
         elim_counts[elim_at] = elim_counts.get(elim_at, 0) + 1
     tail = delta ** horizon * 1.0 / (1.0 - delta)
     se_r = float(payoff_r.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
@@ -491,6 +483,8 @@ def simulate(profile: StrategyProfile, params: ModelParams,
              trace_runs: int = 1) -> SimStats:
     """Monte Carlo estimate of discounted payoffs under a strategy profile.
 
+    Invalid parameters raise InvalidParamsError, and a built-in profile is
+    refused wherever ``equilibrium_profile`` would refuse it.
     Runs draw independent generator streams from the master seed; built-in
     profiles take a deterministic fast path since their on-path play never
     touches the draws.  Custom profiles step period by period, one barrier
@@ -500,9 +494,7 @@ def simulate(profile: StrategyProfile, params: ModelParams,
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")
-    result = validate(params)
-    if not result.ok:
-        raise GameError("invalid params: " + "; ".join(result.violations))
+    require_valid(params)
     require_mean_matches(dist, params)
     if profile.mode is not ProfileMode.CUSTOM:
         if profile.params != params:

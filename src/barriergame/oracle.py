@@ -39,8 +39,14 @@ from .engine import ProfileMode
 from .params import ModelParams, sample_valid_params
 
 
-def postwar_market_mean(params: ModelParams, tol: float = 1e-14,
-                        max_iter: int = 100_000):
+# fixed-point iteration of the postwar mean: convergence step and step cap
+POSTWAR_MEAN_TOL = 1e-14
+POSTWAR_MEAN_MAX_ITER = 100_000
+# doublings a bisection bracket may take while looking for each end
+MAX_EXPAND = 64
+
+
+def postwar_market_mean(params: ModelParams):
     """Mean postwar market value by fixed-point iteration of the
     renormalization recursion x = rho + (1-rho)*((1-delta)*mu + delta*x).
 
@@ -56,17 +62,17 @@ def postwar_market_mean(params: ModelParams, tol: float = 1e-14,
 
     if np.ndim(mu) == 0:
         x = mu
-        for _ in range(max_iter):
+        for _ in range(POSTWAR_MEAN_MAX_ITER):
             nxt = step(x)
-            if abs(nxt - x) <= tol:
+            if abs(nxt - x) <= POSTWAR_MEAN_TOL:
                 return nxt
             x = nxt
         return x
     x = np.array(mu, dtype=float)
     live = np.ones(x.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(POSTWAR_MEAN_MAX_ITER):
         nxt = step(x)
-        converged = np.abs(nxt - x) <= tol
+        converged = np.abs(nxt - x) <= POSTWAR_MEAN_TOL
         np.copyto(x, nxt, where=live)
         live &= ~converged
         if not live.any():
@@ -279,8 +285,7 @@ class OracleThresholds:
 
 
 def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray], n: int,
-                    search_tol: float, max_expand: int = 64
-                    ) -> list[tuple[Bracket, Optional[str]]]:
+                    search_tol: float) -> list[tuple[Bracket, Optional[str]]]:
     """Locate, in lockstep, the boundaries of n pass regions of the form
     [threshold, inf).
 
@@ -293,13 +298,13 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray], n: int,
     lo = np.full(n, -1.0)
     hi = np.full(n, 1.0)
     has_hi = np.zeros(n, dtype=bool)
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         has_hi |= predicate(hi)
         if has_hi.all():
             break
         hi = np.where(has_hi, hi, np.where(hi > 0, hi * 2.0, hi * 0.5 + 1.0))
     has_lo = np.zeros(n, dtype=bool)
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         has_lo |= has_hi & ~predicate(lo)
         settled = has_lo | ~has_hi
         if settled.all():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -103,9 +103,17 @@ class ValidationResult:
     violations: tuple[str, ...] = ()
 
 
+class InvalidParamsError(ValueError):
+    """Raised when an operation refuses invalid parameters."""
+
+    def __init__(self, violations: Sequence[str]):
+        super().__init__("; ".join(violations))
+        self.violations = tuple(violations)
+
+
 def validate(params: ModelParams) -> ValidationResult:
-    """Check every parameter restriction.  Violations are data, not errors,
-    so grid sweeps can skip bad cells instead of aborting."""
+    """Check every parameter restriction.  Violations are data, not errors;
+    ``require_valid`` is the one place that turns them into an exception."""
     v: list[str] = []
     q = params
     if not (0.0 < q.delta < 1.0):
@@ -140,6 +148,13 @@ def validate(params: ModelParams) -> ValidationResult:
     if not isinstance(q.elimination_mode, EliminationMode):
         v.append(f"elimination_mode invalid: {q.elimination_mode!r}")
     return ValidationResult(ok=not v, violations=tuple(v))
+
+
+def require_valid(params: ModelParams) -> None:
+    """Raise InvalidParamsError listing every violation, if there are any."""
+    result = validate(params)
+    if not result.ok:
+        raise InvalidParamsError(result.violations)
 
 
 class DistributionKind(enum.Enum):
@@ -219,13 +234,15 @@ class BarrierDistribution:
         return f"ScaledBeta({self.a}, {self.b})"
 
 
-def require_mean_matches(dist: BarrierDistribution, params: ModelParams,
-                         tol: float = 1e-12) -> None:
+MEAN_MATCH_TOL = 1e-12
+
+
+def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None:
     """Simulation entry points require the distribution mean to equal mu."""
-    if abs(dist.mean - params.mu) > tol:
+    if abs(dist.mean - params.mu) > MEAN_MATCH_TOL:
         raise ValueError(
             f"distribution mean {dist.mean} does not match mu={params.mu} "
-            f"within {tol}")
+            f"within {MEAN_MATCH_TOL}")
 
 
 def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,

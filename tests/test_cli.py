@@ -296,6 +296,20 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert flags[0] in strict_json(captured.err)["error"]
 
+    def test_overflowing_margins_refused_like_classify(self, capsys):
+        point = ["--preset", "demo-b", "--c-r", "1.7e308", "--c-d", "1.7e308"]
+        assert run(["classify", *point]) == 2
+        want = capsys.readouterr().err
+        for mode in ("efficient", "inefficient"):
+            code = run(["simulate", *point, "--mode", mode])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == want
+        assert strict_json(want)["detail"] == [
+            "finite margins required, got efficient=1.7e+308, cd=1.7e+308, "
+            "joint=inf"]
+
     def test_refused_profile(self, capsys):
         code = run(["simulate", "--preset", "demo-b", "--c-d", "20",
                     "--mode", "inefficient"])
@@ -388,6 +402,50 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert strict_json(captured.err)["error"] == \
             f"--tol must be finite and >= 0, got {float(value)}"
+
+
+_P1_DETAIL = ('{"error": "invalid parameters", "detail": ["p1 > p required '
+              '(declining power), got p1=0.1, p=0.3"]}\n')
+
+# stderr of the invalid-parameter path of every subcommand that takes
+# parameters, pinned byte for byte
+INVALID_PARAM_STDERR = [
+    (["thresholds", "--p1", "0.1"], _P1_DETAIL),
+    (["thresholds", "--p1", "0.1", "--intersection"], _P1_DETAIL),
+    (["thresholds", "--c-d", "-1", "--theta", "0"],
+     '{"error": "invalid parameters", "detail": ["finite c_D >= 0 required, '
+     'got -1.0", "theta > 0 required, got 0.0"]}\n'),
+    (["classify", "--p1", "0.1"], _P1_DETAIL),
+    (["classify", "--c-d", "nan"],
+     '{"error": "invalid parameters", "detail": ["finite c_D >= 0 required, '
+     'got nan"]}\n'),
+    (["sweep", "--p1", "0.1", "--knob", "mu", "--values", "0.5"], _P1_DETAIL),
+    (["sweep", "--knob", "p", "--values", "0.2,0.95"],
+     '{"error": "p1 > p required (declining power), got p1=0.7, '
+     'p=0.95"}\n'),
+    (["figure", "regions", "--p1", "0.1", "-o", "x.svg"], _P1_DETAIL),
+    (["figure", "mu-shift", "--values", "0.5,0", "-o", "x.svg",
+      "--resolution", "2"],
+     '{"error": "invalid parameters", "detail": ["0 < mu <= 1 required, '
+     'got 0.0"]}\n'),
+    (["simulate", "--p1", "0.1"], _P1_DETAIL),
+    (["verify", "--p1", "0.1"], _P1_DETAIL),
+    (["verify", "--theta", "-1", "--thresholds"],
+     '{"error": "invalid parameters", "detail": ["theta > 0 required, '
+     'got -1.0"]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,err", INVALID_PARAM_STDERR,
+                         ids=[" ".join(a) for a, _ in INVALID_PARAM_STDERR])
+def test_invalid_param_stderr_pinned(argv, err, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    command, *rest = argv
+    code = run([command, "--preset", "demo-b", *rest])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == err
 
 
 class TestPresetsCommand:

@@ -24,7 +24,12 @@ from barriergame.engine import (
     simulate,
     step,
 )
-from barriergame.params import BarrierDistribution, EliminationMode, ModelParams
+from barriergame.params import (
+    BarrierDistribution,
+    EliminationMode,
+    InvalidParamsError,
+    ModelParams,
+)
 from conftest import assert_close
 
 
@@ -54,7 +59,7 @@ class TestStateMachine:
         assert not state.war_occurred
 
     def test_new_game_rejects_invalid(self):
-        with pytest.raises(GameError, match="invalid params"):
+        with pytest.raises(InvalidParamsError, match="p1 > p required"):
             new_game(make(p1=0.1))
 
     def test_elimination_sets_full_resource(self):
@@ -219,6 +224,11 @@ class TestAnalyticPayoffs:
     def test_refused_below_threshold(self):
         with pytest.raises(ProfileExistenceError):
             analytic_payoffs(make(c_D=20.0), ProfileMode.INEFFICIENT_PEACE)
+
+    def test_invalid_params_refused(self):
+        # p1 < p is no declining power, so there is no profile to price
+        with pytest.raises(InvalidParamsError, match="p1 > p required"):
+            analytic_payoffs(make(p1=0.1), ProfileMode.INEFFICIENT_PEACE)
 
 
 def always_war(params):
