@@ -107,13 +107,22 @@ def pie_present_value(params: ModelParams, y: float, barrier_present: bool,
     return y + delta / (1.0 - delta)
 
 
+def war_lottery(params: ModelParams, t: int, barrier_present: bool, y: float,
+                postwar_mean: Optional[float] = None) -> tuple[float, float]:
+    """(proposer, responder) expected shares of the war prize at the given
+    node, before either side pays its cost of war."""
+    wp = win_prob_d(params, t, barrier_present)
+    pie = pie_present_value(params, y, barrier_present, postwar_mean)
+    return (1.0 - wp) * pie, wp * pie
+
+
 def expected_war_payoffs(params: ModelParams, t: int, barrier_present: bool,
                          y: float,
                          postwar_mean: Optional[float] = None) -> tuple[float, float]:
-    """(proposer, responder) expected war payoffs at the given node."""
-    wp = win_prob_d(params, t, barrier_present)
-    pie = pie_present_value(params, y, barrier_present, postwar_mean)
-    return (1.0 - wp) * pie - params.c_R, wp * pie - params.c_D
+    """(proposer, responder) expected war payoffs at the given node: the war
+    lottery net of each side's cost."""
+    gross_r, gross_d = war_lottery(params, t, barrier_present, y, postwar_mean)
+    return gross_r - params.c_R, gross_d - params.c_D
 
 
 def resolve_elimination(state: GameState, actions: ActionRecord,
@@ -242,11 +251,8 @@ def _existence_check(params: ModelParams, mode: ProfileMode) -> None:
             f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
 
 
-def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
-    """Build the named profile, refusing invalid parameters or overflowing
-    margins (InvalidParamsError) and points where ``classify`` does not
-    report the profile (ProfileExistenceError)."""
-    require_valid(params)
+def _require_builtin_mode(params: ModelParams, mode: ProfileMode) -> None:
+    # a built-in profile is played only under the elimination mode it needs
     if mode is ProfileMode.CUSTOM:
         raise GameError("custom profiles are built directly, not requested here")
     if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
@@ -255,6 +261,14 @@ def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfi
     else:
         if params.elimination_mode is not EliminationMode.UNILATERAL:
             raise GameError(f"{mode.value} profile requires unilateral elimination mode")
+
+
+def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
+    """Build the named profile, refusing invalid parameters or overflowing
+    margins (InvalidParamsError) and points where ``classify`` does not
+    report the profile (ProfileExistenceError)."""
+    require_valid(params)
+    _require_builtin_mode(params, mode)
     _existence_check(params, mode)
     return StrategyProfile(mode=mode, params=params)
 
@@ -269,6 +283,7 @@ def analytic_payoffs(params: ModelParams, mode: ProfileMode,
     responder at its war value even where that would require negative offers.
     """
     require_valid(params)
+    _require_builtin_mode(params, mode)
     _existence_check(params, mode)
     delta = params.delta
     offers = indifference_offers(params)

@@ -20,11 +20,16 @@ becomes numpy lanes, one lane per bisection, and every step evaluates one
 array predicate over all lanes: first the period-1 feasibility gain for
 `cbar_D` and `clow_D` together (two lanes per point, told apart by a
 per-lane profile mask), then the eliminate-then-war gain for `Clow` (one
-lane per point, at a feasible `c_D`).  The predicate reads these gains from
-the same helper as `verify_period1`, applied to a `ModelParams` whose
-fields are arrays, and the postwar mean is iterated once per point.  Each
-lane takes exactly the steps a lone bisection would, so a point's brackets
-do not depend on the batch it is in.
+lane per point, at a feasible `c_D`).  Everything that does not move with
+the bisected cost -- the gross war lotteries with the barrier gone and
+standing, the stationary flows, the profile's period-1 path, and in the
+`Clow` phase the proposer's equilibrium value -- is computed once per
+batch, from the same cost-free terms `verify_period1` reads; a predicate
+call is a few array operations on the cost, with no `ModelParams` built
+and no engine call.  Each term is the same float `verify_period1` would
+compute at that cost, the postwar mean is iterated once per point, and
+each lane takes exactly the steps a lone bisection would, so a point's
+brackets do not depend on the batch it is in.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import engine
 from .engine import ProfileMode
-from .params import ModelParams, sample_valid_params
+from .params import InvalidParamsError, ModelParams, sample_valid_params
 
 
 # fixed-point iteration of the postwar mean: convergence step and step cap
@@ -108,52 +113,37 @@ class VerificationReport:
         }
 
 
-def _pick(efficient, a, b):
-    """a under the efficient-peace profile, b under the barrier-keeping one;
-    efficient is a bool or a per-lane mask."""
-    if isinstance(efficient, np.ndarray):
-        return np.where(efficient, a, b)
-    return a if efficient else b
+class _WarTerms(NamedTuple):
+    """Period-1 terms that do not depend on the costs of war.  Each field is
+    a float, or an array with one entry per lane."""
+
+    delta: Any
+    h0: Any
+    free: tuple     # gross (proposer, responder) war lotteries, barrier gone
+    bar: tuple      # the same with the barrier standing
+    d_flow: Any     # p/(1-delta): responder's stationary war value before c_D
+    r_flow: Any     # (1-p)/(1-delta): the complement the proposer keeps
+
+    def cutoff1(self, gross_d, c_D):
+        """Offer that holds the responder at its war value: the war payoff
+        gross_d - c_D less the discounted stationary continuation
+        v_d2 = d_flow - c_D."""
+        return (gross_d - c_D) - self.delta * (self.d_flow - c_D)
+
+    def v_eq_r(self, y1, cutoff1, c_D):
+        """Proposer's equilibrium value: the period-1 rent plus the
+        discounted continuation v_r2 = r_flow + c_D."""
+        return (y1 - cutoff1) + self.delta * (self.r_flow + c_D)
 
 
-class _Period1(NamedTuple):
-    """Period-1 terms of a built-in profile.  Each field is a float, or an
-    array with one entry per lane."""
-
-    v_d2: Any       # stationary continuations: responder held at its war
-    v_r2: Any       # value, proposer keeps the complement of the full pie
-    war_free: Any   # (proposer, responder) war payoffs, barrier gone
-    war_bar: Any    # (proposer, responder) war payoffs, barrier standing
-    y1: Any         # period-1 resource on the profile's path
-    cutoff1: Any    # offer that holds the responder at its war value
-    v_eq_r: Any     # proposer's equilibrium value
-
-    @property
-    def feasibility(self):
-        """How much the responder prefers war over the best feasible offer;
-        the profile's period-1 offer fits the resource exactly when this is
-        <= 0."""
-        return self.cutoff1 - self.y1
-
-    @property
-    def eliminate_then_war(self):
-        """Proposer's gain from eliminating first, answered by the
-        profile's war trigger: the joint-cost condition."""
-        return self.war_free[0] - self.v_eq_r
-
-
-def _period1(q: ModelParams, m, efficient) -> _Period1:
-    """Period-1 terms at postwar mean m.  The fields of q may be arrays of
-    lanes, with efficient a matching profile mask."""
+def _war_terms(q: ModelParams, m) -> _WarTerms:
+    """Cost-free period-1 terms at postwar mean m.  The fields of q may be
+    arrays of lanes; its costs are not read."""
     delta = q.delta
-    v_d2 = q.p / (1.0 - delta) - q.c_D
-    v_r2 = (1.0 - q.p) / (1.0 - delta) + q.c_D
-    war_free = engine.expected_war_payoffs(q, 1, False, 1.0, m)
-    war_bar = engine.expected_war_payoffs(q, 1, True, q.h0, m)
-    y1 = _pick(efficient, 1.0, q.h0)
-    cutoff1 = _pick(efficient, war_free[1], war_bar[1]) - delta * v_d2
-    v_eq_r = (y1 - cutoff1) + delta * v_r2
-    return _Period1(v_d2, v_r2, war_free, war_bar, y1, cutoff1, v_eq_r)
+    return _WarTerms(delta, q.h0,
+                     engine.war_lottery(q, 1, False, 1.0, m),
+                     engine.war_lottery(q, 1, True, q.h0, m),
+                     q.p / (1.0 - delta), (1.0 - q.p) / (1.0 - delta))
 
 
 def _offer_candidates(y: float, cutoff: float, n: int) -> np.ndarray:
@@ -170,31 +160,43 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     """Deviation-check one built-in profile at period 1; the stationary phase
     is certified by exact one-shot checks.
 
-    Works on raw cost values without consulting parameter validation; the
-    threshold bisections read the same period-1 terms at virtual points.
+    Works on raw cost values without consulting parameter validation, but
+    refuses a point whose war values, continuations or gains are not finite
+    (InvalidParamsError naming them): costs near the float maximum overflow
+    the gains, and a verdict read off them would mean nothing.
     """
     if mode is ProfileMode.CUSTOM:
         raise ValueError("only built-in profiles can be certified")
     q = params
     delta = q.delta
     efficient = mode is ProfileMode.EFFICIENT_PEACE
-    t = _period1(q, postwar_market_mean(q), efficient)
-    v_d2, v_r2, y1, cutoff1, v_eq_r = t.v_d2, t.v_r2, t.y1, t.cutoff1, t.v_eq_r
-    war_r_free, war_d_free = t.war_free
-    war_r_bar, war_d_bar = t.war_bar
-    war_r_onpath, war_d_onpath = t.war_free if efficient else t.war_bar
+    w = _war_terms(q, postwar_market_mean(q))
+    v_d2 = w.d_flow - q.c_D
+    v_r2 = w.r_flow + q.c_D
+    war_r_free, war_d_free = w.free[0] - q.c_R, w.free[1] - q.c_D
+    war_r_bar, war_d_bar = w.bar[0] - q.c_R, w.bar[1] - q.c_D
+    cutoff_eff = w.cutoff1(w.free[1], q.c_D)
+    cutoff_keep = w.cutoff1(w.bar[1], q.c_D)
+    if efficient:
+        y1, cutoff1 = 1.0, cutoff_eff
+        war_r_onpath, war_d_onpath = war_r_free, war_d_free
+    else:
+        y1, cutoff1 = q.h0, cutoff_keep
+        war_r_onpath, war_d_onpath = war_r_bar, war_d_bar
+    v_eq_r = w.v_eq_r(y1, cutoff1, q.c_D)
+    feasibility = cutoff1 - y1
 
-    feasible = t.feasibility <= tol
+    feasible = feasibility <= tol
 
     gains: dict[str, float] = {}
     diagnostics: dict[str, float] = {}
 
-    gains["feasibility"] = t.feasibility
+    gains["feasibility"] = feasibility
     # responder's one-shot check at the indifference offer (zero up to
     # rounding by construction)
     gains["responder_period1"] = war_d_onpath - (cutoff1 + delta * v_d2)
     # responder's stationary one-shot check
-    x_stat = (q.p / (1.0 - delta) - q.c_D) - delta * v_d2
+    x_stat = v_d2 - delta * v_d2
     war_d_stat = q.p * (1.0 + delta / (1.0 - delta)) - q.c_D
     gains["responder_stationary"] = war_d_stat - (x_stat + delta * v_d2)
 
@@ -218,8 +220,6 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     war_r_stat = (1.0 - q.p) * (1.0 + delta / (1.0 - delta)) - q.c_R
     gains["proposer_stationary"] = war_r_stat - v_r2
 
-    cutoff_eff = war_d_free - delta * v_d2
-    cutoff_keep = war_d_bar - delta * v_d2
     if efficient:
         # retaining the barrier, answered by the profile's war trigger
         diagnostics["keep_trigger"] = war_r_bar - v_eq_r
@@ -228,7 +228,9 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
             best = max(best, (q.h0 - cutoff_keep) + delta * v_r2)
         diagnostics["keep_best_response"] = best - v_eq_r
     else:
-        gains["eliminate_then_war"] = t.eliminate_then_war
+        # eliminating first, answered by the profile's war trigger: the
+        # joint-cost condition
+        gains["eliminate_then_war"] = war_r_free - v_eq_r
         best = war_r_free
         if cutoff_eff <= 1.0:
             best = max(best, (1.0 - cutoff_eff) + delta * v_r2)
@@ -236,6 +238,16 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
         if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
             # a lone consent switch by the responder cannot force elimination
             diagnostics["responder_vote_switch"] = 0.0
+
+    terms = {"war_r_free": war_r_free, "war_d_free": war_d_free,
+             "war_r_bar": war_r_bar, "war_d_bar": war_d_bar,
+             "v_d2": v_d2, "v_r2": v_r2, **gains, **diagnostics}
+    if not efficient and not accepted.any():
+        del terms["offer_scan"]     # -inf by design: no offer is accepted
+    nonfinite = [f"{k}={v}" for k, v in terms.items() if not math.isfinite(v)]
+    if nonfinite:
+        raise InvalidParamsError(
+            [f"finite period-1 terms required, got {', '.join(nonfinite)}"])
 
     d_keys = ("feasibility", "responder_period1", "responder_stationary")
     max_gain_d = max(gains[k] for k in d_keys)
@@ -362,23 +374,25 @@ def oracle_thresholds_batch(points: Sequence[ModelParams],
     lanes = _lanes(points)
     m = postwar_market_mean(lanes)
 
-    # lanes [0, n) bisect cbar_D, lanes [n, 2n) bisect clow_D
-    pair = _lanes([*points, *points])
-    pair_m = np.concatenate([m, m])
+    # lanes [0, n) bisect cbar_D on the efficient path, lanes [n, 2n)
+    # clow_D on the barrier-keeping path; the period-1 offer is feasible
+    # when the cutoff fits the path's resource y1
+    pair = _war_terms(_lanes([*points, *points]), np.concatenate([m, m]))
     efficient = np.arange(2 * n) < n
+    gross_d = np.where(efficient, pair.free[1], pair.bar[1])
+    y1 = np.where(efficient, 1.0, pair.h0)
     feasibility = _bisect_up_sets(
-        lambda c: _period1(pair.with_overrides(c_D=c), pair_m,
-                           efficient).feasibility <= 0.0,
-        2 * n, search_tol)
+        lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n, search_tol)
     cbar, clow = feasibility[:n], feasibility[n:]
 
+    # the eliminate-then-war gain at a fixed feasible c_D; the proposer's
+    # equilibrium value does not move with c_R = s - cd_star
     clow_value = np.array([b.value for b, _ in clow])
     cd_star = np.where(np.isfinite(clow_value), clow_value + 1.0, lanes.c_D)
-    at_cd = lanes.with_overrides(c_D=cd_star)
+    w = _war_terms(lanes, m)
+    v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
     joint = _bisect_up_sets(
-        lambda s: _period1(at_cd.with_overrides(c_R=s - cd_star), m,
-                           False).eliminate_then_war <= 0.0,
-        n, search_tol)
+        lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, search_tol)
 
     results = []
     for per_point in zip(cbar, clow, joint):

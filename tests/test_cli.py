@@ -362,6 +362,26 @@ class TestVerifyCommand:
         payload = strict_json(captured.out)
         assert payload["report"]["gains"]["offer_scan"] is None
 
+    @pytest.mark.parametrize("flags,last", [
+        ([], "eliminate_then_war=-inf"),
+        (["--thresholds"], "eliminate_then_war=-inf"),
+        (["--mode", "efficient", "--thresholds"], "keep_trigger=-inf"),
+    ])
+    def test_overflowing_gains_refused(self, capsys, monkeypatch, flags,
+                                       last):
+        # classify refuses this point too: its gains overflow to -inf, which
+        # strict JSON could only print as null
+        assert_no_work(monkeypatch, ("oracle_thresholds",))
+        code = run(["verify", "--preset", "demo-b", "--c-r", "1.7e308",
+                    "--c-d", "1.7e308", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            '{"error": "invalid parameters", "detail": ["finite period-1 '
+            'terms required, got war_period1=-inf, proposer_stationary=-inf, '
+            f'{last}"]}}\n')
+
     def test_agreement_summary(self, capsys, tmp_path):
         csv_path = tmp_path / "agree.csv"
         run_json(capsys, ["verify", "--preset", "demo-b", "--agreement", "3",

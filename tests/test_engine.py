@@ -230,6 +230,37 @@ class TestAnalyticPayoffs:
         with pytest.raises(InvalidParamsError, match="p1 > p required"):
             analytic_payoffs(make(p1=0.1), ProfileMode.INEFFICIENT_PEACE)
 
+    @pytest.mark.parametrize("params,mode", [
+        (make(), ProfileMode.CUSTOM),
+        (make(), ProfileMode.COOPERATIVE_INEFFICIENT),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.INEFFICIENT_PEACE),
+        (make(c_D=35.0, elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.EFFICIENT_PEACE),
+    ])
+    def test_mode_rules_as_equilibrium_profile(self, params, mode):
+        # no price for a profile that cannot be built: the same GameError
+        # text as equilibrium_profile
+        with pytest.raises(GameError) as built:
+            equilibrium_profile(params, mode)
+        with pytest.raises(GameError) as priced:
+            analytic_payoffs(params, mode)
+        assert type(priced.value) is type(built.value) is GameError
+        assert str(priced.value) == str(built.value)
+
+    @pytest.mark.parametrize("params,mode,clamped,want", [
+        (make(), ProfileMode.INEFFICIENT_PEACE, True,
+         (9.340000000000002, 0.26000000000000023)),
+        (make(), ProfileMode.INEFFICIENT_PEACE, False,
+         (29.140000000000004, -19.54)),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.COOPERATIVE_INEFFICIENT, True,
+         (9.340000000000002, 0.26000000000000023)),
+        (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE, False, (38.0, -28.0)),
+    ])
+    def test_legal_modes_unchanged(self, params, mode, clamped, want):
+        assert analytic_payoffs(params, mode, clamped=clamped) == want
+
 
 def always_war(params):
     return StrategyProfile(

@@ -1,9 +1,11 @@
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from barriergame import engine, oracle
 from barriergame.engine import ProfileMode
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
@@ -16,7 +18,7 @@ from barriergame.oracle import (
     postwar_market_mean,
     verify_period1,
 )
-from barriergame.params import ModelParams
+from barriergame.params import InvalidParamsError, ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
@@ -111,6 +113,44 @@ class TestVerify:
     def test_custom_rejected(self):
         with pytest.raises(ValueError):
             verify_period1(make(), ProfileMode.CUSTOM)
+
+    @pytest.mark.parametrize("mode,last", [
+        (ProfileMode.EFFICIENT_PEACE, "keep_trigger=-inf"),
+        (ProfileMode.INEFFICIENT_PEACE, "eliminate_then_war=-inf"),
+        (ProfileMode.COOPERATIVE_INEFFICIENT, "eliminate_then_war=-inf"),
+    ])
+    def test_overflowing_gains_refused(self, mode, last):
+        # both costs are finite, but the proposer's gains overflow to -inf;
+        # no verdict is read off them
+        with pytest.raises(InvalidParamsError) as info:
+            verify_period1(make(c_R=1.7e308, c_D=1.7e308), mode)
+        assert info.value.violations == (
+            "finite period-1 terms required, got war_period1=-inf, "
+            f"proposer_stationary=-inf, {last}",)
+
+    def test_nonfinite_war_value_named(self):
+        with pytest.raises(InvalidParamsError,
+                           match=r"got war_r_free=-inf, war_r_bar=-inf, "):
+            verify_period1(make(c_R=math.inf), ProfileMode.INEFFICIENT_PEACE)
+        with pytest.raises(InvalidParamsError,
+                           match=r"got war_d_free=nan, war_d_bar=nan, "
+                                 r"v_d2=nan, v_r2=nan, "):
+            verify_period1(make(c_D=math.nan), ProfileMode.EFFICIENT_PEACE)
+
+    def test_unacceptable_offer_sentinel_kept(self):
+        # no offer fits the barrier-keeping path: the scan's -inf is a
+        # deliberate verdict, not an overflow
+        report = verify_period1(make(c_D=5.0), ProfileMode.INEFFICIENT_PEACE)
+        assert report.gains["offer_scan"] == -math.inf
+        assert not report.passed
+        assert all(math.isfinite(v) for k, v in report.gains.items()
+                   if k != "offer_scan")
+
+    def test_large_finite_costs_still_certified(self):
+        # a huge c_R alone leaves every gain finite
+        report = verify_period1(make(c_R=1.7e308),
+                                ProfileMode.INEFFICIENT_PEACE)
+        assert report.passed
 
     def test_grid_quantum_bound(self):
         report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE,
@@ -248,6 +288,41 @@ class TestLockstepBatch:
         for params, result in zip(points, batch):
             assert result == oracle_thresholds(params, search_tol=1e-8)
         assert oracle_thresholds_batch([], search_tol=1e-8) == []
+
+    def test_setup_work_independent_of_steps(self, monkeypatch):
+        # everything but the bisected cost is computed once per batch: a
+        # tighter tolerance adds predicate calls, but no ModelParams
+        # constructions and no engine calls
+        q = make()
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ModelParams, "__init__",
+                            counted("ModelParams", ModelParams.__init__))
+        for name in ("war_lottery", "expected_war_payoffs", "win_prob_d",
+                     "pie_present_value"):
+            monkeypatch.setattr(engine, name,
+                                counted(name, getattr(engine, name)))
+        bisect = oracle._bisect_up_sets
+        monkeypatch.setattr(
+            oracle, "_bisect_up_sets",
+            lambda predicate, n, tol: bisect(counted("predicate", predicate),
+                                             n, tol))
+        per_tol = {}
+        for tol in (1e-4, 1e-13):
+            counts.clear()
+            oracle_thresholds(q, search_tol=tol)
+            per_tol[tol] = dict(counts)
+        loose, tight = per_tol[1e-4], per_tol[1e-13]
+        assert tight.pop("predicate") >= loose.pop("predicate") + 40
+        assert tight == loose
+        assert loose["ModelParams"] <= 2 and loose["war_lottery"] <= 4
+        assert "expected_war_payoffs" not in loose
 
     def test_search_tol_must_be_positive(self):
         with pytest.raises(ValueError):
