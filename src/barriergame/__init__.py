@@ -11,12 +11,10 @@ from .params import (
     validate,
 )
 from .thresholds import (
-    IndifferenceOffers,
     ThresholdSet,
     compute_thresholds,
     effective_mu,
     efficient_peace_threshold,
-    indifference_offers,
     inefficient_cd_threshold,
     inefficient_joint_threshold,
     theta_floor,

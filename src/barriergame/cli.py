@@ -154,13 +154,17 @@ def _require_size(value: int, flag: str, cap: int) -> None:
         raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = _json_text(payload, indent=2, sort_keys=True)
+def _write(text: str, out: Optional[str]) -> None:
+    # the file named on the command line, else stdout
     if out:
         with open(_out_path(out), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out: Optional[str]) -> None:
+    _write(_json_text(payload, indent=2, sort_keys=True), out)
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -233,25 +237,17 @@ def _cmd_sweep(args) -> int:
             str(rep.inefficient_peace_exists).lower(),
             str(rep.war_inevitable).lower(),
         ]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(_out_path(args.out), "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
-_FIGURE_DEFAULTS = {
-    "regions": (None, ()),
-    "mu-shift": ("mu", (0.5, 0.8)),
-    "p-shift": ("p", (0.2, 0.4)),
-}
-
-_FIGURE_TITLES = {
-    "regions": "Equilibrium regions in the (c_R, c_D) plane",
-    "mu-shift": "Barrier severity and the scope of inefficient peace",
-    "p-shift": "Size of the power shift and the scope of peace",
+# figure id -> (swept knob or None, default knob values, title)
+_FIGURES = {
+    "regions": (None, (), "Equilibrium regions in the (c_R, c_D) plane"),
+    "mu-shift": ("mu", (0.5, 0.8),
+                 "Barrier severity and the scope of inefficient peace"),
+    "p-shift": ("p", (0.2, 0.4),
+                "Size of the power shift and the scope of peace"),
 }
 
 
@@ -261,7 +257,7 @@ def _cmd_figure(args) -> int:
     cd_range = _parse_range(args.cd_range, "--cd-range")
     params = _collect_params(args)
     require_valid(params)
-    knob, default_values = _FIGURE_DEFAULTS[args.figure_id]
+    knob, default_values, title = _FIGURES[args.figure_id]
     if knob is None:
         panels = [("base", region_grid(params, cr_range, cd_range,
                                        args.resolution))]
@@ -280,7 +276,7 @@ def _cmd_figure(args) -> int:
             panels.append((f"{knob} = {format(v, '.6g')}",
                            region_grid(point, cr_range, cd_range,
                                        args.resolution)))
-    emit_svg(panels, _FIGURE_TITLES[args.figure_id], _out_path(args.out))
+    emit_svg(panels, title, _out_path(args.out))
     if args.csv:
         base = _out_path(args.csv)
         if len(panels) == 1:
@@ -329,12 +325,8 @@ def _cmd_verify(args) -> int:
     _emit_json(payload, args.out)
     if args.agreement:
         rows = agreement_rows(args.agreement, seed=args.seed)
-        text = AGREEMENT_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-        if args.agreement_csv:
-            with open(_out_path(args.agreement_csv), "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(AGREEMENT_CSV_HEADER + "\n" + "\n".join(rows) + "\n",
+               args.agreement_csv)
     return 0
 
 
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("figure", help="region figures as SVG (+ CSV twin)")
-    sp.add_argument("figure_id", choices=sorted(_FIGURE_DEFAULTS))
+    sp.add_argument("figure_id", choices=sorted(_FIGURES))
     _add_param_flags(sp)
     sp.add_argument("-o", "--out", required=True, help="SVG output path")
     sp.add_argument("--csv", help="CSV twin output path")

@@ -11,6 +11,7 @@ clamp at zero when negative.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,11 +27,7 @@ from .params import (
     require_mean_matches,
     require_valid,
 )
-from .thresholds import (
-    compute_thresholds,
-    effective_mu,
-    indifference_offers,
-)
+from .thresholds import ThresholdSet, compute_thresholds, effective_mu
 
 
 class Response(enum.Enum):
@@ -175,7 +172,9 @@ class StrategyProfile:
     Built-in modes reproduce the threshold-backed constructions: both sides
     play the indifference bookkeeping on path, and the responder treats any
     off-prescription elimination decision as a war trigger.  Custom profiles
-    supply callbacks and are simulated, not solved.
+    supply callbacks and are simulated, not solved.  A built-in profile
+    reads its offers from the ``ThresholdSet`` of its params, computed once
+    on first use.
     """
 
     mode: ProfileMode
@@ -199,16 +198,20 @@ class StrategyProfile:
             return (t >= 2), True
         raise GameError("custom profiles prescribe via callbacks")
 
+    @functools.cached_property
+    def thresholds(self) -> ThresholdSet:
+        return compute_thresholds(self.params)
+
     def acceptance_cutoff(self, t: int, y: float, barrier_after: bool) -> float:
         """Raw indifference transfer at this node: the smallest offer making
         the responder weakly prefer acceptance, under the stationary
         continuation bookkeeping.  May be negative."""
         q = self.params
-        offers = indifference_offers(q)
+        ts = self.thresholds
         if t == 1:
-            return offers.offer1_inefficient if barrier_after else offers.offer1_efficient
+            return ts.offer1_inefficient if barrier_after else ts.offer1_efficient
         if not barrier_after:
-            return offers.offer_stationary
+            return ts.offer_stationary
         # barrier still standing past the power shift: same acceptance logic
         # with the post-shift win probability and next-period elimination
         delta = q.delta
@@ -235,11 +238,12 @@ class StrategyProfile:
         return offer >= self.acceptance_cutoff(t, y, barrier_after)
 
 
-def _existence_check(params: ModelParams, mode: ProfileMode) -> None:
-    # the existence conditions are read from the classifier's report
-    ts = compute_thresholds(params)
+def _existence_check(profile: StrategyProfile) -> None:
+    # the existence conditions are read from the classifier's report, at the
+    # profile's own threshold record
+    params, ts = profile.params, profile.thresholds
     report = report_from_margins(Margins.at(params, ts), ts)
-    if mode is ProfileMode.EFFICIENT_PEACE:
+    if profile.mode is ProfileMode.EFFICIENT_PEACE:
         if not report.efficient_peace_exists:
             raise ProfileExistenceError(
                 f"c_D={params.c_D} below cbar_D={ts.cbar_D}")
@@ -269,8 +273,9 @@ def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfi
     report the profile (ProfileExistenceError)."""
     require_valid(params)
     _require_builtin_mode(params, mode)
-    _existence_check(params, mode)
-    return StrategyProfile(mode=mode, params=params)
+    profile = StrategyProfile(mode=mode, params=params)
+    _existence_check(profile)
+    return profile
 
 
 def analytic_payoffs(params: ModelParams, mode: ProfileMode,
@@ -281,19 +286,17 @@ def analytic_payoffs(params: ModelParams, mode: ProfileMode,
     strategy can actually make, matching the simulator exactly.  With
     clamped=False the raw indifference transfers are priced, which pegs the
     responder at its war value even where that would require negative offers.
+    A profile that ``equilibrium_profile`` refuses is refused here alike.
     """
-    require_valid(params)
-    _require_builtin_mode(params, mode)
-    _existence_check(params, mode)
+    ts = equilibrium_profile(params, mode).thresholds
     delta = params.delta
-    offers = indifference_offers(params)
     if mode is ProfileMode.EFFICIENT_PEACE:
         y1 = 1.0
-        x1 = offers.offer1_efficient_clamped if clamped else offers.offer1_efficient
+        x1 = ts.offer1_efficient_clamped if clamped else ts.offer1_efficient
     else:
         y1 = params.h0
-        x1 = offers.offer1_inefficient_clamped if clamped else offers.offer1_inefficient
-    xs = offers.offer_stationary_clamped if clamped else offers.offer_stationary
+        x1 = ts.offer1_inefficient_clamped if clamped else ts.offer1_inefficient
+    xs = ts.offer_stationary_clamped if clamped else ts.offer_stationary
     v_d = x1 + delta * xs / (1.0 - delta)
     v_r = (y1 - x1) + delta * (1.0 - xs) / (1.0 - delta)
     return v_r, v_d
@@ -515,7 +518,7 @@ def simulate(profile: StrategyProfile, params: ModelParams,
         if profile.params != params:
             raise GameError("built-in profiles must be simulated under the "
                             "parameters they were built for")
-        _existence_check(profile.params, profile.mode)
+        _existence_check(profile)
         return _simulate_onpath(profile, params, horizon, n_runs, trace)
     return _simulate_general(profile, params, dist, horizon, n_runs, seed,
                              trace, trace_runs)

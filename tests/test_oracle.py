@@ -46,6 +46,10 @@ EDGE_POINTS = [
 ]
 
 
+# the postwar mean is still moving after POSTWAR_MEAN_MAX_ITER steps
+SLOW_MEAN = make(delta=0.99999, rho=1e-6)
+
+
 class TestPostwarMean:
     def test_matches_closed_form(self):
         for rho in (0.0, 0.25, 0.5, 0.9, 1.0):
@@ -60,8 +64,22 @@ class TestPostwarMean:
         got = postwar_market_mean(_lanes(points))
         assert got.tolist() == [postwar_market_mean(q) for q in points]
 
+    def test_unconverged_is_nan(self):
+        # contraction factor (1 - rho) * delta ~ 0.99999: the last iterate
+        # (0.81213) is far from the fixed point (0.81818), so none is given
+        assert math.isnan(postwar_market_mean(SLOW_MEAN))
+        assert_close(effective_mu(SLOW_MEAN), 0.8181818, 1e-6)
+
 
 class TestVerify:
+    @pytest.mark.parametrize("mode", [ProfileMode.EFFICIENT_PEACE,
+                                      ProfileMode.INEFFICIENT_PEACE])
+    def test_unconverged_postwar_mean_refused(self, mode):
+        with pytest.raises(InvalidParamsError) as err:
+            verify_period1(SLOW_MEAN, mode)
+        assert err.value.violations == (
+            "postwar_mean: no convergence in 100000 steps",)
+
     def test_pass_at_demo_point(self):
         report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE,
                                 offer_grid_n=10_000)
@@ -327,6 +345,20 @@ class TestLockstepBatch:
     def test_search_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             oracle_thresholds_batch([make()], search_tol=0.0)
+
+    def test_unconverged_postwar_mean_is_an_anomaly(self):
+        # the lane path: the slow lane's mean is nan, so clow_D and Clow
+        # have no value, and the anomaly names the cause first; cbar_D does
+        # not read the mean, and the other lane is untouched
+        demo, slow = oracle_thresholds_batch([make(), SLOW_MEAN])
+        assert demo == oracle_thresholds(make())
+        assert slow.anomalies == (
+            "postwar_mean: no convergence in 100000 steps",
+            "clow_D: no passing point up to 1.8446744073709552e+19",
+            "Clow: no passing point up to 1.8446744073709552e+19")
+        assert math.isnan(slow.clow_D.value) and math.isnan(slow.Clow.value)
+        assert math.isclose(slow.cbar_D.value,
+                            compute_thresholds(SLOW_MEAN).cbar_D, rel_tol=1e-9)
 
     def test_anomaly_paths(self):
         def predicate(x):

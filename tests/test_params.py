@@ -127,6 +127,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="elimination_mode"):
             ModelParams.from_dict(data)
 
+    def test_mode_given_as_enum(self):
+        data = {**make().to_dict(),
+                "elimination_mode": EliminationMode.COOPERATIVE}
+        params = ModelParams.from_dict(data)
+        assert params.elimination_mode is EliminationMode.COOPERATIVE
+        assert params == make(elimination_mode=EliminationMode.COOPERATIVE)
+
+    def test_invalid_mode_is_a_violation(self):
+        # the constructor does not coerce; validate names the bad value
+        result = validate(make(elimination_mode="Cooperative"))
+        assert result.violations == (
+            "elimination_mode invalid: 'Cooperative'",)
+
 
 class TestDistributions:
     def test_degenerate_bit_identical(self):
@@ -173,3 +186,12 @@ class TestDistributions:
             BarrierDistribution.degenerate(1.5)
         with pytest.raises(ValueError):
             BarrierDistribution.scaled_beta(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"beta mean must lie in \(0, 1\)"):
+            BarrierDistribution.scaled_beta_with_mean(1.0)
+
+    def test_describe(self):
+        assert BarrierDistribution.degenerate(0.5).describe() == "Degenerate(0.5)"
+        assert BarrierDistribution.uniform(0.25, 0.75).describe() == \
+            "Uniform(0.25, 0.75)"
+        assert BarrierDistribution.scaled_beta(2.0, 3.0).describe() == \
+            "ScaledBeta(2.0, 3.0)"

@@ -10,7 +10,6 @@ from barriergame.thresholds import (
     effective_mu,
     efficient_peace_threshold,
     extension_label,
-    indifference_offers,
     inefficient_cd_threshold,
     inefficient_joint_threshold,
     inefficient_joint_threshold_compact,
@@ -163,17 +162,17 @@ class TestReduction:
 
 class TestOffers:
     def test_inefficient_offer_demo(self):
-        offers = indifference_offers(make(c_D=25.0))
+        offers = compute_thresholds(make(c_D=25.0))
         assert_close(offers.offer1_inefficient, 0.26)
         assert offers.offer1_inefficient_clamped == offers.offer1_inefficient
         assert offers.offer1_inefficient <= 0.6  # feasible at c_D = 25 >= 21.6
 
     def test_efficient_offer_demo(self):
-        offers = indifference_offers(make(c_D=35.0))
+        offers = compute_thresholds(make(c_D=35.0))
         assert_close(offers.offer1_efficient, 0.8)
 
     def test_stationary_clamp(self):
-        offers = indifference_offers(make(c_D=25.0))
+        offers = compute_thresholds(make(c_D=25.0))
         assert_close(offers.offer_stationary, -2.2)
         assert offers.offer_stationary_clamped == 0.0
 
@@ -182,7 +181,7 @@ class TestOffers:
     def test_feasibility_equivalence(self, params, c_d):
         # offer1_inefficient <= h0 exactly when c_D >= clow_D
         point = params.with_overrides(c_D=c_d)
-        offers = indifference_offers(point)
+        offers = compute_thresholds(point)
         clow = inefficient_cd_threshold(point)
         margin = (1.0 - point.delta) * (c_d - clow)
         if abs(margin) > 1e-9:
@@ -191,7 +190,7 @@ class TestOffers:
     @given(valid_point)
     @settings(max_examples=100, deadline=None)
     def test_clamps_in_bounds(self, params):
-        offers = indifference_offers(params)
+        offers = compute_thresholds(params)
         assert 0.0 <= offers.offer1_efficient_clamped <= 1.0
         assert 0.0 <= offers.offer1_inefficient_clamped <= params.h0
         assert 0.0 <= offers.offer_stationary_clamped <= 1.0
