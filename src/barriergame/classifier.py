@@ -168,7 +168,6 @@ SWEEPABLE_KNOBS = ("mu", "p", "h0", "c_D", "c_R", "rho", "theta")
 @dataclass(frozen=True)
 class SweepPoint:
     value: float
-    thresholds: ThresholdSet
     report: EquilibriumReport
 
 
@@ -180,8 +179,7 @@ def comparative_static(base: ModelParams, knob: str,
     out = []
     for value in values:
         point = base.with_overrides(**{knob: float(value)})
-        rep = classify(point)
-        out.append(SweepPoint(value=float(value), thresholds=rep.thresholds, report=rep))
+        out.append(SweepPoint(value=float(value), report=classify(point)))
     return out
 
 

@@ -228,7 +228,8 @@ def _cmd_sweep(args) -> int:
               f"efficient,inefficient,war")
     lines = [header]
     for pt in points:
-        ts, rep = pt.thresholds, pt.report
+        rep = pt.report
+        ts = rep.thresholds
         lines.append(",".join([
             format(pt.value, ".12g"), format(ts.cbar_D, ".12g"),
             format(ts.clow_D, ".12g"), format(ts.Clow, ".12g"),

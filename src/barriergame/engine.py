@@ -78,8 +78,7 @@ class TerminalOutcome:
 
 
 def new_game(params: ModelParams,
-             dist: Optional[BarrierDistribution] = None,
-             seed: Optional[int] = None) -> GameState:
+             dist: Optional[BarrierDistribution] = None) -> GameState:
     """Initial state: period 1, barrier standing, resource at its default."""
     require_valid(params)
     if dist is not None:
@@ -172,9 +171,14 @@ class StrategyProfile:
     Built-in modes reproduce the threshold-backed constructions: both sides
     play the indifference bookkeeping on path, and the responder treats any
     off-prescription elimination decision as a war trigger.  Custom profiles
-    supply callbacks and are simulated, not solved.  A built-in profile
-    reads its offers from the ``ThresholdSet`` of its params, computed once
-    on first use.
+    supply callbacks and are simulated, not solved.
+
+    A profile checks itself where it is built.  A built-in one refuses
+    invalid parameters or overflowing margins (InvalidParamsError), an
+    elimination mode it cannot be played under (GameError) and a point where
+    ``classify`` does not report it (ProfileExistenceError); it reads its
+    offers from the ``ThresholdSet`` of its params, computed once, by that
+    check.  A custom one needs its offer and accept callbacks (GameError).
     """
 
     mode: ProfileMode
@@ -183,6 +187,36 @@ class StrategyProfile:
     custom_eliminate_d: Optional[Callable[[int, float, bool], bool]] = None
     custom_offer: Optional[Callable[[int, float, bool], float]] = None
     custom_accept: Optional[Callable[[int, float, bool, float], bool]] = None
+
+    def __post_init__(self):
+        mode, params = self.mode, self.params
+        if mode is ProfileMode.CUSTOM:
+            if self.custom_offer is None:
+                raise GameError("custom profile lacks an offer callback")
+            if self.custom_accept is None:
+                raise GameError("custom profile lacks an accept callback")
+            return
+        require_valid(params)
+        # a built-in profile is played only under the elimination mode it needs
+        if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+            if params.elimination_mode is not EliminationMode.COOPERATIVE:
+                raise GameError("cooperative profile requires cooperative elimination mode")
+        elif params.elimination_mode is not EliminationMode.UNILATERAL:
+            raise GameError(f"{mode.value} profile requires unilateral elimination mode")
+        # the existence conditions are read from the classifier's report, at
+        # the profile's own threshold record
+        ts = self.thresholds
+        report = report_from_margins(Margins.at(params, ts), ts)
+        if mode is ProfileMode.EFFICIENT_PEACE:
+            if not report.efficient_peace_exists:
+                raise ProfileExistenceError(
+                    f"c_D={params.c_D} below cbar_D={ts.cbar_D}")
+        elif not report.inefficient_peace_exists:
+            if report.margins.cd < 0.0:
+                raise ProfileExistenceError(
+                    f"c_D={params.c_D} below clow_D={ts.clow_D}")
+            raise ProfileExistenceError(
+                f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
 
     def prescribed_votes(self, t: int, barrier_present: bool) -> tuple[bool, Optional[bool]]:
         """(proposer vote, responder vote); responder vote is None outside
@@ -221,8 +255,6 @@ class StrategyProfile:
 
     def offer(self, t: int, y: float, barrier_after: bool) -> float:
         if self.mode is ProfileMode.CUSTOM:
-            if self.custom_offer is None:
-                raise GameError("custom profile lacks an offer callback")
             return self.custom_offer(t, y, barrier_after)
         raw = self.acceptance_cutoff(t, y, barrier_after)
         return min(max(raw, 0.0), y)
@@ -230,52 +262,18 @@ class StrategyProfile:
     def accepts(self, t: int, y: float, barrier_after: bool, offer: float,
                 on_path: bool) -> bool:
         if self.mode is ProfileMode.CUSTOM:
-            if self.custom_accept is None:
-                raise GameError("custom profile lacks an accept callback")
             return self.custom_accept(t, y, barrier_after, offer)
         if not on_path:
             return False
         return offer >= self.acceptance_cutoff(t, y, barrier_after)
 
 
-def _existence_check(profile: StrategyProfile) -> None:
-    # the existence conditions are read from the classifier's report, at the
-    # profile's own threshold record
-    params, ts = profile.params, profile.thresholds
-    report = report_from_margins(Margins.at(params, ts), ts)
-    if profile.mode is ProfileMode.EFFICIENT_PEACE:
-        if not report.efficient_peace_exists:
-            raise ProfileExistenceError(
-                f"c_D={params.c_D} below cbar_D={ts.cbar_D}")
-    elif not report.inefficient_peace_exists:
-        if report.margins.cd < 0.0:
-            raise ProfileExistenceError(
-                f"c_D={params.c_D} below clow_D={ts.clow_D}")
-        raise ProfileExistenceError(
-            f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
-
-
-def _require_builtin_mode(params: ModelParams, mode: ProfileMode) -> None:
-    # a built-in profile is played only under the elimination mode it needs
+def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
+    """Build the named built-in profile; the constructor refuses what
+    cannot be played (see ``StrategyProfile``)."""
     if mode is ProfileMode.CUSTOM:
         raise GameError("custom profiles are built directly, not requested here")
-    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
-        if params.elimination_mode is not EliminationMode.COOPERATIVE:
-            raise GameError("cooperative profile requires cooperative elimination mode")
-    else:
-        if params.elimination_mode is not EliminationMode.UNILATERAL:
-            raise GameError(f"{mode.value} profile requires unilateral elimination mode")
-
-
-def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
-    """Build the named profile, refusing invalid parameters or overflowing
-    margins (InvalidParamsError) and points where ``classify`` does not
-    report the profile (ProfileExistenceError)."""
-    require_valid(params)
-    _require_builtin_mode(params, mode)
-    profile = StrategyProfile(mode=mode, params=params)
-    _existence_check(profile)
-    return profile
+    return StrategyProfile(mode=mode, params=params)
 
 
 def analytic_payoffs(params: ModelParams, mode: ProfileMode,
@@ -501,8 +499,9 @@ def simulate(profile: StrategyProfile, params: ModelParams,
              trace_runs: int = 1) -> SimStats:
     """Monte Carlo estimate of discounted payoffs under a strategy profile.
 
-    Invalid parameters raise InvalidParamsError, and a built-in profile is
-    refused wherever ``equilibrium_profile`` would refuse it.
+    Invalid parameters raise InvalidParamsError.  A profile checks itself
+    when it is built, so every built-in profile is one ``equilibrium_profile``
+    would build; it must be simulated under the parameters it was built for.
     Runs draw independent generator streams from the master seed; built-in
     profiles take a deterministic fast path since their on-path play never
     touches the draws.  Custom profiles step period by period, one barrier
@@ -518,7 +517,6 @@ def simulate(profile: StrategyProfile, params: ModelParams,
         if profile.params != params:
             raise GameError("built-in profiles must be simulated under the "
                             "parameters they were built for")
-        _existence_check(profile)
         return _simulate_onpath(profile, params, horizon, n_runs, trace)
     return _simulate_general(profile, params, dist, horizon, n_runs, seed,
                              trace, trace_runs)

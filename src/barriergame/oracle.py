@@ -50,43 +50,25 @@ POSTWAR_MEAN_MAX_ITER = 100_000
 _UNCONVERGED_MEAN = f"postwar_mean: no convergence in {POSTWAR_MEAN_MAX_ITER} steps"
 # doublings a bisection bracket may take while looking for each end
 MAX_EXPAND = 64
+# a bisection stops once its bracket is no wider than this
+SEARCH_TOL = 1e-8
 
 
-def postwar_market_mean(params: ModelParams):
+def postwar_market_mean(params: ModelParams) -> float:
     """Mean postwar market value by fixed-point iteration of the
-    renormalization recursion x = rho + (1-rho)*((1-delta)*mu + delta*x).
-
-    The fields may be arrays of lanes: each lane stops at its own
-    convergence step, so it holds exactly the value of a scalar call.
-    Scalars iterate on plain floats, which is many times faster than on
-    0-d arrays.  A point (or lane) still moving after
-    POSTWAR_MEAN_MAX_ITER steps reads nan, because its last iterate is not
-    the fixed point; callers refuse or report it.
+    renormalization recursion x = rho + (1-rho)*((1-delta)*mu + delta*x),
+    on plain floats.  A point still moving after POSTWAR_MEAN_MAX_ITER
+    steps reads nan, because its last iterate is not the fixed point;
+    callers refuse or report it.
     """
     rho, delta, mu = params.rho, params.delta, params.mu
-
-    def step(x):
-        return rho + (1.0 - rho) * ((1.0 - delta) * mu + delta * x)
-
-    if np.ndim(mu) == 0:
-        x = mu
-        for _ in range(POSTWAR_MEAN_MAX_ITER):
-            nxt = step(x)
-            if abs(nxt - x) <= POSTWAR_MEAN_TOL:
-                return nxt
-            x = nxt
-        return math.nan
-    x = np.array(mu, dtype=float)
-    live = np.ones(x.shape, dtype=bool)
+    x = mu
     for _ in range(POSTWAR_MEAN_MAX_ITER):
-        nxt = step(x)
-        converged = np.abs(nxt - x) <= POSTWAR_MEAN_TOL
-        np.copyto(x, nxt, where=live)
-        live &= ~converged
-        if not live.any():
-            return x
-    x[live] = math.nan
-    return x
+        nxt = rho + (1.0 - rho) * ((1.0 - delta) * mu + delta * x)
+        if abs(nxt - x) <= POSTWAR_MEAN_TOL:
+            return nxt
+        x = nxt
+    return math.nan
 
 
 @dataclass(frozen=True)
@@ -304,8 +286,8 @@ class OracleThresholds:
         }
 
 
-def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray], n: int,
-                    search_tol: float) -> list[tuple[Bracket, Optional[str]]]:
+def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
+                    n: int) -> list[tuple[Bracket, Optional[str]]]:
     """Locate, in lockstep, the boundaries of n pass regions of the form
     [threshold, inf).
 
@@ -333,14 +315,14 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray], n: int,
     active = has_hi & has_lo
     while True:
         mid = 0.5 * (lo + hi)
-        active &= (hi - lo > search_tol) & (mid != lo) & (mid != hi)
+        active &= (hi - lo > SEARCH_TOL) & (mid != lo) & (mid != hi)
         if not active.any():
             break
         up = predicate(mid)
         hi = np.where(active & up, mid, hi)
         lo = np.where(active & ~up, mid, lo)
     value = 0.5 * (lo + hi)
-    probe = max(search_tol * 100.0, 1e-6)
+    probe = max(SEARCH_TOL * 100.0, 1e-6)
     odd = predicate(value - probe) | ~predicate(value + probe)
 
     out = []
@@ -367,20 +349,17 @@ def _lanes(points: Sequence[ModelParams]) -> ModelParams:
         for f in fields(ModelParams) if f.name != "elimination_mode"})
 
 
-def oracle_thresholds_batch(points: Sequence[ModelParams],
-                            search_tol: float = 1e-8) -> list[OracleThresholds]:
+def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresholds]:
     """Re-derive the three thresholds at every point by lockstep bisection
-    of period-1 gains; one OracleThresholds per point.
+    of period-1 gains, to SEARCH_TOL; one OracleThresholds per point.
 
     The two cost-of-war thresholds come from the feasibility flip of the
     period-1 offer; the joint threshold comes from the eliminate-then-fight
     deviation flip at a fixed feasible c_D.
     """
-    if search_tol <= 0:
-        raise ValueError("search_tol must be positive")
     n = len(points)
     lanes = _lanes(points)
-    m = postwar_market_mean(lanes)
+    m = np.array([postwar_market_mean(q) for q in points], dtype=float)
 
     # lanes [0, n) bisect cbar_D on the efficient path, lanes [n, 2n)
     # clow_D on the barrier-keeping path; the period-1 offer is feasible
@@ -390,7 +369,7 @@ def oracle_thresholds_batch(points: Sequence[ModelParams],
     gross_d = np.where(efficient, pair.free[1], pair.bar[1])
     y1 = np.where(efficient, 1.0, pair.h0)
     feasibility = _bisect_up_sets(
-        lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n, search_tol)
+        lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n)
     cbar, clow = feasibility[:n], feasibility[n:]
 
     # the eliminate-then-war gain at a fixed feasible c_D; the proposer's
@@ -400,7 +379,7 @@ def oracle_thresholds_batch(points: Sequence[ModelParams],
     w = _war_terms(lanes, m)
     v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
     joint = _bisect_up_sets(
-        lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, search_tol)
+        lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n)
 
     results = []
     for mean, *per_point in zip(m, cbar, clow, joint):
@@ -411,15 +390,14 @@ def oracle_thresholds_batch(points: Sequence[ModelParams],
             # the clow_D and Clow lanes found no passing point at a nan
             # mean; name the cause first
             anomalies = (_UNCONVERGED_MEAN, *anomalies)
-        results.append(OracleThresholds(*brackets, search_tol=search_tol,
+        results.append(OracleThresholds(*brackets, search_tol=SEARCH_TOL,
                                         anomalies=anomalies))
     return results
 
 
-def oracle_thresholds(params: ModelParams,
-                      search_tol: float = 1e-8) -> OracleThresholds:
+def oracle_thresholds(params: ModelParams) -> OracleThresholds:
     """Re-derive the three thresholds at one point: a batch of one."""
-    return oracle_thresholds_batch([params], search_tol)[0]
+    return oracle_thresholds_batch([params])[0]
 
 
 AGREEMENT_CSV_HEADER = (
@@ -431,8 +409,7 @@ AGREEMENT_CSV_HEADER = (
 def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
     """Summary rows comparing bisected thresholds against the closed forms
     at random valid parameter points; pairs with AGREEMENT_CSV_HEADER.
-    All points are sampled first and bisected as one batch, at the default
-    search tolerance."""
+    All points are sampled first and bisected as one batch."""
     # local import: the closed forms stay out of the verification machinery
     from .thresholds import compute_thresholds
 

@@ -56,8 +56,7 @@ def test_criterion_1_oracle_threshold_agreement():
     n_points = 1000
     points = [random_valid_params(rng) for _ in range(n_points)]
     worst = 0.0
-    for params, result in zip(points,
-                              oracle_thresholds_batch(points, search_tol=1e-8)):
+    for params, result in zip(points, oracle_thresholds_batch(points)):
         ts = compute_thresholds(params)
         worst = max(worst,
                     abs(result.cbar_D.value - ts.cbar_D),
@@ -368,7 +367,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 def test_criterion_9_desk_scale_demo():
     ts = compute_thresholds(SET_B)
     offers = compute_thresholds(SET_B)
-    oracle = oracle_thresholds(SET_B, search_tol=1e-8)
+    oracle = oracle_thresholds(SET_B)
     checks = {
         "cbar_D=33.0": abs(ts.cbar_D - 33.0) <= 1e-9,
         "clow_D=21.6": abs(ts.clow_D - 21.6) <= 1e-9,

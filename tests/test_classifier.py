@@ -186,21 +186,21 @@ class TestOneClassifyPerPoint:
 class TestComparativeStatic:
     def test_smaller_mu_widens_inefficient_region(self):
         points = comparative_static(make(), "mu", [0.9, 0.7, 0.5, 0.3])
-        clows = [pt.thresholds.clow_D for pt in points]
-        cjoints = [pt.thresholds.Clow for pt in points]
+        clows = [pt.report.thresholds.clow_D for pt in points]
+        cjoints = [pt.report.thresholds.Clow for pt in points]
         assert all(b <= a for a, b in zip(clows, clows[1:]))
         assert all(b <= a for a, b in zip(cjoints, cjoints[1:]))
 
     def test_larger_p_lowers_both_cd_thresholds(self):
         points = comparative_static(make(), "p", np.linspace(0.05, 0.6, 100))
-        cbars = [pt.thresholds.cbar_D for pt in points]
-        clows = [pt.thresholds.clow_D for pt in points]
+        cbars = [pt.report.thresholds.cbar_D for pt in points]
+        clows = [pt.report.thresholds.clow_D for pt in points]
         assert all(b <= a for a, b in zip(cbars, cbars[1:]))
         assert all(b <= a for a, b in zip(clows, clows[1:]))
 
     def test_h0_lowers_clow_but_not_monotone_overall(self):
         points = comparative_static(make(), "h0", np.linspace(0.1, 0.9, 50))
-        clows = [pt.thresholds.clow_D for pt in points]
+        clows = [pt.report.thresholds.clow_D for pt in points]
         assert all(b <= a for a, b in zip(clows, clows[1:]))
 
     def test_cbar_invariant_along_nuisance_sweeps(self):
@@ -208,7 +208,7 @@ class TestComparativeStatic:
         for knob, values in (("mu", [0.4, 0.6, 1.0]), ("h0", [0.1, 0.5, 0.9]),
                              ("rho", [0.0, 0.5, 1.0]), ("theta", [1.0, 1.2])):
             for pt in comparative_static(make(), knob, values):
-                assert pt.thresholds.cbar_D == base
+                assert pt.report.thresholds.cbar_D == base
 
     def test_unknown_knob(self):
         with pytest.raises(ValueError, match="unknown knob"):

@@ -210,13 +210,23 @@ class TestProfiles:
         assert profile.accepts(3, 0.7, True, 0.0, on_path=True)
 
     def test_custom_profile_errors(self):
-        bare = StrategyProfile(mode=ProfileMode.CUSTOM, params=make())
-        with pytest.raises(GameError, match="prescribe via callbacks"):
-            bare.prescribed_votes(1, True)
+        # a custom profile lacking a callback is refused where it is built
+        def offer(t, y, b):
+            return 0.0
+
+        def accept(t, y, b, o):
+            return True
+
         with pytest.raises(GameError, match="lacks an offer callback"):
-            bare.offer(1, 0.6, True)
+            StrategyProfile(mode=ProfileMode.CUSTOM, params=make(),
+                            custom_accept=accept)
         with pytest.raises(GameError, match="lacks an accept callback"):
-            bare.accepts(1, 0.6, True, 0.1, on_path=True)
+            StrategyProfile(mode=ProfileMode.CUSTOM, params=make(),
+                            custom_offer=offer)
+        profile = StrategyProfile(mode=ProfileMode.CUSTOM, params=make(),
+                                  custom_offer=offer, custom_accept=accept)
+        with pytest.raises(GameError, match="prescribe via callbacks"):
+            profile.prescribed_votes(1, True)
 
     def test_one_threshold_record_per_profile(self, monkeypatch):
         # a built-in profile computes its params' thresholds once: building
@@ -463,6 +473,33 @@ class TestSimulate:
         with pytest.raises(GameError, match="built for"):
             simulate(profile, make(c_D=26.0), DIST, horizon=10, n_runs=1)
 
+    @pytest.mark.parametrize("params,mode", [
+        (make(c_D=35.0, elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.EFFICIENT_PEACE),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.INEFFICIENT_PEACE),
+        (make(), ProfileMode.COOPERATIVE_INEFFICIENT),
+        (make(c_D=20.0), ProfileMode.INEFFICIENT_PEACE),
+        (make(c_D=25.0), ProfileMode.EFFICIENT_PEACE),
+        (make(p1=0.1), ProfileMode.INEFFICIENT_PEACE),
+    ])
+    def test_refuses_what_equilibrium_profile_refuses(self, params, mode):
+        # a hand-built profile gets no run and no price where
+        # equilibrium_profile would refuse it, with the same error type and
+        # text: under joint consent the efficient profile's barrier would
+        # never fall
+        refusals = (GameError, InvalidParamsError)
+        with pytest.raises(refusals) as built:
+            equilibrium_profile(params, mode)
+        for refuse in (
+                lambda: analytic_payoffs(params, mode),
+                lambda: simulate(StrategyProfile(mode=mode, params=params),
+                                 params, DIST, horizon=10, n_runs=1)):
+            with pytest.raises(refusals) as got:
+                refuse()
+            assert type(got.value) is type(built.value)
+            assert str(got.value) == str(built.value)
+
     def test_bad_sizes(self):
         profile = equilibrium_profile(make(c_D=25.0),
                                       ProfileMode.INEFFICIENT_PEACE)
@@ -583,6 +620,97 @@ class TestPeaceStreams:
         stats = simulate(profile, params, dist, horizon=30, n_runs=25,
                          seed=2024, trace=buf, trace_runs=25)
         want_stats, want_sha = self.PINNED[dist.kind.value]
+        assert stats.to_dict() == want_stats
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
+
+
+class TestOnPathStreams:
+    """Built-in profiles play their own prescribed votes and offers on the
+    deterministic on-path run; its stats and trace bytes are pinned, at
+    demo-b and at a point whose period-1 and stationary offers lie strictly
+    inside (0, y)."""
+
+    INTERIOR = dict(delta=0.5, p=0.2, p1=0.5, h0=0.7, c_D=0.2)
+
+    PINNED = {
+        "demo-b-efficient": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 8.776088417247836,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.8000000000000016,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"1": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "58ea296f7dfef44ee46dda4718cafbde39fae6389b8d5fc83a3682ad9965311d"),
+        "demo-b-inefficient": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 8.916088417247838,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.26000000000000023,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"2": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "f69f7122cb0b25d9e1422e4686e3ea6a0c31ff632bc0107c230bc539dced03f9"),
+        "demo-b-cooperative": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 8.916088417247838,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.26000000000000023,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"2": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "d8d0ca0ee009abcac4f16ac0112695fa044cba6e0e0aaa3fc6ec995d67cf25b4"),
+        "interior-efficient": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 1.1999999983236191,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.7999999998137355,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"1": 1.0},
+            "tail_bound": 1.862645149230957e-09,
+        }, "8b8ec7904a4dc1999ffe0093d0b9b53267c99c9bb8935d8f00f929b71cd20e4f"),
+        "interior-inefficient": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 1.149999998323619,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.5499999998137354,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"2": 1.0},
+            "tail_bound": 1.862645149230957e-09,
+        }, "1d2c700f8c80e7236c402293ed26fb70824f42e10246e5bbb3a336967c7c3a83"),
+        "interior-cooperative": ({
+            "n_runs": 7, "horizon": 30,
+            "payoff_r_mean": 1.149999998323619,
+            "payoff_r_se": 0.0,
+            "payoff_d_mean": 0.5499999998137354,
+            "payoff_d_se": 0.0,
+            "war_frequency": 0.0, "elimination_periods": {"2": 1.0},
+            "tail_bound": 1.862645149230957e-09,
+        }, "2707f94df653d9c25c4d11096e24d67402d62450fc3b095dd307d30c6abac0aa"),
+    }
+
+    CASES = {
+        "demo-b-efficient": (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
+        "demo-b-inefficient": (make(), ProfileMode.INEFFICIENT_PEACE),
+        "demo-b-cooperative": (
+            make(elimination_mode=EliminationMode.COOPERATIVE),
+            ProfileMode.COOPERATIVE_INEFFICIENT),
+        "interior-efficient": (make(**INTERIOR), ProfileMode.EFFICIENT_PEACE),
+        "interior-inefficient": (make(**INTERIOR),
+                                 ProfileMode.INEFFICIENT_PEACE),
+        "interior-cooperative": (
+            make(**INTERIOR, elimination_mode=EliminationMode.COOPERATIVE),
+            ProfileMode.COOPERATIVE_INEFFICIENT),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_onpath_stream_pinned(self, name):
+        params, mode = self.CASES[name]
+        profile = equilibrium_profile(params, mode)
+        buf = io.StringIO()
+        stats = simulate(profile, params, DIST, horizon=30, n_runs=7, seed=5,
+                         trace=buf)
+        want_stats, want_sha = self.PINNED[name]
         assert stats.to_dict() == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
 

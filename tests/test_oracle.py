@@ -11,7 +11,6 @@ from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
     Bracket,
     _bisect_up_sets,
-    _lanes,
     agreement_rows,
     oracle_thresholds,
     oracle_thresholds_batch,
@@ -55,14 +54,6 @@ class TestPostwarMean:
         for rho in (0.0, 0.25, 0.5, 0.9, 1.0):
             params = make(rho=rho)
             assert_close(postwar_market_mean(params), effective_mu(params), 1e-10)
-
-    def test_lanes_match_scalar_calls(self):
-        # lanes converge after different numbers of steps; each must stop at
-        # its own step, not at the slowest lane's
-        points = [make(rho=rho, delta=delta)
-                  for rho in (0.0, 1e-3, 0.3, 1.0) for delta in (0.2, 0.99)]
-        got = postwar_market_mean(_lanes(points))
-        assert got.tolist() == [postwar_market_mean(q) for q in points]
 
     def test_unconverged_is_nan(self):
         # contraction factor (1 - rho) * delta ~ 0.99999: the last iterate
@@ -226,33 +217,33 @@ class TestAgreementSummary:
 
 class TestOracleThresholds:
     def test_demo_point(self):
-        result = oracle_thresholds(make(), search_tol=1e-8)
+        result = oracle_thresholds(make())
         assert_close(result.cbar_D.value, 33.0, 1e-6)
         assert_close(result.clow_D.value, 21.6, 1e-6)
         assert_close(result.Clow.value, -1.14, 1e-6)
         assert result.anomalies == ()
 
     def test_theta_variant(self):
-        result = oracle_thresholds(make(theta=1.2), search_tol=1e-8)
+        result = oracle_thresholds(make(theta=1.2))
         assert_close(result.clow_D.value, 32.52, 1e-6)
         assert_close(result.cbar_D.value, 33.0, 1e-6)
 
     def test_rho_one_uses_full_postwar_market(self):
         params = make(rho=1.0)
-        result = oracle_thresholds(params, search_tol=1e-8)
+        result = oracle_thresholds(params)
         assert_close(result.clow_D.value, inefficient_cd_threshold(params), 1e-6)
         # effective market value is 1, so the threshold exceeds the baseline
         assert result.clow_D.value > 21.6
 
     def test_negative_threshold_recovered(self):
         params = make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5)
-        result = oracle_thresholds(params, search_tol=1e-8)
+        result = oracle_thresholds(params)
         assert_close(result.clow_D.value, -0.2, 1e-6)
         assert_close(result.cbar_D.value, 0.0, 1e-6)
         assert_close(result.Clow.value, -0.1, 1e-6)
 
     def test_brackets_contain_values(self):
-        result = oracle_thresholds(make(), search_tol=1e-8)
+        result = oracle_thresholds(make())
         for bracket in (result.cbar_D, result.clow_D, result.Clow):
             assert bracket.lo <= bracket.value <= bracket.hi
             assert bracket.hi - bracket.lo <= 1e-7
@@ -262,7 +253,7 @@ class TestOracleThresholds:
         for _ in range(25):
             params = random_valid_params(rng)
             ts = compute_thresholds(params)
-            result = oracle_thresholds(params, search_tol=1e-8)
+            result = oracle_thresholds(params)
             assert_close(result.cbar_D.value, ts.cbar_D, 1e-6)
             assert_close(result.clow_D.value, ts.clow_D, 1e-6)
             assert_close(result.Clow.value, ts.Clow, 1e-6)
@@ -272,7 +263,7 @@ class TestOracleThresholds:
                                   "composed"])
     def test_edge_parameter_agreement(self, params):
         ts = compute_thresholds(params)
-        result = oracle_thresholds(params, search_tol=1e-8)
+        result = oracle_thresholds(params)
         assert result.anomalies == ()
         assert_close(result.cbar_D.value, ts.cbar_D, 1e-6)
         assert_close(result.clow_D.value, ts.clow_D, 1e-6)
@@ -301,11 +292,11 @@ class TestLockstepBatch:
         ]
         rng = np.random.default_rng(7)
         points += [random_valid_params(rng) for _ in range(10)]
-        batch = oracle_thresholds_batch(points, search_tol=1e-8)
+        batch = oracle_thresholds_batch(points)
         assert len(batch) == len(points)
         for params, result in zip(points, batch):
-            assert result == oracle_thresholds(params, search_tol=1e-8)
-        assert oracle_thresholds_batch([], search_tol=1e-8) == []
+            assert result == oracle_thresholds(params)
+        assert oracle_thresholds_batch([]) == []
 
     def test_setup_work_independent_of_steps(self, monkeypatch):
         # everything but the bisected cost is computed once per batch: a
@@ -329,12 +320,12 @@ class TestLockstepBatch:
         bisect = oracle._bisect_up_sets
         monkeypatch.setattr(
             oracle, "_bisect_up_sets",
-            lambda predicate, n, tol: bisect(counted("predicate", predicate),
-                                             n, tol))
+            lambda predicate, n: bisect(counted("predicate", predicate), n))
         per_tol = {}
         for tol in (1e-4, 1e-13):
             counts.clear()
-            oracle_thresholds(q, search_tol=tol)
+            monkeypatch.setattr(oracle, "SEARCH_TOL", tol)
+            oracle_thresholds(q)
             per_tol[tol] = dict(counts)
         loose, tight = per_tol[1e-4], per_tol[1e-13]
         assert tight.pop("predicate") >= loose.pop("predicate") + 40
@@ -342,12 +333,8 @@ class TestLockstepBatch:
         assert loose["ModelParams"] <= 2 and loose["war_lottery"] <= 4
         assert "expected_war_payoffs" not in loose
 
-    def test_search_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            oracle_thresholds_batch([make()], search_tol=0.0)
-
     def test_unconverged_postwar_mean_is_an_anomaly(self):
-        # the lane path: the slow lane's mean is nan, so clow_D and Clow
+        # the slow point's mean is nan, so clow_D and Clow
         # have no value, and the anomaly names the cause first; cbar_D does
         # not read the mean, and the other lane is untouched
         demo, slow = oracle_thresholds_batch([make(), SLOW_MEAN])
@@ -371,7 +358,7 @@ class TestLockstepBatch:
             ])
 
         (never_pass, n0), (never_fail, n1), (island, n2), (normal, n3) = \
-            _bisect_up_sets(predicate, 4, 1e-8)
+            _bisect_up_sets(predicate, 4)
         assert math.isnan(never_pass.value)
         assert (never_pass.lo, never_pass.hi) == (-1.0, 2.0 ** 64)
         assert n0 == "no passing point up to 1.8446744073709552e+19"
@@ -386,4 +373,4 @@ class TestLockstepBatch:
                                  0.3700000047683716)
         assert n3 is None
         # the same lane alone takes the same steps
-        assert _bisect_up_sets(lambda x: x >= 0.37, 1, 1e-8) == [(normal, None)]
+        assert _bisect_up_sets(lambda x: x >= 0.37, 1) == [(normal, None)]

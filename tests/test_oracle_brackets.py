@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from barriergame import oracle
 from barriergame.params import sample_valid_params
 from barriergame.oracle import oracle_thresholds, oracle_thresholds_batch
 from test_oracle import EDGE_POINTS
@@ -30,14 +31,23 @@ def _row(result) -> str:
     return " | ".join([brackets, *result.anomalies])
 
 
+def _batch_at(points, tol):
+    """The batch's brackets with the bisection tolerance set to tol."""
+    saved = oracle.SEARCH_TOL
+    oracle.SEARCH_TOL = tol
+    try:
+        return oracle_thresholds_batch(points)
+    finally:
+        oracle.SEARCH_TOL = saved
+
+
 def bracket_record() -> dict:
     rng = np.random.default_rng(SEED)
     points = [sample_valid_params(rng) for _ in range(N_POINTS)] + EDGE_POINTS
     return {
         "seed": SEED,
         "points": len(points),
-        "batch": {repr(tol): [_row(r) for r in
-                              oracle_thresholds_batch(points, tol)]
+        "batch": {repr(tol): [_row(r) for r in _batch_at(points, tol)]
                   for tol in TOLS},
         "batch_of_one": [_row(oracle_thresholds(q)) for q in
                          points[:N_SINGLE]],

@@ -77,7 +77,7 @@ def test_overflowing_margins_refused_like_classify(mode):
         assert got.value.violations == want.value.violations
     with pytest.raises(InvalidParamsError) as got:
         # a built-in profile constructed directly, bypassing
-        # equilibrium_profile, is refused by simulate's own check
+        # equilibrium_profile, is refused where it is built
         simulate(StrategyProfile(mode=mode, params=q), q,
                  BarrierDistribution.degenerate(q.mu), horizon=5, n_runs=1)
     assert got.value.violations == want.value.violations
