@@ -41,7 +41,6 @@ from .engine import (
     TerminalOutcome,
     analytic_payoffs,
     equilibrium_profile,
-    expected_war_payoffs,
     new_game,
     simulate,
     step,

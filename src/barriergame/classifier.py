@@ -4,7 +4,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .params import InvalidParamsError, ModelParams, require_valid
 from .thresholds import ThresholdSet, compute_thresholds
@@ -185,46 +185,27 @@ def comparative_static(base: ModelParams, knob: str,
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    found: bool
-    witness: Optional[tuple[float, float]]   # (c_R, c_D)
-    searched_box: tuple[tuple[float, float], tuple[float, float]]
-    note: str
+    """Where inefficient peace exists but efficient peace does not:
+    ``cd_lo <= c_D < cd_hi`` and ``c_D + c_R >= Clow``, so the joint floor
+    is ``c_R >= max(Clow - c_D, 0)``.  Each bound is the margin ``classify``
+    tests, so the band is exact in float arithmetic too."""
+    cd_lo: float   # max(clow_D, 0)
+    cd_hi: float   # cbar_D
+    Clow: float
+
+    @property
+    def found(self) -> bool:
+        return self.cd_lo < self.cd_hi
 
     def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "witness": list(self.witness) if self.witness else None,
-            "searched_box": [list(self.searched_box[0]), list(self.searched_box[1])],
-            "note": self.note,
-        }
+        return {"found": self.found, "cd_lo": self.cd_lo, "cd_hi": self.cd_hi,
+                "Clow": self.Clow}
 
 
-def intersection_nonempty(base: ModelParams, grid_points: int = 64) -> IntersectionResult:
-    """Find a cost pair supporting inefficient-but-not-efficient peace on a
-    ``grid_points`` grid of a finite box; an empty band is recorded as a
-    counterexample candidate for the nonemptiness claim.
-
-    The band is nonempty iff ``max(clow_D, 0) < cbar_D``.  The witness is the
-    first hit of a row-by-row scan: its lowest row ``c_D = max(clow_D, 0)``
-    always holds one, because the box reaches ``c_R = 10 * max(1, |Clow|)``,
-    and on that row ``c_R`` steps through ``cr_hi * j / grid_points``, so the
-    smallest ``j`` with ``c_D + c_R >= Clow`` is found in closed form."""
-    if grid_points < 1:
-        raise ValueError("grid_points must be positive")
+def intersection_nonempty(base: ModelParams) -> IntersectionResult:
+    """The inefficient-only band in ``base``'s (c_R, c_D) plane.  An empty
+    band (``found`` false) is a candidate counterexample to the paper's
+    nonemptiness claim."""
     require_valid(base)
     ts = compute_thresholds(base)
-    cr_hi = 10.0 * max(1.0, abs(ts.Clow))
-    cd = max(ts.clow_D, 0.0)
-    box = ((0.0, cr_hi), (cd, max(ts.cbar_D, cd)))
-    if not (cd < ts.cbar_D):
-        note = (f"band empty: clow_D={ts.clow_D} vs cbar_D={ts.cbar_D}; "
-                f"counterexample candidate for the nonemptiness claim")
-        return IntersectionResult(False, None, box, note)
-    j = min(max(math.ceil((ts.Clow - cd) * grid_points / cr_hi), 0), grid_points)
-    # the estimate can miss the grid's own rounding by one step either way
-    if j > 0 and cd + cr_hi * (j - 1) / grid_points >= ts.Clow:
-        j -= 1
-    elif cd + cr_hi * j / grid_points < ts.Clow:
-        j += 1
-    return IntersectionResult(True, (cr_hi * j / grid_points, cd), box,
-                              "witness found")
+    return IntersectionResult(max(ts.clow_D, 0.0), ts.cbar_D, ts.Clow)

@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("thresholds", help="closed-form thresholds as JSON")
     _add_param_flags(sp)
     sp.add_argument("--intersection", action="store_true",
-                    help="also search for an inefficient-only witness point")
+                    help="also report the exact inefficient-only cost band")
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_thresholds)
 

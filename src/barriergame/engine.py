@@ -112,15 +112,6 @@ def war_lottery(params: ModelParams, t: int, barrier_present: bool, y: float,
     return (1.0 - wp) * pie, wp * pie
 
 
-def expected_war_payoffs(params: ModelParams, t: int, barrier_present: bool,
-                         y: float,
-                         postwar_mean: Optional[float] = None) -> tuple[float, float]:
-    """(proposer, responder) expected war payoffs at the given node: the war
-    lottery net of each side's cost."""
-    gross_r, gross_d = war_lottery(params, t, barrier_present, y, postwar_mean)
-    return gross_r - params.c_R, gross_d - params.c_D
-
-
 def resolve_elimination(state: GameState, actions: ActionRecord,
                         params: ModelParams) -> tuple[float, bool]:
     """Apply the elimination stage; returns (effective resource, barrier after).
@@ -249,7 +240,7 @@ class StrategyProfile:
         # barrier still standing past the power shift: same acceptance logic
         # with the post-shift win probability and next-period elimination
         delta = q.delta
-        war_d = expected_war_payoffs(q, t, True, y)[1]
+        war_d = war_lottery(q, t, True, y)[1] - q.c_D
         continuation = q.p / (1.0 - delta) - q.c_D
         return war_d - delta * continuation
 

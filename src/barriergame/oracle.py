@@ -287,7 +287,7 @@ class OracleThresholds:
 
 
 def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
-                    n: int) -> list[tuple[Bracket, Optional[str]]]:
+                    n: int, slope=1.0) -> list[tuple[Bracket, Optional[str]]]:
     """Locate, in lockstep, the boundaries of n pass regions of the form
     [threshold, inf).
 
@@ -296,6 +296,10 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
     bisects and probes exactly as a lone bisection would; a lane that has
     stopped keeps its state while the others finish.  Returns one
     (bracket, anomaly note or None) per lane.
+
+    slope (a float, or one per lane) is the rate at which the tested
+    quantity moves with the bisected point; it widens the monotonicity
+    probe past the band where rounding alone can flip the predicate.
     """
     lo = np.full(n, -1.0)
     hi = np.full(n, 1.0)
@@ -322,7 +326,8 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
         hi = np.where(active & up, mid, hi)
         lo = np.where(active & ~up, mid, lo)
     value = 0.5 * (lo + hi)
-    probe = max(SEARCH_TOL * 100.0, 1e-6)
+    probe = np.maximum(max(SEARCH_TOL * 100.0, 1e-6),
+                       4.0 * np.spacing(np.abs(value)) / slope)
     odd = predicate(value - probe) | ~predicate(value + probe)
 
     out = []
@@ -369,7 +374,8 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
     gross_d = np.where(efficient, pair.free[1], pair.bar[1])
     y1 = np.where(efficient, 1.0, pair.h0)
     feasibility = _bisect_up_sets(
-        lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n)
+        lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n,
+        slope=1.0 - pair.delta)
     cbar, clow = feasibility[:n], feasibility[n:]
 
     # the eliminate-then-war gain at a fixed feasible c_D; the proposer's
@@ -379,7 +385,7 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
     w = _war_terms(lanes, m)
     v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
     joint = _bisect_up_sets(
-        lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n)
+        lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, slope=1.0)
 
     results = []
     for mean, *per_point in zip(m, cbar, clow, joint):

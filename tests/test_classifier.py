@@ -215,109 +215,71 @@ class TestComparativeStatic:
             comparative_static(make(), "delta2", [0.5])
 
 
-def scan_intersection(ts, grid_points=64):
-    """The row-by-row scan ``intersection_nonempty`` used to run over the
-    box its thresholds ``ts`` set; the closed form must agree with it."""
-    cr_hi = 10.0 * max(1.0, abs(ts.Clow))
-    cd_lo = max(ts.clow_D, 0.0)
-    cd_hi = ts.cbar_D
-    box = ((0.0, cr_hi), (cd_lo, max(cd_hi, cd_lo)))
-    if not (cd_lo < cd_hi):
-        note = (f"band empty: clow_D={ts.clow_D} vs cbar_D={ts.cbar_D}; "
-                f"counterexample candidate for the nonemptiness claim")
-        return IntersectionResult(False, None, box, note)
-    for i in range(grid_points):
-        cd = cd_lo + (cd_hi - cd_lo) * i / grid_points
-        if cd >= cd_hi:
-            continue
-        for j in range(grid_points + 1):
-            cr = cr_hi * j / grid_points
-            if cd >= ts.clow_D and cd + cr >= ts.Clow and cd < ts.cbar_D:
-                return IntersectionResult(True, (cr, cd), box, "witness found")
-    return IntersectionResult(False, None, box,
-                              "no witness in searched box despite nonempty band")
+def corner_label(params):
+    """The classify label at the band's lower corner, c_D = cd_lo and
+    c_R on the joint floor."""
+    band = intersection_nonempty(params)
+    return classify(params.with_overrides(
+        c_D=band.cd_lo, c_R=max(band.Clow - band.cd_lo, 0.0))).label
 
 
 class TestIntersection:
-    def test_closed_form_matches_scan(self):
+    def test_band_matches_classify(self):
         rng = np.random.default_rng(6)
         points = [get_preset("demo-b").params, make(), make(p=0.35),
                   make(mu=1.0)]
         points += [sample_valid_params(rng) for _ in range(500)]
         found = 0
         for params in points:
-            result = intersection_nonempty(params)
-            assert result == scan_intersection(compute_thresholds(params))
-            found += result.found
+            band = intersection_nonempty(params)
+            found += band.found
+            # the lower corner is inefficient-only exactly when the band is
+            # nonempty; an empty band's corner has efficient peace
+            assert (corner_label(params) is RegionLabel.INEFFICIENT_PEACE) \
+                == band.found
+            if band.cd_hi >= 0.0:
+                at_hi = classify(params.with_overrides(c_D=band.cd_hi))
+                assert at_hi.label is not RegionLabel.INEFFICIENT_PEACE
+            below = params.with_overrides(
+                c_D=math.nextafter(band.cd_lo, -math.inf))
+            if band.cd_lo > 0.0:
+                assert not classify(below).inefficient_peace_exists
+            else:
+                with pytest.raises(InvalidParamsError):
+                    classify(below)
         assert 0 < found < len(points)
 
-    @pytest.mark.parametrize("grid_points", [1, 7, 64])
-    def test_closed_form_matches_scan_off_axis(self, monkeypatch, grid_points):
-        # On valid points the witness has always had c_R = 0 (at theta = 1
-        # a nonempty band forces Clow < 0), so synthetic thresholds with
-        # Clow above the band exercise the c_R step, with Clow on grid lines
-        # where rounding decides the step.
-        rng = np.random.default_rng(grid_points)
-        real = compute_thresholds(make())
-        cases = []
-        for _ in range(300):
-            clow_d = rng.uniform(-1.0, 1.0)
-            cd = max(clow_d, 0.0)
-            cbar_d = cd + rng.uniform(0.01, 5.0)
-            k = int(rng.integers(0, grid_points + 1))
-            # on the k-th grid line: c_R steps by 10 / grid_points while
-            # |Clow| <= 1, and by 10 * Clow / grid_points above 1
-            joints = [cd + 10.0 * k / grid_points,
-                      rng.uniform(-20.0, 20.0)]
-            if 10 * k < grid_points:
-                joints.append(cd / (1.0 - 10.0 * k / grid_points))
-            cases += [(clow_d, cbar_d, joint) for joint in joints]
-        steps = set()
-        for clow_d, cbar_d, joint in cases:
-            ts = dataclasses.replace(real, clow_D=clow_d, cbar_D=cbar_d,
-                                     Clow=joint)
-            monkeypatch.setattr(classifier_mod, "compute_thresholds",
-                                lambda params: ts)
-            result = intersection_nonempty(make(), grid_points=grid_points)
-            assert result == scan_intersection(ts, grid_points)
-            assert result.found
-            steps.add(result.witness[0] > 0.0)
-        assert steps == {False, True}
-
-    @pytest.mark.parametrize("cd, joint, naive, want", [
-        (0.9227981833924199, 1.0936867358724978, 2, 1),
-        (0.5612257005298729, 2.565603202422276, 5, 6),
-    ])
-    def test_rounding_step(self, monkeypatch, cd, joint, naive, want):
-        # Clow on a grid line, where ceil((Clow - c_D) * 64 / cr_hi) misses
-        # the scan's first hit by one step, once in each direction
-        cr_hi = 10.0 * max(1.0, joint)
-        assert math.ceil((joint - cd) * 64 / cr_hi) == naive
-        ts = dataclasses.replace(compute_thresholds(make()), clow_D=cd,
-                                 cbar_D=cd + 1.0, Clow=joint)
+    def test_positive_joint_floor(self, monkeypatch):
+        # on valid points a nonempty band has Clow <= c_D, so synthetic
+        # thresholds with Clow above the band make the c_R floor positive
+        ts = dataclasses.replace(compute_thresholds(make()), clow_D=0.5,
+                                 cbar_D=2.0, Clow=3.0)
         monkeypatch.setattr(classifier_mod, "compute_thresholds",
                             lambda params: ts)
-        result = intersection_nonempty(make())
-        assert result == scan_intersection(ts)
-        assert result.witness == (cr_hi * want / 64, cd)
-
-    def test_bad_grid_points(self):
-        with pytest.raises(ValueError):
-            intersection_nonempty(make(), grid_points=0)
+        band = intersection_nonempty(make())
+        assert band == IntersectionResult(0.5, 2.0, 3.0) and band.found
+        assert corner_label(make()) is RegionLabel.INEFFICIENT_PEACE
+        below_floor = make(c_D=0.5, c_R=math.nextafter(2.5, 0.0))
+        assert not classify(below_floor).inefficient_peace_exists
+        assert classify(make(c_D=1.5, c_R=1.5)).label \
+            is RegionLabel.INEFFICIENT_PEACE
+        assert classify(make(c_D=2.0, c_R=1.0)).efficient_peace_exists
 
     def test_demo_witness(self):
+        # the point test_inefficient_only classifies lies in the band
         result = intersection_nonempty(make())
         assert result.found
-        cr, cd = result.witness
-        ts = compute_thresholds(make())
-        assert ts.clow_D <= cd < ts.cbar_D
-        assert cd + cr >= ts.Clow
+        assert result.cd_lo <= 25.0 < result.cd_hi
+        assert 25.0 + 1.0 >= result.Clow
+        assert result.to_dict() == {"found": True, "cd_lo": result.cd_lo,
+                                    "cd_hi": result.cd_hi,
+                                    "Clow": result.Clow}
 
     def test_empty_band_recorded(self):
         # mu = 1 removes all barrier damage: the inefficient band vanishes
         result = intersection_nonempty(make(mu=1.0))
-        assert not result.found
-        assert "counterexample" in result.note
+        assert not result.found and result.cd_lo >= result.cd_hi
+        assert result.to_dict()["found"] is False
 
     def test_vacuous_joint_constraint(self):
         params = make(p=0.35)
@@ -325,4 +287,4 @@ class TestIntersection:
         assert ts.Clow <= 0.0 and ts.cbar_D > ts.clow_D
         result = intersection_nonempty(params)
         assert result.found
-        assert result.witness[0] == 0.0  # c_R = 0 suffices
+        assert max(result.Clow - result.cd_lo, 0.0) == 0.0  # c_R = 0 suffices

@@ -19,11 +19,11 @@ from barriergame.engine import (
     _war_continuation,
     analytic_payoffs,
     equilibrium_profile,
-    expected_war_payoffs,
     new_game,
     resolve_elimination,
     simulate,
     step,
+    war_lottery,
 )
 from barriergame.params import (
     BarrierDistribution,
@@ -260,7 +260,7 @@ class TestAnalyticPayoffs:
         params = make(c_D=25.0)
         _, v_d = analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE,
                                   clamped=False)
-        war_d = expected_war_payoffs(params, 1, True, params.h0)[1]
+        war_d = war_lottery(params, 1, True, params.h0)[1] - params.c_D
         assert_close(v_d, war_d, 1e-9)
 
     @pytest.mark.parametrize("clamped", [True, False])
@@ -371,7 +371,8 @@ class TestSimulate:
         stats = simulate(profile, params, DIST, horizon=150, n_runs=4000,
                          seed=5)
         assert stats.war_frequency == 1.0
-        war_r, war_d = expected_war_payoffs(params, 1, True, params.h0)
+        gross_r, gross_d = war_lottery(params, 1, True, params.h0)
+        war_r, war_d = gross_r - params.c_R, gross_d - params.c_D
         assert abs(stats.payoff_d_mean - war_d) <= 3.0 * stats.payoff_d_se + stats.tail_bound
         assert abs(stats.payoff_r_mean - war_r) <= 3.0 * stats.payoff_r_se + stats.tail_bound
 
@@ -407,7 +408,8 @@ class TestSimulate:
         profile = always_war(params)
         stats = simulate(profile, params, DIST, horizon=250, n_runs=6000,
                          seed=8)
-        war_r, war_d = expected_war_payoffs(params, 1, True, params.h0)
+        gross_r, gross_d = war_lottery(params, 1, True, params.h0)
+        war_r, war_d = gross_r - params.c_R, gross_d - params.c_D
         assert abs(stats.payoff_d_mean - war_d) <= \
             3.0 * stats.payoff_d_se + stats.tail_bound
         assert abs(stats.payoff_r_mean - war_r) <= \

@@ -313,14 +313,14 @@ class TestLockstepBatch:
 
         monkeypatch.setattr(ModelParams, "__init__",
                             counted("ModelParams", ModelParams.__init__))
-        for name in ("war_lottery", "expected_war_payoffs", "win_prob_d",
-                     "pie_present_value"):
+        for name in ("war_lottery", "win_prob_d", "pie_present_value"):
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
         bisect = oracle._bisect_up_sets
         monkeypatch.setattr(
             oracle, "_bisect_up_sets",
-            lambda predicate, n: bisect(counted("predicate", predicate), n))
+            lambda predicate, n, **kw: bisect(counted("predicate", predicate),
+                                              n, **kw))
         per_tol = {}
         for tol in (1e-4, 1e-13):
             counts.clear()
@@ -331,7 +331,6 @@ class TestLockstepBatch:
         assert tight.pop("predicate") >= loose.pop("predicate") + 40
         assert tight == loose
         assert loose["ModelParams"] <= 2 and loose["war_lottery"] <= 4
-        assert "expected_war_payoffs" not in loose
 
     def test_unconverged_postwar_mean_is_an_anomaly(self):
         # the slow point's mean is nan, so clow_D and Clow
@@ -374,3 +373,20 @@ class TestLockstepBatch:
         assert n3 is None
         # the same lane alone takes the same steps
         assert _bisect_up_sets(lambda x: x >= 0.37, 1) == [(normal, None)]
+
+    def test_no_false_anomaly_near_delta_one(self):
+        # the feasibility predicate moves with the cost at rate 1 - delta,
+        # so near delta = 1 rounding alone flips it within about
+        # ulp(|clow_D|) / (1 - delta) = 2.2e-6 of the boundary, wider than
+        # a fixed 1e-6 probe; the probe scales with that band instead
+        q = ModelParams(delta=0.9998937534481658, p=0.47889639294569647,
+                        p1=0.6252236074796401, mu=0.7365483637824521,
+                        h0=0.06566167438462142, c_R=3.6534990202737125,
+                        c_D=4.88142903470984)
+        result = oracle_thresholds(q)
+        assert result.anomalies == ()
+        assert result.clow_D == Bracket(-1629083.2231412013,
+                                        -1629083.223141205,
+                                        -1629083.2231411976)
+        closed = compute_thresholds(q).clow_D
+        assert abs(result.clow_D.value - closed) <= 1e-9 * abs(closed)
