@@ -249,6 +249,49 @@ class TestIntersection:
                     classify(below)
         assert 0 < found < len(points)
 
+    @pytest.mark.parametrize("grid_points", [1, 7, 64])
+    def test_closed_form_matches_scan_off_axis(self, monkeypatch, grid_points):
+        # On valid points a nonempty band has Clow <= c_D, so synthetic
+        # thresholds with Clow above the band exercise a positive c_R floor.
+        # A (c_R, c_D) scan at grid_points steps per axis, plus the float
+        # neighbours of each band edge, must agree with classify.
+        rng = np.random.default_rng(grid_points)
+        real = compute_thresholds(make())
+        cases = []
+        for _ in range(20):
+            clow_d = rng.uniform(-1.0, 1.0)
+            cd = max(clow_d, 0.0)
+            cbar_d = cd + rng.uniform(0.01, 5.0)
+            k = int(rng.integers(0, grid_points + 1))
+            # Clow on the k-th c_R grid line of the lowest row, and anywhere
+            joints = [cd + 10.0 * k / grid_points, rng.uniform(-20.0, 20.0)]
+            cases += [(clow_d, cbar_d, joint) for joint in joints]
+        floors = set()
+        for clow_d, cbar_d, joint in cases:
+            ts = dataclasses.replace(real, clow_D=clow_d, cbar_D=cbar_d,
+                                     Clow=joint)
+            monkeypatch.setattr(classifier_mod, "compute_thresholds",
+                                lambda params: ts)
+            band = intersection_nonempty(make())
+            assert band == IntersectionResult(max(clow_d, 0.0), cbar_d, joint)
+            assert band.found
+            floors.add(band.Clow - band.cd_lo > 0.0)
+            cr_hi = 10.0 * max(1.0, abs(joint))
+            cds = [band.cd_lo + (band.cd_hi - band.cd_lo) * i / grid_points
+                   for i in range(grid_points + 1)]
+            cds += [math.nextafter(band.cd_lo, -math.inf),
+                    math.nextafter(band.cd_hi, -math.inf)]
+            for cd in (x for x in cds if x >= 0.0):
+                floor = max(joint - cd, 0.0)
+                crs = [cr_hi * j / grid_points for j in range(grid_points + 1)]
+                crs += [floor, math.nextafter(floor, -math.inf),
+                        math.nextafter(floor, math.inf)]
+                for cr in (x for x in crs if x >= 0.0):
+                    inside = band.cd_lo <= cd < band.cd_hi and cd + cr >= joint
+                    label = classify(make(c_D=cd, c_R=cr)).label
+                    assert (label is RegionLabel.INEFFICIENT_PEACE) == inside
+        assert floors == {False, True}
+
     def test_positive_joint_floor(self, monkeypatch):
         # on valid points a nonempty band has Clow <= c_D, so synthetic
         # thresholds with Clow above the band make the c_R floor positive
