@@ -45,22 +45,37 @@ class Margins:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    efficient_peace_exists: bool
-    inefficient_peace_exists: bool
-    war_inevitable: bool
-    assumption_holds: bool   # c_D < cbar_D, the restriction the analysis maintains
+    """The taxonomy at one point: the one statement of the existence
+    conditions.  Every flag is a pure function of the margins; boundary
+    cells (margin 0) take the weak-inequality side."""
     margins: Margins
     thresholds: ThresholdSet
 
     @property
+    def efficient_peace_exists(self) -> bool:
+        return self.margins.efficient >= 0.0
+
+    @property
+    def inefficient_peace_exists(self) -> bool:
+        return self.margins.cd >= 0.0 and self.margins.joint >= 0.0
+
+    @property
+    def war_inevitable(self) -> bool:
+        return not (self.efficient_peace_exists
+                    or self.inefficient_peace_exists)
+
+    @property
+    def assumption_holds(self) -> bool:
+        """c_D < cbar_D, the restriction the analysis maintains."""
+        return not self.efficient_peace_exists
+
+    @property
     def label(self) -> RegionLabel:
-        if self.efficient_peace_exists and self.inefficient_peace_exists:
-            return RegionLabel.BOTH
-        if self.efficient_peace_exists:
-            return RegionLabel.EFFICIENT_PEACE
-        if self.inefficient_peace_exists:
-            return RegionLabel.INEFFICIENT_PEACE
-        return RegionLabel.WAR
+        efficient = self.efficient_peace_exists
+        inefficient = self.inefficient_peace_exists
+        if efficient:
+            return RegionLabel.BOTH if inefficient else RegionLabel.EFFICIENT_PEACE
+        return RegionLabel.INEFFICIENT_PEACE if inefficient else RegionLabel.WAR
 
     def to_dict(self) -> dict:
         return {
@@ -78,28 +93,12 @@ class EquilibriumReport:
         }
 
 
-def report_from_margins(margins: Margins, thresholds: ThresholdSet) -> EquilibriumReport:
-    """The one statement of the existence conditions.  Labels are pure
-    functions of the margins; boundary cells (margin 0) take the
-    weak-inequality side."""
-    efficient = margins.efficient >= 0.0
-    inefficient = margins.cd >= 0.0 and margins.joint >= 0.0
-    return EquilibriumReport(
-        efficient_peace_exists=efficient,
-        inefficient_peace_exists=inefficient,
-        war_inevitable=not efficient and not inefficient,
-        assumption_holds=margins.efficient < 0.0,
-        margins=margins,
-        thresholds=thresholds,
-    )
-
-
 def classify(params: ModelParams) -> EquilibriumReport:
     """Map one parameter point to the equilibrium taxonomy; invalid points
     and points whose margins overflow raise InvalidParamsError."""
     require_valid(params)
     ts = compute_thresholds(params)
-    return report_from_margins(Margins.at(params, ts), ts)
+    return EquilibriumReport(Margins.at(params, ts), ts)
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,11 @@ def region_grid(base: ModelParams, cr_range: tuple[float, float],
                 cd_range: tuple[float, float], resolution: int) -> RegionGrid:
     """Classify every cell center of a (c_R, c_D) raster.
 
-    Invalid cells (e.g. ranges reaching into negative costs) are Skipped.
-    Cell evaluation is pure and independent, so callers may shard it freely.
+    An invalid ``base`` raises InvalidParamsError; invalid cells (e.g.
+    ranges reaching into negative costs) are Skipped.  Cell evaluation is
+    pure and independent, so callers may shard it freely.
     """
+    require_valid(base)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     crs = _cell_centers(cr_range[0], cr_range[1], resolution)
@@ -165,22 +166,13 @@ def region_grid(base: ModelParams, cr_range: tuple[float, float],
 SWEEPABLE_KNOBS = ("mu", "p", "h0", "c_D", "c_R", "rho", "theta")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    report: EquilibriumReport
-
-
 def comparative_static(base: ModelParams, knob: str,
-                       values: Iterable[float]) -> list[SweepPoint]:
-    """Trace thresholds and classifications along one parameter knob."""
+                       values: Iterable[float]) -> list[EquilibriumReport]:
+    """Classify ``base`` at each value of one parameter knob, in order."""
     if knob not in SWEEPABLE_KNOBS:
         raise ValueError(f"unknown knob {knob!r}; expected one of {SWEEPABLE_KNOBS}")
-    out = []
-    for value in values:
-        point = base.with_overrides(**{knob: float(value)})
-        out.append(SweepPoint(value=float(value), report=classify(point)))
-    return out
+    return [classify(base.with_overrides(**{knob: float(value)}))
+            for value in values]
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ _MODES = {
 
 # upper bounds on the sizes that set allocations
 _MAX_AGREEMENT = 100_000
-_MAX_GRID = 10_000_000
 _MAX_RESOLUTION = 4_000
 _MAX_RUNS = 10_000_000
 _MAX_HORIZON = 1_000_000
@@ -221,17 +220,16 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise CliError("--values is empty")
     try:
-        points = comparative_static(params, args.knob, values)
+        reports = comparative_static(params, args.knob, values)
     except ValueError as e:
         raise CliError(str(e))
     header = (f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
               f"efficient,inefficient,war")
     lines = [header]
-    for pt in points:
-        rep = pt.report
+    for value, rep in zip(values, reports):
         ts = rep.thresholds
         lines.append(",".join([
-            format(pt.value, ".12g"), format(ts.cbar_D, ".12g"),
+            format(value, ".12g"), format(ts.cbar_D, ".12g"),
             format(ts.clow_D, ".12g"), format(ts.Clow, ".12g"),
             format(ts.postwar_mean, ".12g"),
             str(rep.efficient_peace_exists).lower(),
@@ -270,13 +268,10 @@ def _cmd_figure(args) -> int:
                 raise CliError(f"--values expects numbers, got {args.values!r}")
         else:
             values = default_values
-        panels = []
-        for v in values:
-            point = params.with_overrides(**{knob: v})
-            require_valid(point)
-            panels.append((f"{knob} = {format(v, '.6g')}",
-                           region_grid(point, cr_range, cd_range,
-                                       args.resolution)))
+        panels = [(f"{knob} = {format(v, '.6g')}",
+                   region_grid(params.with_overrides(**{knob: v}), cr_range,
+                               cd_range, args.resolution))
+                  for v in values]
     emit_svg(panels, title, _out_path(args.out))
     if args.csv:
         base = _out_path(args.csv)
@@ -313,13 +308,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
-    _require_size(args.grid, "--grid", _MAX_GRID)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
     params = _collect_params(args)
     require_valid(params)
     mode = _MODES[args.mode]
-    report = verify_period1(params, mode, offer_grid_n=args.grid, tol=args.tol)
+    report = verify_period1(params, mode, tol=args.tol)
     payload = {"params": params.to_dict(), "report": report.to_dict()}
     if args.thresholds:
         payload["oracle_thresholds"] = oracle_thresholds(params).to_dict()
@@ -396,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="deviation-check a built-in profile")
     _add_param_flags(sp)
     sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
-    sp.add_argument("--grid", type=int, default=10_000,
-                    help=f"offer-scan grid points (at most {_MAX_GRID})")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--thresholds", action="store_true",
                     help="also re-derive thresholds by bisection")

@@ -19,7 +19,7 @@ from typing import Callable, IO, Optional
 
 import numpy as np
 
-from .classifier import Margins, report_from_margins
+from .classifier import EquilibriumReport, Margins
 from .params import (
     BarrierDistribution,
     EliminationMode,
@@ -69,11 +69,7 @@ class ActionRecord:
 
 @dataclass(frozen=True)
 class TerminalOutcome:
-    state: GameState            # terminal snapshot, war_occurred=True
-    period: int
-    barrier_at_war: bool
-    y_at_war: float
-    d_wins: bool
+    state: GameState    # terminal snapshot: period, barrier, resource, winner
     d_win_prob: float
 
 
@@ -143,12 +139,10 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
         raise GameError(f"offer {actions.offer} outside [0, {y_eff}]")
     if actions.response is Response.REJECT:
         wp = win_prob_d(params, state.t, barrier_after)
-        d_wins = bool(rng.random() < wp)
         terminal = GameState(t=state.t, barrier_present=barrier_after, y=y_eff,
-                             war_occurred=True, winner="D" if d_wins else "R")
-        return TerminalOutcome(state=terminal, period=state.t,
-                               barrier_at_war=barrier_after, y_at_war=y_eff,
-                               d_wins=d_wins, d_win_prob=wp)
+                             war_occurred=True,
+                             winner="D" if rng.random() < wp else "R")
+        return TerminalOutcome(state=terminal, d_win_prob=wp)
     if barrier_after:
         return GameState(t=state.t + 1, barrier_present=True,
                          y=float(dist.sample(rng)))
@@ -197,7 +191,7 @@ class StrategyProfile:
         # the existence conditions are read from the classifier's report, at
         # the profile's own threshold record
         ts = self.thresholds
-        report = report_from_margins(Margins.at(params, ts), ts)
+        report = EquilibriumReport(Margins.at(params, ts), ts)
         if mode is ProfileMode.EFFICIENT_PEACE:
             if not report.efficient_peace_exists:
                 raise ProfileExistenceError(
@@ -444,11 +438,12 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                                    elim_d=vote_d)
             outcome = step(state, actions, params, dist, rng)
             if isinstance(outcome, TerminalOutcome):
+                end = outcome.state
                 disc = delta ** (t - 1)
-                spoils = outcome.y_at_war + _war_continuation(
-                    params, dist, outcome.barrier_at_war, horizon - t, rng,
+                spoils = end.y + _war_continuation(
+                    params, dist, end.barrier_present, horizon - t, rng,
                     discounts)
-                if outcome.d_wins:
+                if end.winner == "D":
                     v_d += disc * (spoils - params.c_D)
                     v_r += disc * (-params.c_R)
                 else:

@@ -79,7 +79,6 @@ class VerificationReport:
     max_gain_r: float
     max_gain_d: float
     best_deviation: str
-    grid_n: int
     tol: float
     gains: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -92,7 +91,6 @@ class VerificationReport:
             "max_gain_r": self.max_gain_r,
             "max_gain_d": self.max_gain_d,
             "best_deviation": self.best_deviation,
-            "grid_n": self.grid_n,
             "tol": self.tol,
             "gains": dict(self.gains),
             "diagnostics": dict(self.diagnostics),
@@ -132,16 +130,23 @@ def _war_terms(q: ModelParams, m) -> _WarTerms:
                      q.p / (1.0 - delta), (1.0 - q.p) / (1.0 - delta))
 
 
-def _offer_candidates(y: float, cutoff: float, n: int) -> np.ndarray:
-    grid = np.linspace(0.0, y, max(int(n), 2))
+def _offer_candidates(y: float, cutoff: float) -> np.ndarray:
+    """The offers in [0, y] that can be the proposer's best response.
+
+    An accepted offer x is worth (y - x) plus a continuation that does not
+    move with x, so its value falls one for one with x (in floats too:
+    each operation rounds monotonically); a rejected offer is worth the
+    flat war value.  The best accepted offer is thus the least one: the
+    cutoff when it lies in [0, y], else 0 (every offer is accepted) or
+    none (no offer is); and 0 is rejected whenever any offer is.  Any
+    finer grid of [0, y] holding these points has the same maximum.
+    """
     if 0.0 <= cutoff <= y:
-        # exact indifference point removes grid-quantum slack at the binder
-        grid = np.append(grid, cutoff)
-    return grid
+        return np.array([0.0, y, cutoff])
+    return np.array([0.0, y])
 
 
 def verify_period1(params: ModelParams, mode: ProfileMode,
-                   offer_grid_n: int = 10_000,
                    tol: float = 1e-9) -> VerificationReport:
     """Deviation-check one built-in profile at period 1; the stationary phase
     is certified by exact one-shot checks.
@@ -191,7 +196,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     gains["responder_stationary"] = war_d_stat - (x_stat + delta * v_d2)
 
     # proposer's offer deviations at the prescribed elimination state
-    offers = _offer_candidates(y1, cutoff1, offer_grid_n)
+    offers = _offer_candidates(y1, cutoff1)
     accepted = offers >= cutoff1
     values = np.where(accepted, (y1 - offers) + delta * v_r2, war_r_onpath)
     if efficient:
@@ -256,7 +261,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     return VerificationReport(
         mode=mode, passed=passed, feasible=feasible,
         max_gain_r=max_gain_r, max_gain_d=max_gain_d,
-        best_deviation=best_deviation, grid_n=int(offer_grid_n), tol=tol,
+        best_deviation=best_deviation, tol=tol,
         gains=gains, diagnostics=diagnostics,
     )
 

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import io
 import json
+import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -76,10 +78,8 @@ def test_criterion_2_iff_structure():
     def check(params):
         nonlocal checked
         rep = classify(params)
-        eff = verify_period1(params, ProfileMode.EFFICIENT_PEACE,
-                             offer_grid_n=1000)
-        inef = verify_period1(params, ProfileMode.INEFFICIENT_PEACE,
-                              offer_grid_n=1000)
+        eff = verify_period1(params, ProfileMode.EFFICIENT_PEACE)
+        inef = verify_period1(params, ProfileMode.INEFFICIENT_PEACE)
         checked += 1
         if eff.passed != rep.efficient_peace_exists:
             mismatches.append(("efficient", params))
@@ -356,7 +356,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
         if not os.path.exists(golden):
             ok = False
             details.append(f"{figure_id}: golden file missing")
-        elif svg.read_bytes() != open(golden, "rb").read():
+        elif svg.read_bytes() != pathlib.Path(golden).read_bytes():
             ok = False
             details.append(f"{figure_id}: differs from golden file")
     _report(8, "figures reproduce threshold geometry and golden files",
@@ -366,13 +366,12 @@ def test_criterion_8_figure_reproduction(tmp_path):
 
 def test_criterion_9_desk_scale_demo():
     ts = compute_thresholds(SET_B)
-    offers = compute_thresholds(SET_B)
     oracle = oracle_thresholds(SET_B)
     checks = {
         "cbar_D=33.0": abs(ts.cbar_D - 33.0) <= 1e-9,
         "clow_D=21.6": abs(ts.clow_D - 21.6) <= 1e-9,
         "Clow=-1.14": abs(ts.Clow + 1.14) <= 1e-9,
-        "offer=0.26": abs(offers.offer1_inefficient - 0.26) <= 1e-9,
+        "offer=0.26": abs(ts.offer1_inefficient - 0.26) <= 1e-9,
         "oracle cbar_D": abs(oracle.cbar_D.value - 33.0) <= 1e-6,
         "oracle clow_D": abs(oracle.clow_D.value - 21.6) <= 1e-6,
         "oracle Clow": abs(oracle.Clow.value + 1.14) <= 1e-6,
@@ -381,3 +380,23 @@ def test_criterion_9_desk_scale_demo():
     _report(9, "worked benchmark point reproduces enshrined values",
             not failed, "all seven identities hold" if not failed
             else f"failed: {failed}")
+
+
+def test_criterion_11_oracle_agreement_near_delta_one():
+    # thresholds grow like 1/(1 - delta)^2 here, so agreement is relative
+    rng = np.random.default_rng(20240820)
+    n_points = 1000
+    points = [random_valid_params(rng).with_overrides(
+                  delta=1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.05)))
+              for _ in range(n_points)]
+    worst = 0.0
+    for params, result in zip(points, oracle_thresholds_batch(points)):
+        assert result.anomalies == (), result.anomalies
+        ts = compute_thresholds(params)
+        for name in ("cbar_D", "clow_D", "Clow"):
+            closed = getattr(ts, name)
+            worst = max(worst, abs(getattr(result, name).value - closed)
+                        / max(1.0, abs(closed)))
+    _report(11, "oracle-bisected thresholds match closed forms near delta = 1",
+            worst <= 1e-7, f"n={n_points}, delta in [0.95, 0.9999], "
+            f"max|diff|/max(1, |v|)={worst:.3e} <= 1e-07")

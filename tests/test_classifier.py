@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import barriergame.classifier as classifier_mod
 from barriergame.classifier import (
+    EquilibriumReport,
     IntersectionResult,
     InvalidParamsError,
     Margins,
@@ -16,9 +17,8 @@ from barriergame.classifier import (
     comparative_static,
     intersection_nonempty,
     region_grid,
-    report_from_margins,
 )
-from barriergame.params import ModelParams, sample_valid_params
+from barriergame.params import ModelParams, sample_valid_params, validate
 from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
 from conftest import random_valid_params
@@ -81,7 +81,7 @@ class TestClassify:
         params = random_valid_params(np.random.default_rng(seed))
         params = params.with_overrides(c_D=c_d, c_R=c_r)
         rep = classify(params)
-        twin = report_from_margins(rep.margins, rep.thresholds)
+        twin = EquilibriumReport(rep.margins, rep.thresholds)
         assert twin.efficient_peace_exists == rep.efficient_peace_exists
         assert twin.inefficient_peace_exists == rep.inefficient_peace_exists
         assert twin.war_inevitable == rep.war_inevitable
@@ -137,6 +137,15 @@ class TestRegionGrid:
         with pytest.raises(ValueError):
             region_grid(make(), (0, 1), (0, 1), 0)
 
+    @pytest.mark.parametrize("override", [dict(delta=1.0), dict(p1=0.1)])
+    def test_invalid_base_refused(self, override):
+        # the boundary lines come from the base's own thresholds, so an
+        # invalid base is refused, not rastered as all Skipped
+        base = get_preset("demo-b").params.with_overrides(**override)
+        with pytest.raises(InvalidParamsError) as err:
+            region_grid(base, (0.0, 10.0), (0.0, 40.0), 4)
+        assert err.value.violations == validate(base).violations
+
     def test_overflowing_margins_skipped(self):
         demo = get_preset("demo-b").params
         grid = region_grid(demo, (1e308, 1.7e308), (1e308, 1.7e308), 2)
@@ -186,29 +195,29 @@ class TestOneClassifyPerPoint:
 class TestComparativeStatic:
     def test_smaller_mu_widens_inefficient_region(self):
         points = comparative_static(make(), "mu", [0.9, 0.7, 0.5, 0.3])
-        clows = [pt.report.thresholds.clow_D for pt in points]
-        cjoints = [pt.report.thresholds.Clow for pt in points]
+        clows = [rep.thresholds.clow_D for rep in points]
+        cjoints = [rep.thresholds.Clow for rep in points]
         assert all(b <= a for a, b in zip(clows, clows[1:]))
         assert all(b <= a for a, b in zip(cjoints, cjoints[1:]))
 
     def test_larger_p_lowers_both_cd_thresholds(self):
         points = comparative_static(make(), "p", np.linspace(0.05, 0.6, 100))
-        cbars = [pt.report.thresholds.cbar_D for pt in points]
-        clows = [pt.report.thresholds.clow_D for pt in points]
+        cbars = [rep.thresholds.cbar_D for rep in points]
+        clows = [rep.thresholds.clow_D for rep in points]
         assert all(b <= a for a, b in zip(cbars, cbars[1:]))
         assert all(b <= a for a, b in zip(clows, clows[1:]))
 
     def test_h0_lowers_clow_but_not_monotone_overall(self):
         points = comparative_static(make(), "h0", np.linspace(0.1, 0.9, 50))
-        clows = [pt.report.thresholds.clow_D for pt in points]
+        clows = [rep.thresholds.clow_D for rep in points]
         assert all(b <= a for a, b in zip(clows, clows[1:]))
 
     def test_cbar_invariant_along_nuisance_sweeps(self):
         base = compute_thresholds(make()).cbar_D
         for knob, values in (("mu", [0.4, 0.6, 1.0]), ("h0", [0.1, 0.5, 0.9]),
                              ("rho", [0.0, 0.5, 1.0]), ("theta", [1.0, 1.2])):
-            for pt in comparative_static(make(), knob, values):
-                assert pt.report.thresholds.cbar_D == base
+            for rep in comparative_static(make(), knob, values):
+                assert rep.thresholds.cbar_D == base
 
     def test_unknown_knob(self):
         with pytest.raises(ValueError, match="unknown knob"):

@@ -396,7 +396,7 @@ class TestSimulateCommand:
 class TestVerifyCommand:
     def test_pass_report(self, capsys):
         payload = run_json(capsys, ["verify", "--preset", "demo-b",
-                                    "--c-d", "25", "--grid", "10000"])
+                                    "--c-d", "25"])
         assert payload["report"]["passed"] is True
 
     def test_fail_report(self, capsys):
@@ -475,10 +475,6 @@ class TestVerifyCommand:
         ["--agreement", "1000000000000"],
         ["--agreement", "0"],
         ["--agreement", "-3"],
-        ["--grid", "10000001"],
-        ["--grid", "1000000000000"],
-        ["--grid", "0"],
-        ["--grid", "-5"],
     ])
     def test_allocation_caps(self, capsys, monkeypatch, flags):
         assert_no_work(monkeypatch, ("_collect_params", "verify_period1",
@@ -575,7 +571,7 @@ REUSE_COMMANDS = {
     "simulate": ["simulate", "--preset", "demo-b", "--dist", "uniform",
                  "--runs", "5", "--horizon", "40", "--seed", "3",
                  "--trace", "s.jsonl"],
-    "verify": ["verify", "--preset", "demo-b", "--thresholds", "--grid", "500",
+    "verify": ["verify", "--preset", "demo-b", "--thresholds",
                "--agreement", "2", "--agreement-csv", "a.csv"],
     "presets": ["presets"],
 }

@@ -94,7 +94,7 @@ class TestStateMachine:
         state = new_game(params, DIST)
         outcome = step(state, reject(), params, DIST, np.random.default_rng(0))
         assert isinstance(outcome, TerminalOutcome)
-        assert outcome.period == 1
+        assert outcome.state.t == 1
         assert outcome.d_win_prob == params.p1  # theta = 1, barrier kept
         assert outcome.state.war_occurred
         assert outcome.state.winner in ("R", "D")
@@ -119,7 +119,7 @@ class TestStateMachine:
         params = make()
         rng = np.random.default_rng(42)
         state = new_game(params, DIST)
-        wins = sum(step(state, reject(), params, DIST, rng).d_wins
+        wins = sum(step(state, reject(), params, DIST, rng).state.winner == "D"
                    for _ in range(20_000))
         assert abs(wins / 20_000 - 0.7) < 3.0 * math.sqrt(0.7 * 0.3 / 20_000)
 

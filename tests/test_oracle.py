@@ -72,8 +72,7 @@ class TestVerify:
             "postwar_mean: no convergence in 100000 steps",)
 
     def test_pass_at_demo_point(self):
-        report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE,
-                                offer_grid_n=10_000)
+        report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
         assert report.passed and report.feasible
         assert report.max_gain_r <= 1e-9
         assert report.max_gain_d <= 1e-9
@@ -162,10 +161,45 @@ class TestVerify:
         assert report.passed
 
     def test_grid_quantum_bound(self):
-        report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE,
-                                offer_grid_n=10_000)
-        # exact indifference insertion keeps the scan at zero, not one quantum
+        report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
+        # the scan offers the exact indifference point, so its gain is zero
         assert abs(report.gains["offer_scan"]) <= 1e-12
+
+
+def dense_offer_candidates(y, cutoff):
+    """A dense reference scan: 10 001 evenly spaced offers in [0, y], plus
+    the cutoff when it lies in [0, y]."""
+    grid = np.linspace(0.0, y, 10_001)
+    if 0.0 <= cutoff <= y:
+        grid = np.append(grid, cutoff)
+    return grid
+
+
+class TestOfferCandidates:
+    MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
+             ProfileMode.COOPERATIVE_INEFFICIENT)
+
+    @classmethod
+    def report_fields(cls, points):
+        out = []
+        for q in points:
+            for mode in cls.MODES:
+                r = verify_period1(q, mode)
+                out.append((r.passed, r.feasible, r.max_gain_r, r.max_gain_d,
+                            r.best_deviation, r.gains, r.diagnostics))
+        return out
+
+    def test_dense_scan_is_reference(self, monkeypatch):
+        # demo-b's barrier-keeping cutoff lies below 0, inside [0, h0] and
+        # above h0 at c_D = 35, 25 and 5
+        named = [make(c_D=c) for c in (35.0, 25.0, 5.0)]
+        cutoffs = [compute_thresholds(q).offer1_inefficient for q in named]
+        assert cutoffs[0] < 0.0 <= cutoffs[1] <= 0.6 < cutoffs[2]
+        rng = np.random.default_rng(20240823)
+        points = [random_valid_params(rng) for _ in range(1000)] + named
+        three = self.report_fields(points)
+        monkeypatch.setattr(oracle, "_offer_candidates", dense_offer_candidates)
+        assert self.report_fields(points) == three
 
 
 class TestDiagnostics:

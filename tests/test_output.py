@@ -3,10 +3,10 @@ import math
 import pytest
 
 from barriergame.classifier import (
+    EquilibriumReport,
     RegionLabel,
     Margins,
     region_grid,
-    report_from_margins,
 )
 from barriergame.output import (
     _FILL,
@@ -150,7 +150,7 @@ class TestCsv:
         emit_csv(grid, str(path))
         ts = compute_thresholds(make())
         for cr, cd, label, m_eff, m_cd, m_joint in parse_csv(path):
-            rebuilt = report_from_margins(
+            rebuilt = EquilibriumReport(
                 Margins(efficient=m_eff, cd=m_cd, joint=m_joint), ts)
             assert rebuilt.label.value == label
 
@@ -166,7 +166,7 @@ class TestCsv:
 
     def test_boundary_cell_takes_weak_side(self):
         ts = compute_thresholds(make())
-        rep = report_from_margins(Margins(efficient=0.0, cd=0.0, joint=0.0), ts)
+        rep = EquilibriumReport(Margins(efficient=0.0, cd=0.0, joint=0.0), ts)
         assert rep.efficient_peace_exists and rep.inefficient_peace_exists
         assert rep.label is RegionLabel.BOTH
 
