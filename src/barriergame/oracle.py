@@ -15,33 +15,36 @@ stationary phase via the one-shot deviation principle.  Cross-elimination
 deviations answered by the profile's sequentially-rational opponent are
 reported as diagnostics; see the `diagnostics` field.
 
-The thresholds are re-derived by lockstep bisection.  A batch of points
-becomes numpy lanes, one lane per bisection, and every step evaluates one
-array predicate over all lanes: first the period-1 feasibility gain for
-`cbar_D` and `clow_D` together (two lanes per point, told apart by a
-per-lane profile mask), then the eliminate-then-war gain for `Clow` (one
-lane per point, at a feasible `c_D`).  Everything that does not move with
-the bisected cost -- the gross war lotteries with the barrier gone and
-standing, the stationary flows, the profile's period-1 path, and in the
-`Clow` phase the proposer's equilibrium value -- is computed once per
-batch, from the same cost-free terms `verify_period1` reads; a predicate
-call is a few array operations on the cost, with no `ModelParams` built
-and no engine call.  Each term is the same float `verify_period1` would
-compute at that cost, the postwar mean is iterated once per point, and
-each lane takes exactly the steps a lone bisection would, so a point's
-brackets do not depend on the batch it is in.
+The thresholds are re-derived by bisection of period-1 gains: the
+feasibility gain for `cbar_D` (efficient path) and `clow_D`
+(barrier-keeping path), then the eliminate-then-war gain for `Clow` at a
+feasible `c_D`.  Everything that does not move with the bisected cost --
+the gross war lotteries with the barrier gone and standing, the stationary
+flows, the profile's period-1 path, and for `Clow` the proposer's
+equilibrium value -- is computed once, from the same cost-free terms
+`verify_period1` reads, so a predicate call is a few operations on the
+cost, with no `ModelParams` built and no engine call.
+
+The path follows what the caller passes.  One point (`oracle_thresholds`)
+is bisected alone on plain floats by `_bisect_up`.  A batch
+(`oracle_thresholds_batch`) becomes numpy lanes, one per bisection, and
+`_bisect_up_sets` steps them in lockstep, one array predicate over all
+lanes per step.  Each lane takes exactly the steps `_bisect_up` takes on
+that lane's predicate, and the tests hold every lane to it, so a point's
+brackets do not depend on the path or on the batch it is in.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import engine
 from .engine import ProfileMode
-from .params import InvalidParamsError, ModelParams, sample_valid_params
+from .params import (InvalidParamsError, ModelParams, lanes, require_valid,
+                     sample_valid_params)
 
 
 # fixed-point iteration of the postwar mean: convergence step and step cap
@@ -291,16 +294,62 @@ class OracleThresholds:
         }
 
 
+def _monotone_note(value: float) -> str:
+    return (f"predicate not monotone around {value}; the existence "
+            f"condition may not be an interval")
+
+
+def _bisect_up(predicate: Callable[[float], bool],
+               slope: float = 1.0) -> tuple[Bracket, Optional[str]]:
+    """Locate the boundary of a pass region of the form [threshold, inf),
+    on plain floats.
+
+    hi doubles from 1 until the predicate passes, then lo doubles from -1
+    until it fails (MAX_EXPAND tries each); the bracket is halved while it
+    is wider than SEARCH_TOL and its midpoint lies strictly inside.  The
+    value is then probed on each side, max(1e-6, 100*SEARCH_TOL,
+    4*ulp(|value|)/slope) away, where slope is the rate at which the tested
+    quantity moves with the point: a predicate that reads the wrong way
+    there is not monotone.  Returns the bracket and an anomaly note or None.
+    """
+    hi = 1.0
+    for _ in range(MAX_EXPAND):
+        if predicate(hi):
+            break
+        hi *= 2.0
+    else:
+        return Bracket(math.nan, -1.0, hi), f"no passing point up to {hi}"
+    lo = -1.0
+    for _ in range(MAX_EXPAND):
+        if not predicate(lo):
+            break
+        lo *= 2.0
+    else:
+        return Bracket(math.nan, lo, hi), f"no failing point down to {lo}"
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > SEARCH_TOL and mid != lo and mid != hi):
+            break
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    value = 0.5 * (lo + hi)
+    probe = max(SEARCH_TOL * 100.0, 1e-6, 4.0 * math.ulp(abs(value)) / slope)
+    odd = predicate(value - probe) or not predicate(value + probe)
+    return Bracket(value, lo, hi), _monotone_note(value) if odd else None
+
+
 def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
                     n: int, slope=1.0) -> list[tuple[Bracket, Optional[str]]]:
     """Locate, in lockstep, the boundaries of n pass regions of the form
     [threshold, inf).
 
     predicate maps an array of n points to n booleans, lane by lane, and
-    must not depend on the other lanes.  Each lane expands its bracket,
-    bisects and probes exactly as a lone bisection would; a lane that has
-    stopped keeps its state while the others finish.  Returns one
-    (bracket, anomaly note or None) per lane.
+    must not depend on the other lanes.  Each lane takes exactly the steps
+    of _bisect_up on its own predicate; a lane that has stopped keeps its
+    state while the others finish.  Returns one (bracket, anomaly note or
+    None) per lane.
 
     slope (a float, or one per lane) is the rate at which the tested
     quantity moves with the bisected point; it widens the monotonicity
@@ -313,14 +362,14 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
         has_hi |= predicate(hi)
         if has_hi.all():
             break
-        hi = np.where(has_hi, hi, np.where(hi > 0, hi * 2.0, hi * 0.5 + 1.0))
+        hi = np.where(has_hi, hi, hi * 2.0)
     has_lo = np.zeros(n, dtype=bool)
     for _ in range(MAX_EXPAND):
         has_lo |= has_hi & ~predicate(lo)
         settled = has_lo | ~has_hi
         if settled.all():
             break
-        lo = np.where(settled, lo, np.where(lo < 0, lo * 2.0, lo * 0.5 - 1.0))
+        lo = np.where(settled, lo, lo * 2.0)
     active = has_hi & has_lo
     while True:
         mid = 0.5 * (lo + hi)
@@ -346,35 +395,66 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
                         f"no failing point down to {lo_i}"))
         else:
             v = float(value[i])
-            note = (f"predicate not monotone around {v}; the existence "
-                    f"condition may not be an interval") if odd[i] else None
-            out.append((Bracket(v, lo_i, hi_i), note))
+            out.append((Bracket(v, lo_i, hi_i),
+                        _monotone_note(v) if odd[i] else None))
     return out
 
 
-def _lanes(points: Sequence[ModelParams]) -> ModelParams:
-    """One ModelParams whose numeric fields are arrays, a lane per point."""
-    return ModelParams(**{
-        f.name: np.array([getattr(q, f.name) for q in points], dtype=float)
-        for f in fields(ModelParams) if f.name != "elimination_mode"})
+def _thresholds_from(mean: float, cbar, clow, joint) -> OracleThresholds:
+    """One point's record from its three (bracket, note) pairs."""
+    brackets, notes = zip(cbar, clow, joint)
+    anomalies = tuple(f"{name}: {note}" for name, note
+                      in zip(("cbar_D", "clow_D", "Clow"), notes) if note)
+    if math.isnan(mean):
+        # the clow_D and Clow bisections found no passing point at a nan
+        # mean; name the cause first
+        anomalies = (_UNCONVERGED_MEAN, *anomalies)
+    return OracleThresholds(*brackets, search_tol=SEARCH_TOL,
+                            anomalies=anomalies)
+
+
+def oracle_thresholds(params: ModelParams) -> OracleThresholds:
+    """Re-derive the three thresholds at one point by bisection of period-1
+    gains on plain floats, to SEARCH_TOL.
+
+    The two cost-of-war thresholds come from the feasibility flip of the
+    period-1 offer: the offer that holds the responder at its war value
+    fits the path's resource (1 on the efficient path, h0 with the barrier
+    kept).  The joint threshold comes from the eliminate-then-fight
+    deviation flip at a fixed feasible c_D, clow_D + 1.  Raises
+    InvalidParamsError on an invalid point; an unconverged postwar mean is
+    reported as an anomaly.  oracle_thresholds_batch gives the same record
+    for the point bit for bit.
+    """
+    require_valid(params)
+    m = postwar_market_mean(params)
+    w = _war_terms(params, m)
+    slope = 1.0 - w.delta
+    cbar = _bisect_up(lambda c: w.cutoff1(w.free[1], c) - 1.0 <= 0.0, slope)
+    clow = _bisect_up(lambda c: w.cutoff1(w.bar[1], c) - w.h0 <= 0.0, slope)
+    # the proposer's equilibrium value does not move with c_R = s - cd_star
+    clow_value = clow[0].value
+    cd_star = clow_value + 1.0 if math.isfinite(clow_value) else params.c_D
+    v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
+    joint = _bisect_up(lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0)
+    return _thresholds_from(m, cbar, clow, joint)
 
 
 def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresholds]:
-    """Re-derive the three thresholds at every point by lockstep bisection
-    of period-1 gains, to SEARCH_TOL; one OracleThresholds per point.
-
-    The two cost-of-war thresholds come from the feasibility flip of the
-    period-1 offer; the joint threshold comes from the eliminate-then-fight
-    deviation flip at a fixed feasible c_D.
+    """Re-derive the three thresholds at every point, as oracle_thresholds
+    does, by lockstep bisection of array lanes; one OracleThresholds per
+    point, each equal to oracle_thresholds at that point.  Raises
+    InvalidParamsError if any point is invalid.
     """
+    for q in points:
+        require_valid(q)
     n = len(points)
-    lanes = _lanes(points)
+    batch = lanes(points)
     m = np.array([postwar_market_mean(q) for q in points], dtype=float)
 
     # lanes [0, n) bisect cbar_D on the efficient path, lanes [n, 2n)
-    # clow_D on the barrier-keeping path; the period-1 offer is feasible
-    # when the cutoff fits the path's resource y1
-    pair = _war_terms(_lanes([*points, *points]), np.concatenate([m, m]))
+    # clow_D on the barrier-keeping path
+    pair = _war_terms(lanes([*points, *points]), np.concatenate([m, m]))
     efficient = np.arange(2 * n) < n
     gross_d = np.where(efficient, pair.free[1], pair.bar[1])
     y1 = np.where(efficient, 1.0, pair.h0)
@@ -383,32 +463,14 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
         slope=1.0 - pair.delta)
     cbar, clow = feasibility[:n], feasibility[n:]
 
-    # the eliminate-then-war gain at a fixed feasible c_D; the proposer's
-    # equilibrium value does not move with c_R = s - cd_star
     clow_value = np.array([b.value for b, _ in clow])
-    cd_star = np.where(np.isfinite(clow_value), clow_value + 1.0, lanes.c_D)
-    w = _war_terms(lanes, m)
+    cd_star = np.where(np.isfinite(clow_value), clow_value + 1.0, batch.c_D)
+    w = _war_terms(batch, m)
     v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
     joint = _bisect_up_sets(
         lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, slope=1.0)
-
-    results = []
-    for mean, *per_point in zip(m, cbar, clow, joint):
-        brackets, notes = zip(*per_point)
-        anomalies = tuple(f"{name}: {note}" for name, note
-                          in zip(("cbar_D", "clow_D", "Clow"), notes) if note)
-        if math.isnan(mean):
-            # the clow_D and Clow lanes found no passing point at a nan
-            # mean; name the cause first
-            anomalies = (_UNCONVERGED_MEAN, *anomalies)
-        results.append(OracleThresholds(*brackets, search_tol=SEARCH_TOL,
-                                        anomalies=anomalies))
-    return results
-
-
-def oracle_thresholds(params: ModelParams) -> OracleThresholds:
-    """Re-derive the three thresholds at one point: a batch of one."""
-    return oracle_thresholds_batch([params])[0]
+    return [_thresholds_from(*per_point)
+            for per_point in zip(m, cbar, clow, joint)]
 
 
 AGREEMENT_CSV_HEADER = (

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -101,6 +101,14 @@ class ModelParams:
 class ValidationResult:
     ok: bool
     violations: tuple[str, ...] = ()
+
+
+def lanes(points: Sequence[ModelParams]) -> ModelParams:
+    """One ModelParams whose numeric fields are arrays, a lane per point;
+    the one way to build an array-lane ModelParams."""
+    return ModelParams(**{
+        f.name: np.array([getattr(q, f.name) for q in points], dtype=float)
+        for f in fields(ModelParams) if f.name != "elimination_mode"})
 
 
 class InvalidParamsError(ValueError):

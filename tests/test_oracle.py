@@ -10,6 +10,7 @@ from barriergame.engine import ProfileMode
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
     Bracket,
+    _bisect_up,
     _bisect_up_sets,
     agreement_rows,
     oracle_thresholds,
@@ -292,6 +293,15 @@ class TestOracleThresholds:
             assert_close(result.clow_D.value, ts.clow_D, 1e-6)
             assert_close(result.Clow.value, ts.Clow, 1e-6)
 
+    @pytest.mark.parametrize("override", [{"delta": 1.0}, {"p1": 0.1}],
+                             ids=["delta-one", "p1-below-p"])
+    def test_invalid_point_refused(self, override):
+        bad = make(**override)
+        with pytest.raises(InvalidParamsError):
+            oracle_thresholds(bad)
+        with pytest.raises(InvalidParamsError):
+            oracle_thresholds_batch([make(), bad])
+
     @pytest.mark.parametrize("params", EDGE_POINTS,
                              ids=["patient", "p-zero-p1-one", "theta-cap",
                                   "composed"])
@@ -316,24 +326,33 @@ class TestLockstepBatch:
             agreement_rows(20, seed=11)) + "\n"
         assert text == golden
 
-    def test_lanes_independent_of_batch(self):
+    def test_lanes_independent_of_batch(self, monkeypatch):
+        # each lockstep lane gives exactly the record of the lone float
+        # bisection at its point (repr: a nan bracket is unequal to itself)
         points = [
             make(rho=0.0), make(rho=0.37), make(rho=1.0),
             make(theta=1.2), make(theta=0.9, rho=0.6),
             # negative clow_D and Clow
             make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5),
-            *EDGE_POINTS,
+            *EDGE_POINTS, SLOW_MEAN,
         ]
         rng = np.random.default_rng(7)
-        points += [random_valid_params(rng) for _ in range(10)]
-        batch = oracle_thresholds_batch(points)
-        assert len(batch) == len(points)
-        for params, result in zip(points, batch):
-            assert result == oracle_thresholds(params)
+        points += [random_valid_params(rng) for _ in range(1000)]
+        # patient points: delta in [0.95, 0.9999]
+        points += [random_valid_params(rng).with_overrides(
+                       delta=1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.05)))
+                   for _ in range(500)]
+        for tol in (1e-8, 1e-13, 1e-4):
+            monkeypatch.setattr(oracle, "SEARCH_TOL", tol)
+            batch = oracle_thresholds_batch(points)
+            assert len(batch) == len(points)
+            for params, result in zip(points, batch):
+                assert repr(result) == repr(oracle_thresholds(params)), tol
         assert oracle_thresholds_batch([]) == []
 
-    def test_setup_work_independent_of_steps(self, monkeypatch):
-        # everything but the bisected cost is computed once per batch: a
+    @pytest.mark.parametrize("entry", ["single", "batch"])
+    def test_setup_work_independent_of_steps(self, monkeypatch, entry):
+        # everything but the bisected cost is computed once per call: a
         # tighter tolerance adds predicate calls, but no ModelParams
         # constructions and no engine calls
         q = make()
@@ -350,21 +369,35 @@ class TestLockstepBatch:
         for name in ("war_lottery", "win_prob_d", "pie_present_value"):
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
-        bisect = oracle._bisect_up_sets
-        monkeypatch.setattr(
-            oracle, "_bisect_up_sets",
-            lambda predicate, n, **kw: bisect(counted("predicate", predicate),
-                                              n, **kw))
+        if entry == "single":
+            # the float path calls no numpy function
+            monkeypatch.setattr(oracle, "np", None)
+            bisect = oracle._bisect_up
+            monkeypatch.setattr(
+                oracle, "_bisect_up",
+                lambda predicate, *a: bisect(counted("predicate", predicate),
+                                             *a))
+            run = lambda: oracle_thresholds(q)
+        else:
+            bisect = oracle._bisect_up_sets
+            monkeypatch.setattr(
+                oracle, "_bisect_up_sets",
+                lambda predicate, n, **kw: bisect(
+                    counted("predicate", predicate), n, **kw))
+            run = lambda: oracle_thresholds_batch([q])
         per_tol = {}
         for tol in (1e-4, 1e-13):
             counts.clear()
             monkeypatch.setattr(oracle, "SEARCH_TOL", tol)
-            oracle_thresholds(q)
+            run()
             per_tol[tol] = dict(counts)
         loose, tight = per_tol[1e-4], per_tol[1e-13]
         assert tight.pop("predicate") >= loose.pop("predicate") + 40
         assert tight == loose
-        assert loose["ModelParams"] <= 2 and loose["war_lottery"] <= 4
+        assert loose.get("ModelParams", 0) <= 2
+        assert loose.get("war_lottery", 0) <= 4
+        if entry == "single":
+            assert "ModelParams" not in loose
 
     def test_unconverged_postwar_mean_is_an_anomaly(self):
         # the slow point's mean is nan, so clow_D and Clow
@@ -381,17 +414,19 @@ class TestLockstepBatch:
                             compute_thresholds(SLOW_MEAN).cbar_D, rel_tol=1e-9)
 
     def test_anomaly_paths(self):
-        def predicate(x):
-            return np.array([
-                False,                                  # never passes
-                True,                                   # never fails
-                # a passing island just below the boundary at 2.5
-                x[2] >= 2.5 or 2.5 - 1.5e-6 < x[2] < 2.5 - 0.5e-6,
-                x[3] >= 0.37,                           # well behaved
-            ])
+        lone = [
+            lambda x: False,                            # never passes
+            lambda x: True,                             # never fails
+            # a passing island just below the boundary at 2.5
+            lambda x: x >= 2.5 or 2.5 - 1.5e-6 < x < 2.5 - 0.5e-6,
+            lambda x: x >= 0.37,                        # well behaved
+        ]
 
-        (never_pass, n0), (never_fail, n1), (island, n2), (normal, n3) = \
-            _bisect_up_sets(predicate, 4)
+        def predicate(x):
+            return np.array([f(v) for f, v in zip(lone, x)])
+
+        lanes = _bisect_up_sets(predicate, 4)
+        (never_pass, n0), (never_fail, n1), (island, n2), (normal, n3) = lanes
         assert math.isnan(never_pass.value)
         assert (never_pass.lo, never_pass.hi) == (-1.0, 2.0 ** 64)
         assert n0 == "no passing point up to 1.8446744073709552e+19"
@@ -405,8 +440,10 @@ class TestLockstepBatch:
         assert normal == Bracket(0.3700000010430813, 0.369999997317791,
                                  0.3700000047683716)
         assert n3 is None
-        # the same lane alone takes the same steps
+        # the same lane alone takes the same steps, in lockstep and on floats
         assert _bisect_up_sets(lambda x: x >= 0.37, 1) == [(normal, None)]
+        for f, lane in zip(lone, lanes):
+            assert repr(_bisect_up(f)) == repr(lane)
 
     def test_no_false_anomaly_near_delta_one(self):
         # the feasibility predicate moves with the cost at rate 1 - delta,

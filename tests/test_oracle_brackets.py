@@ -49,6 +49,8 @@ def bracket_record() -> dict:
         "points": len(points),
         "batch": {repr(tol): [_row(r) for r in _batch_at(points, tol)]
                   for tol in TOLS},
+        # oracle_thresholds now takes the lone float path, not a batch of
+        # one; the key keeps its name so the golden stays byte-identical
         "batch_of_one": [_row(oracle_thresholds(q)) for q in
                          points[:N_SINGLE]],
     }

@@ -10,10 +10,10 @@ from barriergame.params import (
     BarrierDistribution,
     EliminationMode,
     ModelParams,
+    lanes,
     require_mean_matches,
     validate,
 )
-from barriergame.oracle import _lanes
 
 
 def make(**kw):
@@ -97,12 +97,12 @@ class TestWithOverrides:
         assert base == make(rho=0.25, theta=1.05)   # the base is untouched
 
     def test_array_lanes(self):
-        lanes = _lanes([make(c_D=1.0), make(c_D=2.0, mu=0.7), make(p=0.1)])
+        q = lanes([make(c_D=1.0), make(c_D=2.0, mu=0.7), make(p=0.1)])
         cd = np.array([4.0, 5.0, 6.0])
         for kw in ({"c_D": cd}, {"c_R": 2.0}, {"c_D": cd, "c_R": cd + 1.0}):
-            got = lanes.with_overrides(**kw)
-            assert same_fields(got, dataclasses.replace(lanes, **kw))
-        assert lanes.with_overrides(c_D=cd).c_D is cd
+            got = q.with_overrides(**kw)
+            assert same_fields(got, dataclasses.replace(q, **kw))
+        assert q.with_overrides(c_D=cd).c_D is cd
 
     def test_unknown_field_raises(self):
         with pytest.raises(TypeError):
