@@ -339,21 +339,25 @@ def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
                      horizon: int, n_runs: int,
                      trace: Optional[IO[str]]) -> SimStats:
     """Built-in profiles never reach the war lottery and their on-path flows
-    are deterministic, so one trajectory prices every run exactly."""
+    are deterministic, so one trajectory prices every run exactly.  From the
+    period after elimination on, play is stationary: each later period
+    repeats that period's votes, resource, offer and flows and only adds its
+    discounted flow."""
     delta = params.delta
     v_r = 0.0
     v_d = 0.0
     elim_period = 1 if profile.mode is ProfileMode.EFFICIENT_PEACE else 2
     for t in range(1, horizon + 1):
-        barrier_before = t <= elim_period
-        vote_r, vote_d = profile.prescribed_votes(t, barrier_before)
-        eliminated_now = barrier_before and (
-            (vote_r and vote_d) if params.elimination_mode is EliminationMode.COOPERATIVE
-            else vote_r)
-        barrier_after = barrier_before and not eliminated_now
-        y = params.h0 if (t == 1 and barrier_after) else 1.0
-        offer = profile.offer(t, y, barrier_after)
-        flow_r, flow_d = _split_flows(y, offer)
+        if t <= elim_period + 1:
+            barrier_before = t <= elim_period
+            vote_r, vote_d = profile.prescribed_votes(t, barrier_before)
+            eliminated_now = barrier_before and (
+                (vote_r and vote_d) if params.elimination_mode is EliminationMode.COOPERATIVE
+                else vote_r)
+            barrier_after = barrier_before and not eliminated_now
+            y = params.h0 if (t == 1 and barrier_after) else 1.0
+            offer = profile.offer(t, y, barrier_after)
+            flow_r, flow_d = _split_flows(y, offer)
         disc = delta ** (t - 1)
         v_r += disc * flow_r
         v_d += disc * flow_d

@@ -133,22 +133,6 @@ def _war_terms(q: ModelParams, m) -> _WarTerms:
                      q.p / (1.0 - delta), (1.0 - q.p) / (1.0 - delta))
 
 
-def _offer_candidates(y: float, cutoff: float) -> np.ndarray:
-    """The offers in [0, y] that can be the proposer's best response.
-
-    An accepted offer x is worth (y - x) plus a continuation that does not
-    move with x, so its value falls one for one with x (in floats too:
-    each operation rounds monotonically); a rejected offer is worth the
-    flat war value.  The best accepted offer is thus the least one: the
-    cutoff when it lies in [0, y], else 0 (every offer is accepted) or
-    none (no offer is); and 0 is rejected whenever any offer is.  Any
-    finer grid of [0, y] holding these points has the same maximum.
-    """
-    if 0.0 <= cutoff <= y:
-        return np.array([0.0, y, cutoff])
-    return np.array([0.0, y])
-
-
 def verify_period1(params: ModelParams, mode: ProfileMode,
                    tol: float = 1e-9) -> VerificationReport:
     """Deviation-check one built-in profile at period 1; the stationary phase
@@ -198,18 +182,23 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     war_d_stat = q.p * (1.0 + delta / (1.0 - delta)) - q.c_D
     gains["responder_stationary"] = war_d_stat - (x_stat + delta * v_d2)
 
-    # proposer's offer deviations at the prescribed elimination state
-    offers = _offer_candidates(y1, cutoff1)
-    accepted = offers >= cutoff1
-    values = np.where(accepted, (y1 - offers) + delta * v_r2, war_r_onpath)
+    # proposer's offer deviations at the prescribed elimination state.  An
+    # accepted offer x is worth (y1 - x) plus a continuation that does not
+    # move with x, so its value falls one for one with x (in floats too:
+    # each operation rounds monotonically); a rejected offer is worth the
+    # flat war value.  The best accepted offer is thus the least one: the
+    # cutoff when it lies in [0, y1], else 0 (every offer is accepted) or
+    # none (no offer is); and 0 is rejected whenever any offer is.  Any
+    # finer grid of [0, y1] holding these points has the same maximum.
+    offers = (0.0, y1, cutoff1) if 0.0 <= cutoff1 <= y1 else (0.0, y1)
+    kept = [(y1 - x) + delta * v_r2 for x in offers if x >= cutoff1]
+    provoked = len(kept) < len(offers)
     if efficient:
-        gains["offer_scan"] = float(values.max()) - v_eq_r
+        # the war value goes first, so a nan there is not masked
+        gains["offer_scan"] = max([war_r_onpath] * provoked + kept) - v_eq_r
     else:
-        if accepted.any():
-            gains["offer_scan"] = float(values[accepted].max()) - v_eq_r
-        else:
-            gains["offer_scan"] = -math.inf
-        if (~accepted).any():
+        gains["offer_scan"] = max(kept) - v_eq_r if kept else -math.inf
+        if provoked:
             diagnostics["keep_provoke_war"] = war_r_onpath - v_eq_r
 
     # proposer's war deviation at the prescribed barrier state
@@ -240,7 +229,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     terms = {"war_r_free": war_r_free, "war_d_free": war_d_free,
              "war_r_bar": war_r_bar, "war_d_bar": war_d_bar,
              "v_d2": v_d2, "v_r2": v_r2, **gains, **diagnostics}
-    if not efficient and not accepted.any():
+    if not efficient and not kept:
         del terms["offer_scan"]     # -inf by design: no offer is accepted
     nonfinite = [f"{k}={v}" for k, v in terms.items() if not math.isfinite(v)]
     if nonfinite:

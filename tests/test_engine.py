@@ -31,7 +31,8 @@ from barriergame.params import (
     InvalidParamsError,
     ModelParams,
 )
-from conftest import assert_close
+from barriergame.thresholds import compute_thresholds
+from conftest import assert_close, random_valid_params
 
 
 def make(**kw):
@@ -715,6 +716,111 @@ class TestOnPathStreams:
         want_stats, want_sha = self.PINNED[name]
         assert stats.to_dict() == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
+
+
+def played_every_period(profile, params, horizon, n_runs, trace):
+    """Reference on-path run that plays the profile in every period:
+    prescribed votes, offer and flow split at each t, discounted flow added
+    period by period."""
+    delta = params.delta
+    v_r = v_d = 0.0
+    elim_period = 1 if profile.mode is ProfileMode.EFFICIENT_PEACE else 2
+    for t in range(1, horizon + 1):
+        barrier_before = t <= elim_period
+        vote_r, vote_d = profile.prescribed_votes(t, barrier_before)
+        eliminated_now = barrier_before and (
+            (vote_r and vote_d)
+            if params.elimination_mode is EliminationMode.COOPERATIVE
+            else vote_r)
+        barrier_after = barrier_before and not eliminated_now
+        y = params.h0 if (t == 1 and barrier_after) else 1.0
+        offer = profile.offer(t, y, barrier_after)
+        flow_r, flow_d = engine._split_flows(y, offer)
+        disc = delta ** (t - 1)
+        v_r += disc * flow_r
+        v_d += disc * flow_d
+        actions = ActionRecord(elim_r=vote_r, offer=offer,
+                               response=Response.ACCEPT, elim_d=vote_d)
+        trace.write(json.dumps(engine._trace_record(
+            0, t, y, actions, flow_r, flow_d, False)) + "\n")
+    return {"n_runs": n_runs, "horizon": horizon,
+            "payoff_r_mean": v_r, "payoff_r_se": 0.0,
+            "payoff_d_mean": v_d, "payoff_d_se": 0.0,
+            "war_frequency": 0.0,
+            "elimination_periods": {str(elim_period): 1.0},
+            "tail_bound": delta ** horizon * 1.0 / (1.0 - delta)}
+
+
+def existing_point(rng, mode):
+    """A sampled valid point at which the built-in profile of ``mode``
+    exists: c_D (and for the barrier-keeping modes c_R) lifted 0.1 to 5
+    above the existence thresholds."""
+    q = random_valid_params(rng)
+    ts = compute_thresholds(q)
+    if mode is ProfileMode.EFFICIENT_PEACE:
+        return q.with_overrides(c_D=max(ts.cbar_D, 0.0) + rng.uniform(0.1, 5.0),
+                                c_R=rng.uniform(0.0, 10.0))
+    c_d = max(ts.clow_D, 0.0) + rng.uniform(0.1, 5.0)
+    q = q.with_overrides(c_D=c_d, c_R=max(ts.Clow - c_d, 0.0)
+                         + rng.uniform(0.1, 5.0))
+    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+        q = q.with_overrides(elimination_mode=EliminationMode.COOPERATIVE)
+    return q
+
+
+class TestOnPathReference:
+    """The on-path run evaluates the profile only until play turns
+    stationary; its stats and trace bytes equal those of a run that plays
+    the profile in every period."""
+
+    MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
+             ProfileMode.COOPERATIVE_INEFFICIENT)
+    HORIZONS = (1, 2, 3, 4, 400)
+
+    def test_matches_every_period_reference(self):
+        rng = np.random.default_rng(20261018)
+        cases = [(existing_point(rng, mode), mode)
+                 for mode in self.MODES for _ in range(67)]
+        # demo-b: the stationary offer p - (1 - delta) c_D is negative and
+        # clamps to 0.  It cannot clamp to y = 1 at a valid point (it is at
+        # most p < p1 <= 1), so the upper clamp is taken where it can
+        # happen: at c_D = clow_D the period-1 offer rounds above h0 and
+        # clamps to y.
+        low = make()
+        assert compute_thresholds(low).offer_stationary < 0.0
+        high = make(c_D=compute_thresholds(make()).clow_D)
+        assert compute_thresholds(high).offer1_inefficient > high.h0
+        cases += [(low, ProfileMode.INEFFICIENT_PEACE),
+                  (high, ProfileMode.INEFFICIENT_PEACE)]
+        for params, mode in cases:
+            profile = equilibrium_profile(params, mode)
+            dist = BarrierDistribution.degenerate(params.mu)
+            for horizon in self.HORIZONS:
+                got, want = io.StringIO(), io.StringIO()
+                stats = simulate(profile, params, dist, horizon, n_runs=3,
+                                 seed=1, trace=got)
+                ref = played_every_period(profile, params, horizon, 3, want)
+                assert repr(stats.to_dict()) == repr(ref), (params, mode,
+                                                            horizon)
+                assert got.getvalue() == want.getvalue(), (params, mode,
+                                                           horizon)
+
+    @pytest.mark.parametrize("name", ["demo-b-efficient", "demo-b-inefficient",
+                                      "demo-b-cooperative"])
+    def test_profile_evaluated_only_until_stationary(self, name, monkeypatch):
+        params, mode = TestOnPathStreams.CASES[name]
+        profile = equilibrium_profile(params, mode)
+        calls = []
+        offer = StrategyProfile.offer
+
+        def counted(self, t, y, barrier_after):
+            calls.append(t)
+            return offer(self, t, y, barrier_after)
+
+        monkeypatch.setattr(StrategyProfile, "offer", counted)
+        stats = simulate(profile, params, DIST, horizon=100_000, n_runs=1)
+        elim_period = int(next(iter(stats.elimination_periods)))
+        assert len(calls) <= elim_period + 1
 
 
 class TestCooperativeEquivalence:

@@ -167,30 +167,37 @@ class TestVerify:
         assert abs(report.gains["offer_scan"]) <= 1e-12
 
 
-def dense_offer_candidates(y, cutoff):
-    """A dense reference scan: 10 001 evenly spaced offers in [0, y], plus
-    the cutoff when it lies in [0, y]."""
-    grid = np.linspace(0.0, y, 10_001)
-    if 0.0 <= cutoff <= y:
-        grid = np.append(grid, cutoff)
-    return grid
+def dense_offer_scan(q, mode):
+    """The offer-scan gain and the keep-provoke-war diagnostic of a dense
+    reference scan: 10 001 evenly spaced offers in [0, y1], plus the cutoff
+    when it lies in [0, y1], priced on the period-1 terms
+    ``verify_period1`` reads.  Returns (gain, diagnostics)."""
+    w = oracle._war_terms(q, postwar_market_mean(q))
+    efficient = mode is ProfileMode.EFFICIENT_PEACE
+    y1, gross = (1.0, w.free) if efficient else (q.h0, w.bar)
+    cutoff1 = w.cutoff1(gross[1], q.c_D)
+    war_r = gross[0] - q.c_R
+    v_eq_r = w.v_eq_r(y1, cutoff1, q.c_D)
+    grid = np.linspace(0.0, y1, 10_001)
+    if 0.0 <= cutoff1 <= y1:
+        grid = np.append(grid, cutoff1)
+    accepted = grid >= cutoff1
+    values = np.where(accepted, (y1 - grid) + q.delta * (w.r_flow + q.c_D),
+                      war_r)
+    if efficient:
+        return float(values.max()) - v_eq_r, {}
+    gain = (float(values[accepted].max()) - v_eq_r if accepted.any()
+            else -math.inf)
+    return gain, ({"keep_provoke_war": war_r - v_eq_r}
+                  if (~accepted).any() else {})
 
 
 class TestOfferCandidates:
     MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
              ProfileMode.COOPERATIVE_INEFFICIENT)
+    D_KEYS = ("feasibility", "responder_period1", "responder_stationary")
 
-    @classmethod
-    def report_fields(cls, points):
-        out = []
-        for q in points:
-            for mode in cls.MODES:
-                r = verify_period1(q, mode)
-                out.append((r.passed, r.feasible, r.max_gain_r, r.max_gain_d,
-                            r.best_deviation, r.gains, r.diagnostics))
-        return out
-
-    def test_dense_scan_is_reference(self, monkeypatch):
+    def test_dense_scan_is_reference(self):
         # demo-b's barrier-keeping cutoff lies below 0, inside [0, h0] and
         # above h0 at c_D = 35, 25 and 5
         named = [make(c_D=c) for c in (35.0, 25.0, 5.0)]
@@ -198,9 +205,29 @@ class TestOfferCandidates:
         assert cutoffs[0] < 0.0 <= cutoffs[1] <= 0.6 < cutoffs[2]
         rng = np.random.default_rng(20240823)
         points = [random_valid_params(rng) for _ in range(1000)] + named
-        three = self.report_fields(points)
-        monkeypatch.setattr(oracle, "_offer_candidates", dense_offer_candidates)
-        assert self.report_fields(points) == three
+        for q in points:
+            for mode in self.MODES:
+                r = verify_period1(q, mode)
+                gain, provoke = dense_offer_scan(q, mode)
+                gains = {**r.gains, "offer_scan": gain}
+                diagnostics = {k: v for k, v in r.diagnostics.items()
+                               if k != "keep_provoke_war"} | provoke
+                # the verdict the dense gains give, by verify_period1's rule
+                max_gain_d = max(gains[k] for k in self.D_KEYS)
+                max_gain_r = max(v for k, v in gains.items()
+                                 if k not in self.D_KEYS)
+                passed = max_gain_r <= r.tol and max_gain_d <= r.tol
+                worst = max(gains, key=lambda k: gains[k])
+                assert (r.gains, r.diagnostics) == (gains, diagnostics)
+                assert (r.max_gain_r, r.max_gain_d, r.passed) == (
+                    max_gain_r, max_gain_d, passed)
+                assert r.feasible == (gains["feasibility"] <= r.tol)
+                if passed:
+                    assert r.best_deviation == "none above tolerance"
+                elif worst in self.D_KEYS:
+                    assert r.best_deviation.startswith("responder rejects")
+                else:
+                    assert r.best_deviation.startswith(f"proposer {worst} ")
 
 
 class TestDiagnostics:
