@@ -84,11 +84,7 @@ class EquilibriumReport:
             "war_inevitable": self.war_inevitable,
             "assumption_holds": self.assumption_holds,
             "label": self.label.value,
-            "margins": {
-                "efficient": self.margins.efficient,
-                "cd": self.margins.cd,
-                "joint": self.margins.joint,
-            },
+            "margins": dict(vars(self.margins)),
             "thresholds": self.thresholds.to_dict(),
         }
 
@@ -190,8 +186,7 @@ class IntersectionResult:
         return self.cd_lo < self.cd_hi
 
     def to_dict(self) -> dict:
-        return {"found": self.found, "cd_lo": self.cd_lo, "cd_hi": self.cd_hi,
-                "Clow": self.Clow}
+        return {"found": self.found, **vars(self)}
 
 
 def intersection_nonempty(base: ModelParams) -> IntersectionResult:

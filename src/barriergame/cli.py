@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from typing import Optional, Sequence
 
 from .classifier import (
@@ -45,17 +46,11 @@ from .params import (
 from .presets import get_preset, list_presets
 from .thresholds import compute_thresholds
 
-_PARAM_FLAGS = {
-    "delta": "--delta",
-    "p": "--p",
-    "p1": "--p1",
-    "mu": "--mu",
-    "h0": "--h0",
-    "c_R": "--c-r",
-    "c_D": "--c-d",
-    "rho": "--rho",
-    "theta": "--theta",
-}
+# the config keys and flags are ModelParams' fields (c_R -> --c-r); a field
+# without a default is required
+_PARAM_FIELDS = fields(ModelParams)
+_PARAM_FLAGS = {f.name: "--" + f.name.lower().replace("_", "-")
+                for f in _PARAM_FIELDS if f.name != "elimination_mode"}
 
 _MODES = {
     "efficient": ProfileMode.EFFICIENT_PEACE,
@@ -108,21 +103,21 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
         if not isinstance(cfg, dict):
             raise CliError("config must be a JSON object of parameter fields")
         layered.update(cfg)
-    for name in _PARAM_FLAGS:
-        value = getattr(args, f"param_{name}")
+    for f in _PARAM_FIELDS:
+        value = getattr(args, f"param_{f.name}")
         if value is not None:
-            layered[name] = value
-    if args.param_elimination_mode is not None:
-        layered["elimination_mode"] = args.param_elimination_mode
-    missing = [k for k in ("delta", "p", "p1", "mu", "h0", "c_R", "c_D")
-               if k not in layered]
+            layered[f.name] = value
+    missing = [f.name for f in _PARAM_FIELDS
+               if f.default is MISSING and f.name not in layered]
     if missing:
         raise CliError(f"missing parameters {missing}; supply a preset, a "
                        f"config file, or flags")
     try:
-        return ModelParams.from_dict(layered)
+        params = ModelParams.from_dict(layered)
     except (ValueError, TypeError) as e:
         raise CliError(str(e))
+    require_valid(params)
+    return params
 
 
 def _out_path(path: str) -> str:
@@ -193,7 +188,6 @@ def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistrib
 
 def _cmd_thresholds(args) -> int:
     params = _collect_params(args)
-    require_valid(params)
     payload = {"params": params.to_dict(),
                "thresholds": compute_thresholds(params).to_dict()}
     if args.intersection:
@@ -212,7 +206,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _collect_params(args)
-    require_valid(params)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -255,7 +248,6 @@ def _cmd_figure(args) -> int:
     cr_range = _parse_range(args.cr_range, "--cr-range")
     cd_range = _parse_range(args.cd_range, "--cd-range")
     params = _collect_params(args)
-    require_valid(params)
     knob, default_values, title = _FIGURES[args.figure_id]
     if knob is None:
         panels = [("base", region_grid(params, cr_range, cd_range,
@@ -311,7 +303,6 @@ def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
     params = _collect_params(args)
-    require_valid(params)
     mode = _MODES[args.mode]
     report = verify_period1(params, mode, tol=args.tol)
     payload = {"params": params.to_dict(), "report": report.to_dict()}

@@ -298,17 +298,8 @@ class SimStats:
     tail_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "horizon": self.horizon,
-            "payoff_r_mean": self.payoff_r_mean,
-            "payoff_r_se": self.payoff_r_se,
-            "payoff_d_mean": self.payoff_d_mean,
-            "payoff_d_se": self.payoff_d_se,
-            "war_frequency": self.war_frequency,
-            "elimination_periods": {str(k): v for k, v in self.elimination_periods.items()},
-            "tail_bound": self.tail_bound,
-        }
+        return {**vars(self), "elimination_periods": {
+            str(k): v for k, v in self.elimination_periods.items()}}
 
 
 def _split_flows(y: float, offer: float) -> tuple[float, float]:

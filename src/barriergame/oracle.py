@@ -87,17 +87,9 @@ class VerificationReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "passed": self.passed,
-            "feasible": self.feasible,
-            "max_gain_r": self.max_gain_r,
-            "max_gain_d": self.max_gain_d,
-            "best_deviation": self.best_deviation,
-            "tol": self.tol,
-            "gains": dict(self.gains),
-            "diagnostics": dict(self.diagnostics),
-        }
+        return {**vars(self), "mode": self.mode.value,
+                "gains": dict(self.gains),
+                "diagnostics": dict(self.diagnostics)}
 
 
 class _WarTerms(NamedTuple):
@@ -177,10 +169,11 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # responder's one-shot check at the indifference offer (zero up to
     # rounding by construction)
     gains["responder_period1"] = war_d_onpath - (cutoff1 + delta * v_d2)
-    # responder's stationary one-shot check
+    # responder's stationary one-shot check, against the gross war
+    # lotteries once the barrier is gone and power has shifted
     x_stat = v_d2 - delta * v_d2
-    war_d_stat = q.p * (1.0 + delta / (1.0 - delta)) - q.c_D
-    gains["responder_stationary"] = war_d_stat - (x_stat + delta * v_d2)
+    stat_r, stat_d = engine.war_lottery(q, 2, False, 1.0)
+    gains["responder_stationary"] = (stat_d - q.c_D) - (x_stat + delta * v_d2)
 
     # proposer's offer deviations at the prescribed elimination state.  An
     # accepted offer x is worth (y1 - x) plus a continuation that does not
@@ -204,8 +197,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # proposer's war deviation at the prescribed barrier state
     gains["war_period1"] = war_r_onpath - v_eq_r
     # proposer's stationary one-shot check
-    war_r_stat = (1.0 - q.p) * (1.0 + delta / (1.0 - delta)) - q.c_R
-    gains["proposer_stationary"] = war_r_stat - v_r2
+    gains["proposer_stationary"] = (stat_r - q.c_R) - v_r2
 
     if efficient:
         # retaining the barrier, answered by the profile's war trigger
@@ -274,13 +266,10 @@ class OracleThresholds:
     anomalies: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "cbar_D": vars(self.cbar_D).copy(),
-            "clow_D": vars(self.clow_D).copy(),
-            "Clow": vars(self.Clow).copy(),
-            "search_tol": self.search_tol,
-            "anomalies": list(self.anomalies),
-        }
+        d = {k: vars(v).copy() if isinstance(v, Bracket) else v
+             for k, v in vars(self).items()}
+        d["anomalies"] = list(self.anomalies)
+        return d
 
 
 def _monotone_note(value: float) -> str:

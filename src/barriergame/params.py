@@ -59,30 +59,14 @@ class ModelParams:
         return type(self)(**{**self.__dict__, **kwargs})
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "p": self.p,
-            "p1": self.p1,
-            "mu": self.mu,
-            "h0": self.h0,
-            "c_R": self.c_R,
-            "c_D": self.c_D,
-            "rho": self.rho,
-            "theta": self.theta,
-            "elimination_mode": self.elimination_mode.value,
-        }
+        return {**vars(self), "elimination_mode": self.elimination_mode.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        known = {
-            "delta", "p", "p1", "mu", "h0", "c_R", "c_D",
-            "rho", "theta", "elimination_mode",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        mode = kwargs.pop("elimination_mode", EliminationMode.UNILATERAL.value)
+        mode = data.get("elimination_mode", EliminationMode.UNILATERAL.value)
         if isinstance(mode, EliminationMode):
             em = mode
         else:
@@ -91,10 +75,8 @@ class ModelParams:
             except ValueError:
                 raise ValueError(f"elimination_mode must be one of "
                                  f"{[m.value for m in EliminationMode]}, got {mode!r}")
-        for k in known - {"elimination_mode"}:
-            if k in kwargs:
-                kwargs[k] = float(kwargs[k])
-        return cls(elimination_mode=em, **kwargs)
+        return cls(elimination_mode=em, **{k: float(v) for k, v in data.items()
+                                           if k != "elimination_mode"})
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,11 @@ class Preset:
     annotation: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "annotation": self.annotation,
-            "params": self.params.to_dict(),
-        }
+        return {**vars(self), "params": self.params.to_dict()}
 
 
-_PRESETS = {
-    "demo-b": Preset(
+_PRESETS = {p.name: p for p in (
+    Preset(
         name="demo-b",
         params=ModelParams(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6,
                            c_R=1.0, c_D=25.0),
@@ -33,7 +29,7 @@ _PRESETS = {
                     "feasible while barrier-free peace is not; illustrative, "
                     "not calibrated"),
     ),
-    "pre-wto": Preset(
+    Preset(
         name="pre-wto",
         params=ModelParams(delta=0.9, p=0.4, p1=0.75, mu=0.5, h0=0.45,
                            c_R=1.5, c_D=12.0),
@@ -41,7 +37,7 @@ _PRESETS = {
                     "shift: peace rests on the barrier staying up; "
                     "illustrative, not calibrated"),
     ),
-    "post-wto": Preset(
+    Preset(
         name="post-wto",
         params=ModelParams(delta=0.9, p=0.15, p1=0.75, mu=0.97, h0=0.9,
                            c_R=1.0, c_D=6.0),
@@ -49,7 +45,7 @@ _PRESETS = {
                     "preventive war is unavoidable; illustrative, not "
                     "calibrated"),
     ),
-}
+)}
 
 
 def get_preset(name: str) -> Preset:

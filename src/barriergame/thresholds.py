@@ -94,22 +94,9 @@ class ThresholdSet:
     extension: str
 
     def to_dict(self) -> dict:
-        d = {
-            "cbar_D": self.cbar_D,
-            "clow_D": self.clow_D,
-            "Clow": self.Clow,
-            "postwar_mean": self.postwar_mean,
-            # -inf floor means "floor undefined, any theta admissible"
-            "theta_floor": self.theta_floor if math.isfinite(self.theta_floor) else None,
-            "offer1_efficient": self.offer1_efficient,
-            "offer1_inefficient": self.offer1_inefficient,
-            "offer_stationary": self.offer_stationary,
-            "offer1_efficient_clamped": self.offer1_efficient_clamped,
-            "offer1_inefficient_clamped": self.offer1_inefficient_clamped,
-            "offer_stationary_clamped": self.offer_stationary_clamped,
-            "extension": self.extension,
-        }
-        return d
+        # -inf floor means "floor undefined, any theta admissible"
+        floor = self.theta_floor if math.isfinite(self.theta_floor) else None
+        return {**vars(self), "theta_floor": floor}
 
 
 def extension_label(params: ModelParams) -> str:

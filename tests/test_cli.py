@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -5,9 +7,12 @@ import os
 import pytest
 
 from barriergame import cli
+from barriergame.classifier import classify, intersection_nonempty
 from barriergame.cli import run
+from barriergame.engine import ProfileMode, equilibrium_profile, simulate
+from barriergame.oracle import oracle_thresholds, verify_period1
 from barriergame.params import BarrierDistribution, validate
-from barriergame.presets import list_presets
+from barriergame.presets import get_preset, list_presets
 
 
 def run_json(capsys, argv):
@@ -539,6 +544,79 @@ def test_invalid_param_stderr_pinned(argv, err, capsys, tmp_path, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == err
+
+
+# SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
+# order, float repr or indentation shows here
+STDOUT_SHA256 = [
+    ("thresholds --preset demo-b",
+     "3de56252756db50fdee06764088e27055cffb1368a42ec3217bc7e65f31715af"),
+    ("thresholds --preset demo-b --intersection",
+     "057ccdc16d6f2a4a288317f1699179ab72b895e755c9101251a378620b954301"),
+    ("classify --preset demo-b",
+     "a333b2f9880d2e10816c22047563fa4d191a756c1429bfaa4c1e0016d2503175"),
+    ("sweep --preset demo-b --knob mu --values 0.5,0.8,1",
+     "8f64990eb5a61f96e0e55f0b9152c45105bbd968583b15205da149278e346e3a"),
+    ("presets",
+     "2ff0517246fb65a171fff7585283ded54ac07efed3825ee8373baf242ee97b21"),
+    ("verify --preset demo-b --thresholds --mode efficient --c-d 5",
+     "0d031af7fb5651ad859e968f0b370f59e51c41ca1081d3c8dff71fff0b07ecf7"),
+    ("verify --preset demo-b --thresholds --mode efficient --c-d 25",
+     "68eaf53cbea6db755fd4e77f48d8836f5ecd7afb3952aceb0442f09ceb92aaf1"),
+    ("verify --preset demo-b --thresholds --mode inefficient --c-d 5",
+     "c4329ec8170f0353ab4e22c51a309c7911b5c5e4c391be5d9614946e698667c1"),
+    ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
+     "5a885b5d70db75c62c55acebdf383a7b962c51521b4e186d4304c707b64d478e"),
+    ("verify --preset demo-b --thresholds --mode cooperative --c-d 5",
+     "583ae38acca87c9c1f4eaaa3f9e9f61496b116a259573e59e045d88339e896e6"),
+    ("verify --preset demo-b --thresholds --mode cooperative --c-d 25",
+     "45acb9aeeb524db5baead8c33edd466063c1941f85ddd020d65cfa2ef3395601"),
+    ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
+     "--horizon 50",
+     "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),
+    ("simulate --preset demo-b --mode inefficient --c-d 35 --runs 10 "
+     "--horizon 50",
+     "6cd79417acb54e14f24f985e69cc30626d40e2797e439399d3c98ced3d0d882c"),
+    ("simulate --preset demo-b --mode cooperative --c-d 35 --runs 10 "
+     "--horizon 50 --elimination-mode Cooperative",
+     "5a57b02acc9735ae13ff016aa3931d86da501c2085e6ec4ee501f984d87f022a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_SHA256,
+                         ids=[a for a, _ in STDOUT_SHA256])
+def test_stdout_bytes_pinned(argv, digest, capsys):
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_to_dict_keys_are_fields():
+    """Each record's JSON object is its own fields plus the derived keys
+    the README lists, and nothing else."""
+    q = get_preset("demo-b").params
+    stats = simulate(equilibrium_profile(q, ProfileMode.INEFFICIENT_PEACE),
+                     q, BarrierDistribution.degenerate(q.mu), horizon=3,
+                     n_runs=2)
+    report = classify(q)
+    flags = {"efficient_peace_exists", "inefficient_peace_exists",
+             "war_inevitable", "assumption_holds", "label"}
+    records = [
+        (q, set()),
+        (report.thresholds, set()),
+        (stats, set()),
+        (verify_period1(q, ProfileMode.INEFFICIENT_PEACE), set()),
+        (get_preset("demo-b"), set()),
+        (report, flags),
+        (intersection_nonempty(q), {"found"}),
+        (oracle_thresholds(q), set()),
+    ]
+    for record, derived in records:
+        names = {f.name for f in dataclasses.fields(record)}
+        assert set(record.to_dict()) == names | derived, type(record)
+    margins = {f.name for f in dataclasses.fields(report.margins)}
+    assert set(report.to_dict()["margins"]) == margins
 
 
 class TestPresetsCommand:
