@@ -38,10 +38,8 @@ from .engine import (
     Response,
     SimStats,
     StrategyProfile,
-    TerminalOutcome,
     analytic_payoffs,
     equilibrium_profile,
-    new_game,
     simulate,
     step,
 )

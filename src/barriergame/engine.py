@@ -67,21 +67,6 @@ class ActionRecord:
     elim_d: Optional[bool] = None   # only meaningful under joint consent
 
 
-@dataclass(frozen=True)
-class TerminalOutcome:
-    state: GameState    # terminal snapshot: period, barrier, resource, winner
-    d_win_prob: float
-
-
-def new_game(params: ModelParams,
-             dist: Optional[BarrierDistribution] = None) -> GameState:
-    """Initial state: period 1, barrier standing, resource at its default."""
-    require_valid(params)
-    if dist is not None:
-        require_mean_matches(dist, params)
-    return GameState(t=1, barrier_present=True, y=params.h0)
-
-
 def win_prob_d(params: ModelParams, t: int, barrier_present: bool) -> float:
     """Responder's war-win probability; scaled by theta while the barrier stands."""
     base = params.p1 if t == 1 else params.p
@@ -130,8 +115,9 @@ def resolve_elimination(state: GameState, actions: ActionRecord,
 
 def step(state: GameState, actions: ActionRecord, params: ModelParams,
          dist: BarrierDistribution, rng: np.random.Generator):
-    """Advance one period.  Returns the next GameState on acceptance or a
-    TerminalOutcome on rejection.  Terminal states are absorbing."""
+    """Advance one period.  Returns the next GameState on acceptance, or on
+    rejection the terminal one: war occurred, its winner drawn at the war
+    node's odds.  Terminal states are absorbing."""
     if state.war_occurred:
         raise GameError("no actions accepted after war")
     y_eff, barrier_after = resolve_elimination(state, actions, params)
@@ -139,10 +125,9 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
         raise GameError(f"offer {actions.offer} outside [0, {y_eff}]")
     if actions.response is Response.REJECT:
         wp = win_prob_d(params, state.t, barrier_after)
-        terminal = GameState(t=state.t, barrier_present=barrier_after, y=y_eff,
-                             war_occurred=True,
-                             winner="D" if rng.random() < wp else "R")
-        return TerminalOutcome(state=terminal, d_win_prob=wp)
+        return GameState(t=state.t, barrier_present=barrier_after, y=y_eff,
+                         war_occurred=True,
+                         winner="D" if rng.random() < wp else "R")
     if barrier_after:
         return GameState(t=state.t + 1, barrier_present=True,
                          y=float(dist.sample(rng)))
@@ -155,7 +140,8 @@ class StrategyProfile:
 
     Built-in modes reproduce the threshold-backed constructions: both sides
     play the indifference bookkeeping on path, and the responder treats any
-    off-prescription elimination decision as a war trigger.  Custom profiles
+    off-prescription elimination decision as a war trigger (see
+    ``acceptance_cutoff``, the one statement of that rule).  Custom profiles
     supply callbacks and are simulated, not solved.
 
     A profile checks itself where it is built.  A built-in one refuses
@@ -203,54 +189,51 @@ class StrategyProfile:
             raise ProfileExistenceError(
                 f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
 
+    @property
+    def elim_period(self) -> int:
+        """Period whose elimination stage removes the barrier on path."""
+        if self.mode is ProfileMode.CUSTOM:
+            raise GameError("custom profiles prescribe via callbacks")
+        return 1 if self.mode is ProfileMode.EFFICIENT_PEACE else 2
+
     def prescribed_votes(self, t: int, barrier_present: bool) -> tuple[bool, Optional[bool]]:
-        """(proposer vote, responder vote); responder vote is None outside
-        joint-consent play."""
+        """(proposer vote, responder vote).  The responder votes only under
+        joint consent, and then always consents; otherwise its vote is None."""
         if not barrier_present:
             return False, None
-        if self.mode is ProfileMode.EFFICIENT_PEACE:
-            return True, None
-        if self.mode is ProfileMode.INEFFICIENT_PEACE:
-            return (t >= 2), None
-        if self.mode is ProfileMode.COOPERATIVE_INEFFICIENT:
-            # period 1: proposer vetoes, responder consents; both consent after
-            return (t >= 2), True
-        raise GameError("custom profiles prescribe via callbacks")
+        cooperative = self.mode is ProfileMode.COOPERATIVE_INEFFICIENT
+        return t >= self.elim_period, (True if cooperative else None)
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
         return compute_thresholds(self.params)
 
-    def acceptance_cutoff(self, t: int, y: float, barrier_after: bool) -> float:
-        """Raw indifference transfer at this node: the smallest offer making
-        the responder weakly prefer acceptance, under the stationary
-        continuation bookkeeping.  May be negative."""
-        q = self.params
+    def acceptance_cutoff(self, t: int, barrier_after: bool) -> float:
+        """Smallest offer the responder accepts at this node; may be negative.
+
+        On the profile's path (barrier standing after the elimination stage
+        exactly while t < ``elim_period``) it is the raw indifference
+        transfer of the stationary bookkeeping.  Off the path it is inf: any
+        departure from the prescribed elimination decision is met with war,
+        whatever is offered."""
+        if barrier_after != (t < self.elim_period):
+            return math.inf
         ts = self.thresholds
         if t == 1:
             return ts.offer1_inefficient if barrier_after else ts.offer1_efficient
-        if not barrier_after:
-            return ts.offer_stationary
-        # barrier still standing past the power shift: same acceptance logic
-        # with the post-shift win probability and next-period elimination
-        delta = q.delta
-        war_d = war_lottery(q, t, True, y)[1] - q.c_D
-        continuation = q.p / (1.0 - delta) - q.c_D
-        return war_d - delta * continuation
+        return ts.offer_stationary
 
     def offer(self, t: int, y: float, barrier_after: bool) -> float:
+        """The cutoff clamped into [0, y].  Off path that is y, which the
+        responder rejects all the same."""
         if self.mode is ProfileMode.CUSTOM:
             return self.custom_offer(t, y, barrier_after)
-        raw = self.acceptance_cutoff(t, y, barrier_after)
-        return min(max(raw, 0.0), y)
+        return min(max(self.acceptance_cutoff(t, barrier_after), 0.0), y)
 
-    def accepts(self, t: int, y: float, barrier_after: bool, offer: float,
-                on_path: bool) -> bool:
+    def accepts(self, t: int, y: float, barrier_after: bool, offer: float) -> bool:
         if self.mode is ProfileMode.CUSTOM:
             return self.custom_accept(t, y, barrier_after, offer)
-        if not on_path:
-            return False
-        return offer >= self.acceptance_cutoff(t, y, barrier_after)
+        return offer >= self.acceptance_cutoff(t, barrier_after)
 
 
 def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
@@ -337,7 +320,7 @@ def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
     delta = params.delta
     v_r = 0.0
     v_d = 0.0
-    elim_period = 1 if profile.mode is ProfileMode.EFFICIENT_PEACE else 2
+    elim_period = profile.elim_period
     for t in range(1, horizon + 1):
         if t <= elim_period + 1:
             barrier_before = t <= elim_period
@@ -427,18 +410,17 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                 elim_at = t
             offer = profile.offer(t, y_eff, barrier_after)
             offer = min(max(offer, 0.0), y_eff)
-            accept = profile.accepts(t, y_eff, barrier_after, offer, True)
+            accept = profile.accepts(t, y_eff, barrier_after, offer)
             actions = ActionRecord(elim_r=vote_r, offer=offer,
                                    response=Response.ACCEPT if accept else Response.REJECT,
                                    elim_d=vote_d)
             outcome = step(state, actions, params, dist, rng)
-            if isinstance(outcome, TerminalOutcome):
-                end = outcome.state
+            if outcome.war_occurred:
                 disc = delta ** (t - 1)
-                spoils = end.y + _war_continuation(
-                    params, dist, end.barrier_present, horizon - t, rng,
+                spoils = outcome.y + _war_continuation(
+                    params, dist, outcome.barrier_present, horizon - t, rng,
                     discounts)
-                if end.winner == "D":
+                if outcome.winner == "D":
                     v_d += disc * (spoils - params.c_D)
                     v_r += disc * (-params.c_R)
                 else:

@@ -54,14 +54,6 @@ def inefficient_joint_threshold(params: ModelParams) -> float:
                + delta * (1.0 - m * (theta * p1)))) / (1.0 - delta)
 
 
-def inefficient_joint_threshold_compact(params: ModelParams) -> float:
-    """Algebraic twin of :func:`inefficient_joint_threshold` in product form.
-    Valid at theta = 1 only; kept as an independent transcription guard."""
-    delta, p1, h0 = params.delta, params.p1, params.h0
-    m = effective_mu(params)
-    return (1.0 - p1) * (1.0 - h0) - delta / (1.0 - delta) * p1 * (1.0 - m)
-
-
 def theta_floor(params: ModelParams) -> float:
     """Floor on theta; -inf when mu * p == 0 (any positive theta admissible)."""
     return _power_floor(params.mu, params.p)

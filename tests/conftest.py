@@ -5,6 +5,7 @@ import math
 import pytest
 
 from barriergame.params import ModelParams, sample_valid_params
+from barriergame.thresholds import effective_mu
 
 random_valid_params = sample_valid_params
 
@@ -18,3 +19,12 @@ def set_b() -> ModelParams:
 def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
     assert math.isfinite(a) and math.isfinite(b), (a, b)
     assert abs(a - b) <= tol, f"{a} vs {b} (diff {a - b})"
+
+
+def inefficient_joint_threshold_compact(params: ModelParams) -> float:
+    """Algebraic twin of ``thresholds.inefficient_joint_threshold`` in
+    product form.  Valid at theta = 1 only; an independent transcription
+    guard for the closed form."""
+    delta, p1, h0 = params.delta, params.p1, params.h0
+    m = effective_mu(params)
+    return (1.0 - p1) * (1.0 - h0) - delta / (1.0 - delta) * p1 * (1.0 - m)

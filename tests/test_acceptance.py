@@ -32,9 +32,8 @@ from barriergame.thresholds import (
     efficient_peace_threshold,
     inefficient_cd_threshold,
     inefficient_joint_threshold,
-    inefficient_joint_threshold_compact,
 )
-from conftest import random_valid_params
+from conftest import inefficient_joint_threshold_compact, random_valid_params
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

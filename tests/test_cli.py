@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -590,6 +592,23 @@ def test_stdout_bytes_pinned(argv, digest, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_module_entry_point_pinned():
+    # python -m runs cli.main in a fresh interpreter, with dev-mode checks
+    # on and every warning an error; its stdout is the pinned classify bytes
+    argv = "classify --preset demo-b"
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "barriergame.cli",
+         *argv.split()],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert hashlib.sha256(done.stdout).hexdigest() == dict(STDOUT_SHA256)[argv]
 
 
 def test_to_dict_keys_are_fields():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,9 @@ from barriergame.engine import (
     ProfileMode,
     Response,
     StrategyProfile,
-    TerminalOutcome,
     _war_continuation,
     analytic_payoffs,
     equilibrium_profile,
-    new_game,
     resolve_elimination,
     simulate,
     step,
@@ -31,6 +30,7 @@ from barriergame.params import (
     InvalidParamsError,
     ModelParams,
 )
+from barriergame.oracle import verify_period1
 from barriergame.thresholds import compute_thresholds
 from conftest import assert_close, random_valid_params
 
@@ -54,87 +54,83 @@ def reject(offer=0.0, elim_r=False, elim_d=None):
                         elim_d=elim_d)
 
 
+def start(params):
+    """Period 1: the barrier stands and the resource is h0."""
+    return GameState(t=1, barrier_present=True, y=params.h0)
+
+
+def assert_war_odds(state, actions, params, wp):
+    """Rejection ends the game in war and the responder wins exactly when
+    the draw falls below ``wp``: a draw one ulp under it is a "D" win, a
+    draw equal to it an "R" win."""
+    for u, winner in ((math.nextafter(wp, 0.0), "D"), (wp, "R")):
+        end = step(state, actions, params, DIST,
+                   SimpleNamespace(random=lambda: u))
+        assert end.war_occurred and end.t == state.t
+        assert end.winner == winner, (u, wp)
+
+
 class TestStateMachine:
-    def test_new_game(self):
-        state = new_game(make(), DIST)
-        assert state.t == 1 and state.barrier_present and state.y == 0.6
-        assert not state.war_occurred
-
-    def test_new_game_rejects_invalid(self):
-        with pytest.raises(InvalidParamsError, match="p1 > p required"):
-            new_game(make(p1=0.1))
-
     def test_elimination_sets_full_resource(self):
-        state = new_game(make(), DIST)
+        state = start(make())
         y_eff, barrier = resolve_elimination(state, accept(0.0, elim_r=True), make())
         assert y_eff == 1.0 and not barrier
 
     def test_accept_advances_with_draw(self):
         rng = np.random.default_rng(0)
-        state = new_game(make(), DIST)
+        state = start(make())
         nxt = step(state, accept(0.2), make(), DIST, rng)
         assert isinstance(nxt, GameState)
         assert nxt.t == 2 and nxt.barrier_present and nxt.y == 0.8
 
     def test_accept_after_elimination(self):
         rng = np.random.default_rng(0)
-        state = new_game(make(), DIST)
+        state = start(make())
         nxt = step(state, accept(0.5, elim_r=True), make(), DIST, rng)
         assert nxt.y == 1.0 and not nxt.barrier_present
 
     def test_offer_out_of_range(self):
         rng = np.random.default_rng(0)
-        state = new_game(make(), DIST)
+        state = start(make())
         with pytest.raises(GameError, match="outside"):
             step(state, accept(0.7), make(), DIST, rng)  # y = h0 = 0.6
         with pytest.raises(GameError, match="outside"):
             step(state, accept(-0.1), make(), DIST, rng)
 
     def test_reject_is_terminal_with_period1_odds(self):
-        params = make()
-        state = new_game(params, DIST)
-        outcome = step(state, reject(), params, DIST, np.random.default_rng(0))
-        assert isinstance(outcome, TerminalOutcome)
-        assert outcome.state.t == 1
-        assert outcome.d_win_prob == params.p1  # theta = 1, barrier kept
-        assert outcome.state.war_occurred
-        assert outcome.state.winner in ("R", "D")
+        params = make()  # theta = 1, barrier kept
+        assert_war_odds(start(params), reject(), params, params.p1)
 
     def test_war_probability_uses_theta_with_barrier(self):
         params = make(theta=1.2)
-        state = new_game(params, DIST)
-        outcome = step(state, reject(), params, DIST, np.random.default_rng(0))
-        assert_close(outcome.d_win_prob, 1.2 * 0.7, 1e-12)
+        assert_war_odds(start(params), reject(), params, 1.2 * 0.7)
         # after elimination the modifier no longer applies
-        outcome = step(state, reject(elim_r=True), params, DIST,
-                       np.random.default_rng(0))
-        assert outcome.d_win_prob == params.p1
+        assert_war_odds(start(params), reject(elim_r=True), params, params.p1)
 
     def test_post_shift_war_odds(self):
-        params = make()
+        params = make(theta=1.2)
         state = GameState(t=3, barrier_present=False, y=1.0)
-        outcome = step(state, reject(), params, DIST, np.random.default_rng(0))
-        assert outcome.d_win_prob == params.p
+        assert_war_odds(state, reject(), params, params.p)
 
     def test_winner_frequency(self):
         params = make()
         rng = np.random.default_rng(42)
-        state = new_game(params, DIST)
-        wins = sum(step(state, reject(), params, DIST, rng).state.winner == "D"
+        state = start(params)
+        wins = sum(step(state, reject(), params, DIST, rng).winner == "D"
                    for _ in range(20_000))
         assert abs(wins / 20_000 - 0.7) < 3.0 * math.sqrt(0.7 * 0.3 / 20_000)
 
     def test_terminal_state_absorbing(self):
         params = make()
-        outcome = step(new_game(params, DIST), reject(), params, DIST,
-                       np.random.default_rng(0))
+        end = step(start(params), reject(), params, DIST,
+                   np.random.default_rng(0))
         with pytest.raises(GameError, match="after war"):
-            step(outcome.state, accept(0.1), params, DIST,
+            step(end, accept(0.1), params, DIST,
                  np.random.default_rng(0))
 
     def test_cooperative_requires_both(self):
         params = make(elimination_mode=EliminationMode.COOPERATIVE)
-        state = new_game(params, DIST)
+        state = start(params)
         y_eff, barrier = resolve_elimination(
             state, accept(0.0, elim_r=False, elim_d=True), params)
         assert barrier and y_eff == 0.6
@@ -143,12 +139,12 @@ class TestStateMachine:
         assert not barrier and y_eff == 1.0
 
     def test_mode_vote_mismatch(self):
-        state = new_game(make(), DIST)
+        state = start(make())
         with pytest.raises(GameError, match="forbids elim_d"):
             resolve_elimination(state, accept(0.0, elim_d=True), make())
         coop = make(elimination_mode=EliminationMode.COOPERATIVE)
         with pytest.raises(GameError, match="requires elim_d"):
-            resolve_elimination(new_game(coop, DIST), accept(0.0), coop)
+            resolve_elimination(start(coop), accept(0.0), coop)
 
 
 class TestProfiles:
@@ -160,9 +156,9 @@ class TestProfiles:
         assert_close(profile.offer(1, 0.6, True), 0.26)
         assert profile.offer(2, 1.0, False) == 0.0  # raw -2.2 clamped
         own = profile.offer(1, 0.6, True)
-        assert profile.accepts(1, 0.6, True, own, on_path=True)
-        assert not profile.accepts(1, 0.6, True, 0.25, on_path=True)
-        assert profile.accepts(2, 1.0, False, 0.0, on_path=True)
+        assert profile.accepts(1, 0.6, True, own)
+        assert not profile.accepts(1, 0.6, True, 0.25)
+        assert profile.accepts(2, 1.0, False, 0.0)
 
     def test_efficient_on_path(self):
         params = make(c_D=35.0)
@@ -173,7 +169,7 @@ class TestProfiles:
     def test_off_path_trigger(self):
         params = make(c_D=25.0)
         profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
-        assert not profile.accepts(1, 1.0, False, 1.0, on_path=False)
+        assert not profile.accepts(1, 1.0, False, 1.0)
 
     def test_refusal_names_threshold(self):
         with pytest.raises(ProfileExistenceError, match="clow_D"):
@@ -201,14 +197,38 @@ class TestProfiles:
         assert profile.prescribed_votes(2, True) == (True, True)
 
     def test_cutoff_with_barrier_past_the_shift(self):
-        # off path: the barrier still stands at t = 3, so the responder
-        # weighs the post-shift war lottery against its stationary value:
-        # 0.3 * (0.7 + 0.9 * 0.8 / 0.1) - 25 - 0.9 * (0.3 / 0.1 - 25)
+        # off path: the barrier still stands at t = 3, a kept barrier the
+        # profile never prescribes, so war follows whatever is offered; the
+        # offer clamps to y
         profile = equilibrium_profile(make(c_D=25.0),
                                       ProfileMode.INEFFICIENT_PEACE)
-        assert_close(profile.acceptance_cutoff(3, 0.7, True), -2.83, 1e-12)
-        assert profile.offer(3, 0.7, True) == 0.0
-        assert profile.accepts(3, 0.7, True, 0.0, on_path=True)
+        assert profile.acceptance_cutoff(3, True) == math.inf
+        assert profile.offer(3, 0.7, True) == 0.7
+        assert not profile.accepts(3, 0.7, True, 0.7)
+
+    @pytest.mark.parametrize("params,mode", [
+        (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
+        (make(), ProfileMode.INEFFICIENT_PEACE),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.COOPERATIVE_INEFFICIENT),
+    ], ids=lambda v: getattr(v, "value", ""))
+    def test_off_path_nodes_reject_every_offer(self, params, mode):
+        # on path the barrier stands after the elimination stage exactly
+        # while t < elim_period; every other node is met with war
+        profile = equilibrium_profile(params, mode)
+        off_path = 0
+        for t in (1, 2, 3):
+            for barrier_after in (True, False):
+                cutoff = profile.acceptance_cutoff(t, barrier_after)
+                if barrier_after == (t < profile.elim_period):
+                    assert math.isfinite(cutoff)
+                    continue
+                off_path += 1
+                y = params.h0 if barrier_after else 1.0
+                assert cutoff == math.inf
+                for offer in (0.0, y, 1e300):
+                    assert not profile.accepts(t, y, barrier_after, offer)
+        assert off_path == 3
 
     def test_custom_profile_errors(self):
         # a custom profile lacking a callback is refused where it is built
@@ -842,3 +862,71 @@ class TestCooperativeEquivalence:
         for a, b in zip(rec_u, rec_c):
             for key in ("period", "y", "offer", "flow_r", "flow_d", "war"):
                 assert a[key] == b[key]
+
+
+def replayed(builtin, flip_period=None):
+    """Custom profile that plays the built-in profile's votes, offers and
+    acceptance rule; its proposer flips the prescribed vote in
+    ``flip_period``."""
+    votes = builtin.prescribed_votes
+    eliminate_d = None
+    if builtin.mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+        def eliminate_d(t, y, b):
+            return votes(t, b)[1]
+    return StrategyProfile(
+        mode=ProfileMode.CUSTOM, params=builtin.params,
+        custom_eliminate=lambda t, y, b: votes(t, b)[0] != (t == flip_period),
+        custom_eliminate_d=eliminate_d,
+        custom_offer=builtin.offer, custom_accept=builtin.accepts)
+
+
+class TestOffPathRule:
+    """The engine plays the war trigger that the oracle prices: a proposer
+    that departs from the prescribed period-1 elimination decision, facing
+    the built-in responder, is met with war at once, and its payoff is the
+    oracle's war value for that deviation."""
+
+    CASES = {
+        "efficient": (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
+        "inefficient": (make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE),
+        "cooperative": (
+            make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE),
+            ProfileMode.COOPERATIVE_INEFFICIENT),
+    }
+    DIST = BarrierDistribution.uniform_with_mean(0.8, 0.2)
+    HORIZON = 200
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_flipped_vote_meets_priced_war(self, name):
+        params, mode = self.CASES[name]
+        profile = replayed(equilibrium_profile(params, mode), flip_period=1)
+        buf = io.StringIO()
+        n_runs = 4000
+        stats = simulate(profile, params, self.DIST, self.HORIZON, n_runs,
+                         seed=16, trace=buf, trace_runs=n_runs)
+        assert stats.war_frequency == 1.0
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert len(records) == n_runs
+        assert all(r["period"] == 1 and r["war"] for r in records)
+        # the oracle reports each deviation's gain over the raw equilibrium
+        # value of the proposer
+        report = verify_period1(params, mode)
+        gain = (report.diagnostics["keep_trigger"]
+                if mode is ProfileMode.EFFICIENT_PEACE
+                else report.gains["eliminate_then_war"])
+        war_r = gain + analytic_payoffs(params, mode, clamped=False)[0]
+        assert abs(stats.payoff_r_mean - war_r) <= \
+            4.0 * stats.payoff_r_se + stats.tail_bound
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_replayed_profile_stays_at_peace(self, name):
+        params, mode = self.CASES[name]
+        builtin = equilibrium_profile(params, mode)
+        got = simulate(replayed(builtin), params, self.DIST, self.HORIZON,
+                       n_runs=20, seed=16)
+        want = simulate(builtin, params, self.DIST, self.HORIZON, n_runs=20)
+        assert got.war_frequency == 0.0
+        assert got.elimination_periods == want.elimination_periods
+        for a, b in ((got.payoff_r_mean, want.payoff_r_mean),
+                     (got.payoff_d_mean, want.payoff_d_mean)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))

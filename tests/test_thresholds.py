@@ -12,10 +12,10 @@ from barriergame.thresholds import (
     extension_label,
     inefficient_cd_threshold,
     inefficient_joint_threshold,
-    inefficient_joint_threshold_compact,
     theta_floor,
 )
-from conftest import assert_close, random_valid_params
+from conftest import (assert_close, inefficient_joint_threshold_compact,
+                      random_valid_params)
 
 
 def make(**kw):

@@ -13,7 +13,6 @@ from barriergame.engine import (
     StrategyProfile,
     analytic_payoffs,
     equilibrium_profile,
-    new_game,
     simulate,
 )
 from barriergame.params import (
@@ -43,7 +42,6 @@ def simulate_at(q):
 
 
 ENTRY_POINTS = {
-    "new_game": new_game,
     "equilibrium_profile": lambda q: equilibrium_profile(
         q, ProfileMode.INEFFICIENT_PEACE),
     "simulate": simulate_at,
