@@ -39,7 +39,6 @@ from .engine import (
     SimStats,
     StrategyProfile,
     analytic_payoffs,
-    equilibrium_profile,
     simulate,
     step,
 )

@@ -26,7 +26,7 @@ from .classifier import (
 from .engine import (
     GameError,
     ProfileMode,
-    equilibrium_profile,
+    StrategyProfile,
     simulate,
 )
 from .oracle import (
@@ -282,7 +282,7 @@ def _cmd_simulate(args) -> int:
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     params = _collect_params(args)
     mode = _MODES[args.mode]
-    profile = equilibrium_profile(params, mode)
+    profile = StrategyProfile(mode, params)
     dist = _build_dist(args, params)
     trace_fh = open(_out_path(args.trace), "w") if args.trace else None
     try:

@@ -93,21 +93,23 @@ def war_lottery(params: ModelParams, t: int, barrier_present: bool, y: float,
     return (1.0 - wp) * pie, wp * pie
 
 
-def resolve_elimination(state: GameState, actions: ActionRecord,
+def resolve_elimination(state: GameState, elim_r: bool,
+                        elim_d: Optional[bool],
                         params: ModelParams) -> tuple[float, bool]:
-    """Apply the elimination stage; returns (effective resource, barrier after).
+    """Apply the elimination stage to the votes; returns (effective resource,
+    barrier after).
 
     Under joint consent the barrier falls only if both sides agree."""
     if not state.barrier_present:
         return 1.0, False
     if params.elimination_mode is EliminationMode.COOPERATIVE:
-        if actions.elim_d is None:
+        if elim_d is None:
             raise GameError("cooperative mode requires elim_d")
-        eliminated = actions.elim_r and actions.elim_d
+        eliminated = elim_r and elim_d
     else:
-        if actions.elim_d is not None:
+        if elim_d is not None:
             raise GameError("unilateral mode forbids elim_d")
-        eliminated = actions.elim_r
+        eliminated = elim_r
     if eliminated:
         return 1.0, False
     return state.y, True
@@ -120,7 +122,8 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
     node's odds.  Terminal states are absorbing."""
     if state.war_occurred:
         raise GameError("no actions accepted after war")
-    y_eff, barrier_after = resolve_elimination(state, actions, params)
+    y_eff, barrier_after = resolve_elimination(state, actions.elim_r,
+                                               actions.elim_d, params)
     if not (0.0 <= actions.offer <= y_eff):
         raise GameError(f"offer {actions.offer} outside [0, {y_eff}]")
     if actions.response is Response.REJECT:
@@ -149,7 +152,9 @@ class StrategyProfile:
     elimination mode it cannot be played under (GameError) and a point where
     ``classify`` does not report it (ProfileExistenceError); it reads its
     offers from the ``ThresholdSet`` of its params, computed once, by that
-    check.  A custom one needs its offer and accept callbacks (GameError).
+    check.  A custom one needs its offer and accept callbacks (GameError),
+    and ``simulate`` refuses an offer outside [0, y] (GameError) that its
+    callback makes, rather than moving it into range.
     """
 
     mode: ProfileMode
@@ -236,33 +241,23 @@ class StrategyProfile:
         return offer >= self.acceptance_cutoff(t, barrier_after)
 
 
-def equilibrium_profile(params: ModelParams, mode: ProfileMode) -> StrategyProfile:
-    """Build the named built-in profile; the constructor refuses what
-    cannot be played (see ``StrategyProfile``)."""
-    if mode is ProfileMode.CUSTOM:
-        raise GameError("custom profiles are built directly, not requested here")
-    return StrategyProfile(mode=mode, params=params)
-
-
-def analytic_payoffs(params: ModelParams, mode: ProfileMode,
-                     clamped: bool = True) -> tuple[float, float]:
+def analytic_payoffs(params: ModelParams,
+                     mode: ProfileMode) -> tuple[float, float]:
     """Present values (proposer, responder) of the on-path play.
 
-    With clamped=True (default) the values price the offers an executable
-    strategy can actually make, matching the simulator exactly.  With
-    clamped=False the raw indifference transfers are priced, which pegs the
-    responder at its war value even where that would require negative offers.
-    A profile that ``equilibrium_profile`` refuses is refused here alike.
+    The values price the offers an executable strategy makes, clamped into
+    [0, y], so they match the simulator exactly; the raw indifference
+    transfers, which peg the responder at its war value even where that
+    takes a negative offer, stay on the ``ThresholdSet``.  A profile that
+    ``StrategyProfile(mode, params)`` refuses is refused here alike.
     """
-    ts = equilibrium_profile(params, mode).thresholds
+    ts = StrategyProfile(mode, params).thresholds
     delta = params.delta
     if mode is ProfileMode.EFFICIENT_PEACE:
-        y1 = 1.0
-        x1 = ts.offer1_efficient_clamped if clamped else ts.offer1_efficient
+        y1, x1 = 1.0, ts.offer1_efficient_clamped
     else:
-        y1 = params.h0
-        x1 = ts.offer1_inefficient_clamped if clamped else ts.offer1_inefficient
-    xs = ts.offer_stationary_clamped if clamped else ts.offer_stationary
+        y1, x1 = params.h0, ts.offer1_inefficient_clamped
+    xs = ts.offer_stationary_clamped
     v_d = x1 + delta * xs / (1.0 - delta)
     v_r = (y1 - x1) + delta * (1.0 - xs) / (1.0 - delta)
     return v_r, v_d
@@ -323,13 +318,9 @@ def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
     elim_period = profile.elim_period
     for t in range(1, horizon + 1):
         if t <= elim_period + 1:
-            barrier_before = t <= elim_period
-            vote_r, vote_d = profile.prescribed_votes(t, barrier_before)
-            eliminated_now = barrier_before and (
-                (vote_r and vote_d) if params.elimination_mode is EliminationMode.COOPERATIVE
-                else vote_r)
-            barrier_after = barrier_before and not eliminated_now
-            y = params.h0 if (t == 1 and barrier_after) else 1.0
+            vote_r, vote_d = profile.prescribed_votes(t, t <= elim_period)
+            barrier_after = t < elim_period
+            y = params.h0 if barrier_after else 1.0
             offer = profile.offer(t, y, barrier_after)
             flow_r, flow_d = _split_flows(y, offer)
         disc = delta ** (t - 1)
@@ -380,8 +371,8 @@ def _war_continuation(params: ModelParams, dist: BarrierDistribution,
 
 def _simulate_general(profile: StrategyProfile, params: ModelParams,
                       dist: BarrierDistribution, horizon: int, n_runs: int,
-                      seed: Optional[int], trace: Optional[IO[str]],
-                      trace_runs: int) -> SimStats:
+                      seed: Optional[int],
+                      trace: Optional[IO[str]]) -> SimStats:
     delta = params.delta
     discounts = delta ** np.arange(1, horizon)
     streams = np.random.SeedSequence(seed).spawn(n_runs)
@@ -403,20 +394,23 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                 vote_d = (profile.custom_eliminate_d(t, state.y, state.barrier_present)
                           if (state.barrier_present and profile.custom_eliminate_d)
                           else False)
-            probe = ActionRecord(elim_r=vote_r, offer=0.0,
-                                 response=Response.ACCEPT, elim_d=vote_d)
-            y_eff, barrier_after = resolve_elimination(state, probe, params)
+            y_eff, barrier_after = resolve_elimination(state, vote_r, vote_d,
+                                                       params)
             if state.barrier_present and not barrier_after and elim_at is None:
                 elim_at = t
             offer = profile.offer(t, y_eff, barrier_after)
-            offer = min(max(offer, 0.0), y_eff)
             accept = profile.accepts(t, y_eff, barrier_after, offer)
             actions = ActionRecord(elim_r=vote_r, offer=offer,
                                    response=Response.ACCEPT if accept else Response.REJECT,
                                    elim_d=vote_d)
             outcome = step(state, actions, params, dist, rng)
-            if outcome.war_occurred:
-                disc = delta ** (t - 1)
+            war = outcome.war_occurred
+            flow_r, flow_d = (0.0, 0.0) if war else _split_flows(y_eff, offer)
+            if trace is not None:
+                trace.write(json.dumps(_trace_record(
+                    i, t, y_eff, actions, flow_r, flow_d, war)) + "\n")
+            disc = delta ** (t - 1)
+            if war:
                 spoils = outcome.y + _war_continuation(
                     params, dist, outcome.barrier_present, horizon - t, rng,
                     discounts)
@@ -426,18 +420,10 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                 else:
                     v_r += disc * (spoils - params.c_R)
                     v_d += disc * (-params.c_D)
-                if trace is not None and i < trace_runs:
-                    trace.write(json.dumps(_trace_record(
-                        i, t, y_eff, actions, 0.0, 0.0, True)) + "\n")
                 wars += 1
                 break
-            flow_r, flow_d = _split_flows(y_eff, offer)
-            disc = delta ** (t - 1)
             v_r += disc * flow_r
             v_d += disc * flow_d
-            if trace is not None and i < trace_runs:
-                trace.write(json.dumps(_trace_record(
-                    i, t, y_eff, actions, flow_r, flow_d, False)) + "\n")
             state = outcome
         payoff_r[i] = v_r
         payoff_d[i] = v_d
@@ -458,19 +444,22 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
 
 def simulate(profile: StrategyProfile, params: ModelParams,
              dist: BarrierDistribution, horizon: int, n_runs: int,
-             seed: Optional[int] = None, trace: Optional[IO[str]] = None,
-             trace_runs: int = 1) -> SimStats:
+             seed: Optional[int] = None,
+             trace: Optional[IO[str]] = None) -> SimStats:
     """Monte Carlo estimate of discounted payoffs under a strategy profile.
 
     Invalid parameters raise InvalidParamsError.  A profile checks itself
-    when it is built, so every built-in profile is one ``equilibrium_profile``
-    would build; it must be simulated under the parameters it was built for.
-    Runs draw independent generator streams from the master seed; built-in
-    profiles take a deterministic fast path since their on-path play never
-    touches the draws.  Custom profiles step period by period, one barrier
-    draw per period the barrier stands; a run that ends in war draws its
-    whole postwar path in one call, so after the war draw its stream holds
-    every postwar barrier value first, then the renormalization coins.
+    when it is built, so a built-in profile needs no further check here; it
+    must be simulated under the parameters it was built for.  Runs draw
+    independent generator streams from the master seed; built-in profiles
+    take a deterministic fast path since their on-path play never touches
+    the draws.  Custom profiles step period by period, one barrier draw per
+    period the barrier stands; a run that ends in war draws its whole
+    postwar path in one call, so after the war draw its stream holds every
+    postwar barrier value first, then the renormalization coins.  A custom
+    offer outside [0, y] raises GameError.  ``trace`` receives one JSON line
+    per period of every custom run, runs in order, or of the one built-in
+    trajectory.
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")
@@ -482,4 +471,4 @@ def simulate(profile: StrategyProfile, params: ModelParams,
                             "parameters they were built for")
         return _simulate_onpath(profile, params, horizon, n_runs, trace)
     return _simulate_general(profile, params, dist, horizon, n_runs, seed,
-                             trace, trace_runs)
+                             trace)

@@ -12,8 +12,10 @@ that supports it: period-1 offer feasibility, the proposer's war deviation
 at the prescribed barrier state, the eliminate-then-fight deviation for the
 barrier-keeping profile, the responder's acceptance rule, and the
 stationary phase via the one-shot deviation principle.  Cross-elimination
-deviations answered by the profile's sequentially-rational opponent are
-reported as diagnostics; see the `diagnostics` field.
+deviations are reported as diagnostics (see the `diagnostics` field):
+`keep_trigger` prices keeping the barrier against the profile's war
+trigger, and only the `*_best_response` keys answer the deviation with a
+responder that accepts its cutoff.
 
 The thresholds are re-derived by bisection of period-1 gains: the
 feasibility gain for `cbar_D` (efficient path) and `clow_D`

@@ -16,7 +16,6 @@ from barriergame.engine import (
     ProfileMode,
     StrategyProfile,
     analytic_payoffs,
-    equilibrium_profile,
     simulate,
 )
 from barriergame.oracle import (
@@ -205,7 +204,7 @@ def test_criterion_6_payoff_identities():
          ProfileMode.COOPERATIVE_INEFFICIENT),
     ]
     for params, mode in cases:
-        profile = equilibrium_profile(params, mode)
+        profile = StrategyProfile(mode, params)
         dist = BarrierDistribution.degenerate(params.mu)
         stats = simulate(profile, params, dist, horizon=horizon,
                          n_runs=100, seed=0)
@@ -229,7 +228,7 @@ def test_criterion_6_payoff_identities():
     # conservation holds exactly in every simulated period, including under
     # stochastic draws with the barrier retained
     buf = io.StringIO()
-    profile = equilibrium_profile(SET_B, ProfileMode.INEFFICIENT_PEACE)
+    profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, SET_B)
     simulate(profile, SET_B, BarrierDistribution.degenerate(SET_B.mu),
              horizon=horizon, n_runs=1, seed=0, trace=buf)
     custom = StrategyProfile(
@@ -238,7 +237,7 @@ def test_criterion_6_payoff_identities():
         custom_offer=lambda t, y, b: 0.31 * y,
         custom_accept=lambda t, y, b, o: True)
     simulate(custom, SET_B, BarrierDistribution.uniform_with_mean(0.8, 0.3),
-             horizon=80, n_runs=25, seed=2, trace=buf, trace_runs=25)
+             horizon=80, n_runs=25, seed=2, trace=buf)
     conserved = all(
         rec["flow_r"] + rec["flow_d"] == rec["y"]
         for rec in map(json.loads, buf.getvalue().splitlines())
@@ -261,8 +260,8 @@ def test_criterion_7_cooperative_equivalence():
                                   elimination_mode=EliminationMode.UNILATERAL)
         coop = uni.with_overrides(
             elimination_mode=EliminationMode.COOPERATIVE)
-        p_uni = equilibrium_profile(uni, ProfileMode.INEFFICIENT_PEACE)
-        p_coop = equilibrium_profile(coop, ProfileMode.COOPERATIVE_INEFFICIENT)
+        p_uni = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, uni)
+        p_coop = StrategyProfile(ProfileMode.COOPERATIVE_INEFFICIENT, coop)
         dist = BarrierDistribution.degenerate(uni.mu)
         buf_u, buf_c = io.StringIO(), io.StringIO()
         s_u = simulate(p_uni, uni, dist, horizon=150, n_runs=3, seed=0,

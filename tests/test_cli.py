@@ -11,7 +11,7 @@ import pytest
 from barriergame import cli
 from barriergame.classifier import classify, intersection_nonempty
 from barriergame.cli import run
-from barriergame.engine import ProfileMode, equilibrium_profile, simulate
+from barriergame.engine import ProfileMode, StrategyProfile, simulate
 from barriergame.oracle import oracle_thresholds, verify_period1
 from barriergame.params import BarrierDistribution, validate
 from barriergame.presets import get_preset, list_presets
@@ -339,7 +339,7 @@ class TestSimulateCommand:
         ["--horizon", "-1"],
     ])
     def test_allocation_caps(self, capsys, monkeypatch, flags):
-        assert_no_work(monkeypatch, ("_collect_params", "equilibrium_profile",
+        assert_no_work(monkeypatch, ("_collect_params", "StrategyProfile",
                                      "simulate"))
         code = run(["simulate", "--preset", "demo-b", *flags])
         captured = capsys.readouterr()
@@ -615,7 +615,7 @@ def test_to_dict_keys_are_fields():
     """Each record's JSON object is its own fields plus the derived keys
     the README lists, and nothing else."""
     q = get_preset("demo-b").params
-    stats = simulate(equilibrium_profile(q, ProfileMode.INEFFICIENT_PEACE),
+    stats = simulate(StrategyProfile(ProfileMode.INEFFICIENT_PEACE, q),
                      q, BarrierDistribution.degenerate(q.mu), horizon=3,
                      n_runs=2)
     report = classify(q)

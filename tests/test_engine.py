@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,6 @@ from barriergame.engine import (
     StrategyProfile,
     _war_continuation,
     analytic_payoffs,
-    equilibrium_profile,
     resolve_elimination,
     simulate,
     step,
@@ -73,7 +73,7 @@ def assert_war_odds(state, actions, params, wp):
 class TestStateMachine:
     def test_elimination_sets_full_resource(self):
         state = start(make())
-        y_eff, barrier = resolve_elimination(state, accept(0.0, elim_r=True), make())
+        y_eff, barrier = resolve_elimination(state, True, None, make())
         assert y_eff == 1.0 and not barrier
 
     def test_accept_advances_with_draw(self):
@@ -131,26 +131,24 @@ class TestStateMachine:
     def test_cooperative_requires_both(self):
         params = make(elimination_mode=EliminationMode.COOPERATIVE)
         state = start(params)
-        y_eff, barrier = resolve_elimination(
-            state, accept(0.0, elim_r=False, elim_d=True), params)
+        y_eff, barrier = resolve_elimination(state, False, True, params)
         assert barrier and y_eff == 0.6
-        y_eff, barrier = resolve_elimination(
-            state, accept(0.0, elim_r=True, elim_d=True), params)
+        y_eff, barrier = resolve_elimination(state, True, True, params)
         assert not barrier and y_eff == 1.0
 
     def test_mode_vote_mismatch(self):
         state = start(make())
         with pytest.raises(GameError, match="forbids elim_d"):
-            resolve_elimination(state, accept(0.0, elim_d=True), make())
+            resolve_elimination(state, False, True, make())
         coop = make(elimination_mode=EliminationMode.COOPERATIVE)
         with pytest.raises(GameError, match="requires elim_d"):
-            resolve_elimination(start(coop), accept(0.0), coop)
+            resolve_elimination(start(coop), False, None, coop)
 
 
 class TestProfiles:
     def test_inefficient_on_path(self):
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         assert profile.prescribed_votes(1, True) == (False, None)
         assert profile.prescribed_votes(2, True) == (True, None)
         assert_close(profile.offer(1, 0.6, True), 0.26)
@@ -162,20 +160,20 @@ class TestProfiles:
 
     def test_efficient_on_path(self):
         params = make(c_D=35.0)
-        profile = equilibrium_profile(params, ProfileMode.EFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.EFFICIENT_PEACE, params)
         assert profile.prescribed_votes(1, True) == (True, None)
         assert_close(profile.offer(1, 1.0, False), 0.8)
 
     def test_off_path_trigger(self):
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         assert not profile.accepts(1, 1.0, False, 1.0)
 
     def test_refusal_names_threshold(self):
         with pytest.raises(ProfileExistenceError, match="clow_D"):
-            equilibrium_profile(make(c_D=20.0), ProfileMode.INEFFICIENT_PEACE)
+            StrategyProfile(ProfileMode.INEFFICIENT_PEACE, make(c_D=20.0))
         with pytest.raises(ProfileExistenceError, match="cbar_D"):
-            equilibrium_profile(make(c_D=30.0), ProfileMode.EFFICIENT_PEACE)
+            StrategyProfile(ProfileMode.EFFICIENT_PEACE, make(c_D=30.0))
 
     def test_joint_condition_refusal(self):
         # weak power shift, mild barrier: Clow > 0 > clow_D, so tiny joint
@@ -186,13 +184,13 @@ class TestProfiles:
         ts = compute_thresholds(params)
         assert ts.clow_D <= params.c_D < ts.Clow
         with pytest.raises(ProfileExistenceError, match="Clow"):
-            equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+            StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
 
     def test_cooperative_needs_cooperative_mode(self):
         with pytest.raises(GameError, match="cooperative"):
-            equilibrium_profile(make(), ProfileMode.COOPERATIVE_INEFFICIENT)
+            StrategyProfile(ProfileMode.COOPERATIVE_INEFFICIENT, make())
         coop = make(elimination_mode=EliminationMode.COOPERATIVE)
-        profile = equilibrium_profile(coop, ProfileMode.COOPERATIVE_INEFFICIENT)
+        profile = StrategyProfile(ProfileMode.COOPERATIVE_INEFFICIENT, coop)
         assert profile.prescribed_votes(1, True) == (False, True)
         assert profile.prescribed_votes(2, True) == (True, True)
 
@@ -200,8 +198,8 @@ class TestProfiles:
         # off path: the barrier still stands at t = 3, a kept barrier the
         # profile never prescribes, so war follows whatever is offered; the
         # offer clamps to y
-        profile = equilibrium_profile(make(c_D=25.0),
-                                      ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE,
+                                  make(c_D=25.0))
         assert profile.acceptance_cutoff(3, True) == math.inf
         assert profile.offer(3, 0.7, True) == 0.7
         assert not profile.accepts(3, 0.7, True, 0.7)
@@ -215,7 +213,7 @@ class TestProfiles:
     def test_off_path_nodes_reject_every_offer(self, params, mode):
         # on path the barrier stands after the elimination stage exactly
         # while t < elim_period; every other node is met with war
-        profile = equilibrium_profile(params, mode)
+        profile = StrategyProfile(mode, params)
         off_path = 0
         for t in (1, 2, 3):
             for barrier_after in (True, False):
@@ -261,7 +259,7 @@ class TestProfiles:
 
         monkeypatch.setattr(engine, "compute_thresholds", counted)
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         assert profile.thresholds == compute_thresholds(params)
         assert_close(profile.offer(1, 0.6, True), 0.26)
         simulate(profile, params, DIST, horizon=50, n_runs=2)
@@ -270,25 +268,38 @@ class TestProfiles:
         assert calls == [params, params]
 
 
+def raw_payoffs(params, mode):
+    """(proposer, responder) values of the raw indifference bookkeeping:
+    the unclamped offers of ``compute_thresholds``, which peg the responder
+    at its war value even where that takes a negative offer."""
+    ts = compute_thresholds(params)
+    delta = params.delta
+    if mode is ProfileMode.EFFICIENT_PEACE:
+        y1, x1 = 1.0, ts.offer1_efficient
+    else:
+        y1, x1 = params.h0, ts.offer1_inefficient
+    xs = ts.offer_stationary
+    return ((y1 - x1) + delta * (1.0 - xs) / (1.0 - delta),
+            x1 + delta * xs / (1.0 - delta))
+
+
 class TestAnalyticPayoffs:
     def test_raw_values_demo(self):
-        v_r, v_d = analytic_payoffs(make(c_D=25.0),
-                                    ProfileMode.INEFFICIENT_PEACE, clamped=False)
+        v_r, v_d = raw_payoffs(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
         assert_close(v_r, 0.6 * 0.3 + 9.0 * (1.0 - 0.56) + 25.0, 1e-9)
         assert_close(v_d, 0.7 * 0.6 + 9.0 * 0.7 * 0.8 - 25.0, 1e-9)
 
     def test_raw_responder_at_war_value(self):
         params = make(c_D=25.0)
-        _, v_d = analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE,
-                                  clamped=False)
+        _, v_d = raw_payoffs(params, ProfileMode.INEFFICIENT_PEACE)
         war_d = war_lottery(params, 1, True, params.h0)[1] - params.c_D
         assert_close(v_d, war_d, 1e-9)
 
     @pytest.mark.parametrize("clamped", [True, False])
     def test_full_surplus_split(self, clamped):
         params = make(c_D=25.0)
-        v_r, v_d = analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE,
-                                    clamped=clamped)
+        price = analytic_payoffs if clamped else raw_payoffs
+        v_r, v_d = price(params, ProfileMode.INEFFICIENT_PEACE)
         total = params.h0 + params.delta / (1.0 - params.delta)
         assert_close(v_r + v_d, total, 1e-9)
 
@@ -311,9 +322,9 @@ class TestAnalyticPayoffs:
     ])
     def test_mode_rules_as_equilibrium_profile(self, params, mode):
         # no price for a profile that cannot be built: the same GameError
-        # text as equilibrium_profile
+        # text as StrategyProfile(mode, params)
         with pytest.raises(GameError) as built:
-            equilibrium_profile(params, mode)
+            StrategyProfile(mode, params)
         with pytest.raises(GameError) as priced:
             analytic_payoffs(params, mode)
         assert type(priced.value) is type(built.value) is GameError
@@ -330,7 +341,10 @@ class TestAnalyticPayoffs:
         (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE, False, (38.0, -28.0)),
     ])
     def test_legal_modes_unchanged(self, params, mode, clamped, want):
-        assert analytic_payoffs(params, mode, clamped=clamped) == want
+        # the clamped rows are analytic_payoffs, the raw rows the unclamped
+        # ThresholdSet offers priced the same way
+        price = analytic_payoffs if clamped else raw_payoffs
+        assert price(params, mode) == want
 
 
 def always_war(params):
@@ -344,7 +358,7 @@ def always_war(params):
 class TestSimulate:
     def test_matches_analytic_degenerate(self):
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         stats = simulate(profile, params, DIST, horizon=400, n_runs=10, seed=0)
         v_r, v_d = analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE)
         tail = stats.tail_bound
@@ -355,7 +369,7 @@ class TestSimulate:
 
     def test_efficient_eliminates_immediately(self):
         params = make(c_D=35.0)
-        profile = equilibrium_profile(params, ProfileMode.EFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.EFFICIENT_PEACE, params)
         stats = simulate(profile, params, DIST, horizon=300, n_runs=5, seed=0)
         assert stats.elimination_periods == {1: 1.0}
         v_r, v_d = analytic_payoffs(params, ProfileMode.EFFICIENT_PEACE)
@@ -364,7 +378,7 @@ class TestSimulate:
 
     def test_distribution_choice_does_not_move_onpath_payoffs(self):
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         results = []
         for dist in (BarrierDistribution.degenerate(0.8),
                      BarrierDistribution.uniform_with_mean(0.8, 0.3),
@@ -376,7 +390,7 @@ class TestSimulate:
 
     def test_trace_records_conservation(self):
         params = make(c_D=25.0)
-        profile = equilibrium_profile(params, ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         buf = io.StringIO()
         simulate(profile, params, DIST, horizon=50, n_runs=1, seed=0, trace=buf)
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -446,7 +460,7 @@ class TestSimulate:
         buf = io.StringIO()
         dist = BarrierDistribution.uniform_with_mean(0.8, 0.3)
         stats = simulate(profile, params, dist, horizon=40, n_runs=30, seed=9,
-                         trace=buf, trace_runs=30)
+                         trace=buf)
         assert stats.war_frequency == 0.0
         assert stats.elimination_periods == {4: 1.0}
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -470,13 +484,28 @@ class TestSimulate:
         stats = simulate(both, params, DIST, horizon=6, n_runs=2, seed=3,
                          trace=buf)
         assert stats.elimination_periods == {4: 1.0}
+        # one record per period of each run, runs in order
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert [r["elim_d"] for r in records] == [False, False, False, True,
-                                                  False, False]
-        assert [r["y"] for r in records] == [0.6, 0.8, 0.8, 1.0, 1.0, 1.0]
+        assert [(r["run"], r["period"]) for r in records] == [
+            (run, t) for run in (0, 1) for t in range(1, 7)]
+        assert [r["elim_d"] for r in records] == 2 * [False, False, False,
+                                                      True, False, False]
+        assert [r["y"] for r in records] == 2 * [0.6, 0.8, 0.8, 1.0, 1.0, 1.0]
         alone = StrategyProfile(mode=ProfileMode.CUSTOM, params=params, **votes)
         stats = simulate(alone, params, DIST, horizon=6, n_runs=2, seed=3)
         assert stats.elimination_periods == {None: 1.0}
+
+    @pytest.mark.parametrize("offer", [5.0, -0.1, math.nan])
+    def test_custom_offer_outside_range_refused(self, offer):
+        # step is the one check of a legal offer: a custom offer outside
+        # [0, y] is refused, not moved into range (demo-b: y = h0 = 0.6)
+        params = make(c_D=25.0)
+        profile = StrategyProfile(
+            mode=ProfileMode.CUSTOM, params=params,
+            custom_offer=lambda t, y, b: offer,
+            custom_accept=lambda t, y, b, o: True)
+        with pytest.raises(GameError, match=re.escape("outside [0, 0.6]")):
+            simulate(profile, params, DIST, horizon=5, n_runs=2, seed=0)
 
     def test_war_period_traced(self):
         params = make(c_D=25.0)
@@ -484,15 +513,15 @@ class TestSimulate:
         stats = simulate(always_war(params), params, DIST, horizon=20,
                          n_runs=3, seed=5, trace=buf)
         assert stats.war_frequency == 1.0
-        # one war record, for the first run only
+        # one war record per run, runs in order
         assert [json.loads(line) for line in buf.getvalue().splitlines()] == [{
-            "run": 0, "period": 1, "y": 0.6, "elim_r": False, "elim_d": None,
+            "run": run, "period": 1, "y": 0.6, "elim_r": False, "elim_d": None,
             "offer": 0.0, "response": "Reject", "flow_r": 0.0, "flow_d": 0.0,
-            "war": True}]
+            "war": True} for run in range(3)]
 
     def test_profile_params_must_match(self):
-        profile = equilibrium_profile(make(c_D=25.0),
-                                      ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE,
+                                  make(c_D=25.0))
         with pytest.raises(GameError, match="built for"):
             simulate(profile, make(c_D=26.0), DIST, horizon=10, n_runs=1)
 
@@ -507,25 +536,21 @@ class TestSimulate:
         (make(p1=0.1), ProfileMode.INEFFICIENT_PEACE),
     ])
     def test_refuses_what_equilibrium_profile_refuses(self, params, mode):
-        # a hand-built profile gets no run and no price where
-        # equilibrium_profile would refuse it, with the same error type and
-        # text: under joint consent the efficient profile's barrier would
-        # never fall
+        # a built-in profile that cannot be played is refused where it is
+        # built, so simulate never gets it, and gets no price, with the same
+        # error type and text: under joint consent the efficient profile's
+        # barrier would never fall
         refusals = (GameError, InvalidParamsError)
         with pytest.raises(refusals) as built:
-            equilibrium_profile(params, mode)
-        for refuse in (
-                lambda: analytic_payoffs(params, mode),
-                lambda: simulate(StrategyProfile(mode=mode, params=params),
-                                 params, DIST, horizon=10, n_runs=1)):
-            with pytest.raises(refusals) as got:
-                refuse()
-            assert type(got.value) is type(built.value)
-            assert str(got.value) == str(built.value)
+            StrategyProfile(mode, params)
+        with pytest.raises(refusals) as priced:
+            analytic_payoffs(params, mode)
+        assert type(priced.value) is type(built.value)
+        assert str(priced.value) == str(built.value)
 
     def test_bad_sizes(self):
-        profile = equilibrium_profile(make(c_D=25.0),
-                                      ProfileMode.INEFFICIENT_PEACE)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE,
+                                  make(c_D=25.0))
         with pytest.raises(ValueError):
             simulate(profile, make(c_D=25.0), DIST, horizon=0, n_runs=1)
 
@@ -641,7 +666,7 @@ class TestPeaceStreams:
             custom_accept=lambda t, y, b, o: True)
         buf = io.StringIO()
         stats = simulate(profile, params, dist, horizon=30, n_runs=25,
-                         seed=2024, trace=buf, trace_runs=25)
+                         seed=2024, trace=buf)
         want_stats, want_sha = self.PINNED[dist.kind.value]
         assert stats.to_dict() == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
@@ -729,7 +754,7 @@ class TestOnPathStreams:
     @pytest.mark.parametrize("name", list(PINNED))
     def test_onpath_stream_pinned(self, name):
         params, mode = self.CASES[name]
-        profile = equilibrium_profile(params, mode)
+        profile = StrategyProfile(mode, params)
         buf = io.StringIO()
         stats = simulate(profile, params, DIST, horizon=30, n_runs=7, seed=5,
                          trace=buf)
@@ -813,7 +838,7 @@ class TestOnPathReference:
         cases += [(low, ProfileMode.INEFFICIENT_PEACE),
                   (high, ProfileMode.INEFFICIENT_PEACE)]
         for params, mode in cases:
-            profile = equilibrium_profile(params, mode)
+            profile = StrategyProfile(mode, params)
             dist = BarrierDistribution.degenerate(params.mu)
             for horizon in self.HORIZONS:
                 got, want = io.StringIO(), io.StringIO()
@@ -829,7 +854,7 @@ class TestOnPathReference:
                                       "demo-b-cooperative"])
     def test_profile_evaluated_only_until_stationary(self, name, monkeypatch):
         params, mode = TestOnPathStreams.CASES[name]
-        profile = equilibrium_profile(params, mode)
+        profile = StrategyProfile(mode, params)
         calls = []
         offer = StrategyProfile.offer
 
@@ -847,8 +872,8 @@ class TestCooperativeEquivalence:
     def test_on_path_equal(self):
         uni = make(c_D=25.0)
         coop = make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE)
-        p_uni = equilibrium_profile(uni, ProfileMode.INEFFICIENT_PEACE)
-        p_coop = equilibrium_profile(coop, ProfileMode.COOPERATIVE_INEFFICIENT)
+        p_uni = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, uni)
+        p_coop = StrategyProfile(ProfileMode.COOPERATIVE_INEFFICIENT, coop)
         buf_u, buf_c = io.StringIO(), io.StringIO()
         s_uni = simulate(p_uni, uni, DIST, horizon=200, n_runs=3, seed=1,
                          trace=buf_u)
@@ -899,11 +924,11 @@ class TestOffPathRule:
     @pytest.mark.parametrize("name", list(CASES))
     def test_flipped_vote_meets_priced_war(self, name):
         params, mode = self.CASES[name]
-        profile = replayed(equilibrium_profile(params, mode), flip_period=1)
+        profile = replayed(StrategyProfile(mode, params), flip_period=1)
         buf = io.StringIO()
         n_runs = 4000
         stats = simulate(profile, params, self.DIST, self.HORIZON, n_runs,
-                         seed=16, trace=buf, trace_runs=n_runs)
+                         seed=16, trace=buf)
         assert stats.war_frequency == 1.0
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert len(records) == n_runs
@@ -914,14 +939,14 @@ class TestOffPathRule:
         gain = (report.diagnostics["keep_trigger"]
                 if mode is ProfileMode.EFFICIENT_PEACE
                 else report.gains["eliminate_then_war"])
-        war_r = gain + analytic_payoffs(params, mode, clamped=False)[0]
+        war_r = gain + raw_payoffs(params, mode)[0]
         assert abs(stats.payoff_r_mean - war_r) <= \
             4.0 * stats.payoff_r_se + stats.tail_bound
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_replayed_profile_stays_at_peace(self, name):
         params, mode = self.CASES[name]
-        builtin = equilibrium_profile(params, mode)
+        builtin = StrategyProfile(mode, params)
         got = simulate(replayed(builtin), params, self.DIST, self.HORIZON,
                        n_runs=20, seed=16)
         want = simulate(builtin, params, self.DIST, self.HORIZON, n_runs=20)

@@ -12,7 +12,6 @@ from barriergame.engine import (
     ProfileMode,
     StrategyProfile,
     analytic_payoffs,
-    equilibrium_profile,
     simulate,
 )
 from barriergame.params import (
@@ -42,8 +41,8 @@ def simulate_at(q):
 
 
 ENTRY_POINTS = {
-    "equilibrium_profile": lambda q: equilibrium_profile(
-        q, ProfileMode.INEFFICIENT_PEACE),
+    "StrategyProfile": lambda q: StrategyProfile(
+        ProfileMode.INEFFICIENT_PEACE, q),
     "simulate": simulate_at,
     "analytic_payoffs": lambda q: analytic_payoffs(
         q, ProfileMode.INEFFICIENT_PEACE),
@@ -68,14 +67,14 @@ def test_overflowing_margins_refused_like_classify(mode):
     q = DEMO.with_overrides(c_R=1.7e308, c_D=1.7e308)
     with pytest.raises(InvalidParamsError) as want:
         classify(q)
-    for refuse in (lambda: equilibrium_profile(q, mode),
+    for refuse in (lambda: StrategyProfile(mode, q),
                    lambda: analytic_payoffs(q, mode)):
         with pytest.raises(InvalidParamsError) as got:
             refuse()
         assert got.value.violations == want.value.violations
     with pytest.raises(InvalidParamsError) as got:
-        # a built-in profile constructed directly, bypassing
-        # equilibrium_profile, is refused where it is built
+        # a built-in profile is refused where it is built, before simulate
+        # sees it
         simulate(StrategyProfile(mode=mode, params=q), q,
                  BarrierDistribution.degenerate(q.mu), horizon=5, n_runs=1)
     assert got.value.violations == want.value.violations
@@ -90,7 +89,7 @@ def test_invalid_params_error_defined_once():
 
 def builds(q, mode):
     try:
-        equilibrium_profile(q, mode)
+        StrategyProfile(mode, q)
     except ProfileExistenceError:
         return False
     return True
