@@ -212,10 +212,7 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"--values expects a comma list of numbers, got {args.values!r}")
     if not values:
         raise CliError("--values is empty")
-    try:
-        reports = comparative_static(params, args.knob, values)
-    except ValueError as e:
-        raise CliError(str(e))
+    reports = comparative_static(params, args.knob, values)
     header = (f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
               f"efficient,inefficient,war")
     lines = [header]

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, IO, Optional
 
-import numpy as np
-
 from .classifier import EquilibriumReport, Margins
 from .params import (
     BarrierDistribution,
@@ -365,7 +363,8 @@ def _war_continuation(params: ModelParams, dist: BarrierDistribution,
     flows = dist.sample(rng, periods_left)
     if params.rho > 0.0:
         landed = rng.random(periods_left) < params.rho
-        flows[np.logical_or.accumulate(landed)] = 1.0
+        if landed.any():
+            flows[landed.argmax():] = 1.0
     return float(flows @ discounts[:periods_left])
 
 
@@ -373,6 +372,7 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                       dist: BarrierDistribution, horizon: int, n_runs: int,
                       seed: Optional[int],
                       trace: Optional[IO[str]]) -> SimStats:
+    import numpy as np
     delta = params.delta
     discounts = delta ** np.arange(1, horizon)
     streams = np.random.SeedSequence(seed).spawn(n_runs)

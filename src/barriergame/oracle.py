@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import engine
 from .engine import ProfileMode
 from .params import (InvalidParamsError, ModelParams, lanes, require_valid,
@@ -335,6 +333,7 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
     quantity moves with the bisected point; it widens the monotonicity
     probe past the band where rounding alone can flip the predicate.
     """
+    import numpy as np
     lo = np.full(n, -1.0)
     hi = np.full(n, 1.0)
     has_hi = np.zeros(n, dtype=bool)
@@ -426,6 +425,7 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
     point, each equal to oracle_thresholds at that point.  Raises
     InvalidParamsError if any point is invalid.
     """
+    import numpy as np
     for q in points:
         require_valid(q)
     n = len(points)
@@ -464,6 +464,7 @@ def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
     at random valid parameter points; pairs with AGREEMENT_CSV_HEADER.
     All points are sampled first and bisected as one batch."""
     # local import: the closed forms stay out of the verification machinery
+    import numpy as np
     from .thresholds import compute_thresholds
 
     rng = np.random.default_rng(seed)

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 
 class EliminationMode(enum.Enum):
     UNILATERAL = "Unilateral"
@@ -88,6 +86,7 @@ class ValidationResult:
 def lanes(points: Sequence[ModelParams]) -> ModelParams:
     """One ModelParams whose numeric fields are arrays, a lane per point;
     the one way to build an array-lane ModelParams."""
+    import numpy as np
     return ModelParams(**{
         f.name: np.array([getattr(q, f.name) for q in points], dtype=float)
         for f in fields(ModelParams) if f.name != "elimination_mode"})
@@ -211,6 +210,7 @@ class BarrierDistribution:
             # point mass: draws are bit-identical to the mean
             if size is None:
                 return self.a
+            import numpy as np
             return np.full(size, self.a)
         if self.kind is DistributionKind.UNIFORM:
             return rng.uniform(self.a, self.b, size)

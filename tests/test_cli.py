@@ -12,7 +12,8 @@ from barriergame import cli
 from barriergame.classifier import classify, intersection_nonempty
 from barriergame.cli import run
 from barriergame.engine import ProfileMode, StrategyProfile, simulate
-from barriergame.oracle import oracle_thresholds, verify_period1
+from barriergame.oracle import (AGREEMENT_CSV_HEADER, oracle_thresholds,
+                               verify_period1)
 from barriergame.params import BarrierDistribution, validate
 from barriergame.presets import get_preset, list_presets
 
@@ -195,8 +196,10 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert strict_json(captured.err)["error"].startswith(
-            "finite margins required")
+        error = strict_json(captured.err)
+        assert error["error"] == "invalid parameters"
+        assert error["detail"] == ["finite margins required, got "
+                                   "efficient=1.7e+308, cd=1.7e+308, joint=inf"]
 
     def test_unknown_knob_rejected(self, capsys):
         code = run(["sweep", "--preset", "demo-b", "--knob", "mu",
@@ -397,7 +400,9 @@ class TestSimulateCommand:
                     "--values", "0.3,1.0"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "theta below floor" in json.loads(captured.err)["error"]
+        error = json.loads(captured.err)
+        assert error["error"] == "invalid parameters"
+        assert any("theta below floor" in v for v in error["detail"])
 
 
 class TestVerifyCommand:
@@ -521,8 +526,8 @@ INVALID_PARAM_STDERR = [
      'got nan"]}\n'),
     (["sweep", "--p1", "0.1", "--knob", "mu", "--values", "0.5"], _P1_DETAIL),
     (["sweep", "--knob", "p", "--values", "0.2,0.95"],
-     '{"error": "p1 > p required (declining power), got p1=0.7, '
-     'p=0.95"}\n'),
+     '{"error": "invalid parameters", "detail": ["p1 > p required '
+     '(declining power), got p1=0.7, p=0.95"]}\n'),
     (["figure", "regions", "--p1", "0.1", "-o", "x.svg"], _P1_DETAIL),
     (["figure", "mu-shift", "--values", "0.5,0", "-o", "x.svg",
       "--resolution", "2"],
@@ -594,21 +599,88 @@ def test_stdout_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
-def test_module_entry_point_pinned():
-    # python -m runs cli.main in a fresh interpreter, with dev-mode checks
-    # on and every warning an error; its stdout is the pinned classify bytes
-    argv = "classify --preset demo-b"
+def fresh_python(*args):
+    """Run a fresh interpreter on this checkout's src, with dev-mode checks
+    on and every warning an error."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "barriergame.cli",
-         *argv.split()],
+        [sys.executable, "-X", "dev", "-W", "error", *args],
         capture_output=True, env={**os.environ, "PYTHONPATH": path},
         timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == b""
-    assert hashlib.sha256(done.stdout).hexdigest() == dict(STDOUT_SHA256)[argv]
+    return done.stdout
+
+
+def test_module_entry_point_pinned():
+    # python -m runs cli.main; its stdout is the pinned classify bytes
+    argv = "classify --preset demo-b"
+    out = fresh_python("-m", "barriergame.cli", *argv.split())
+    assert hashlib.sha256(out).hexdigest() == dict(STDOUT_SHA256)[argv]
+
+
+# runs each argv of sys.argv[1:] through cli.run in one interpreter and
+# prints whether numpy was loaded after the import and after each command,
+# with each command's exit status and stdout digest
+_NUMPY_PROBE = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from barriergame import cli
+seen = [["import barriergame.cli", "numpy" in sys.modules]]
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(argv.split())
+    text = out.getvalue()
+    seen.append([argv, "numpy" in sys.modules, code,
+                 hashlib.sha256(text.encode()).hexdigest()])
+print(json.dumps(seen))
+"""
+
+
+def numpy_probe(*argvs):
+    return json.loads(fresh_python("-c", _NUMPY_PROBE, *argvs))
+
+
+def test_scalar_commands_do_not_import_numpy():
+    # every pinned command computes on plain floats, so neither the import
+    # nor any of these runs loads numpy, and each stdout keeps its pin
+    (_, after_import), *runs = numpy_probe(*dict(STDOUT_SHA256))
+    assert after_import is False
+    assert [argv for argv, *_ in runs] == list(dict(STDOUT_SHA256))
+    for argv, loaded, code, digest in runs:
+        assert (loaded, code) == (False, 0), argv
+        assert digest == dict(STDOUT_SHA256)[argv], argv
+
+
+def test_array_paths_import_numpy(capsys):
+    # the lockstep agreement batch builds arrays: numpy loads when it runs,
+    # and the fresh run prints what an in-process run prints
+    argv = "verify --preset demo-b --agreement 3 --seed 5"
+    _, (_, loaded, code, digest) = numpy_probe(argv)
+    assert (loaded, code) == (True, 0)
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert out.split(AGREEMENT_CSV_HEADER + "\n")[1].count("\n") == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # so does a custom profile's run, which draws from a numpy Generator
+    out = fresh_python("-c", """
+import json, sys
+from barriergame.engine import ProfileMode, StrategyProfile, simulate
+from barriergame.params import BarrierDistribution
+from barriergame.presets import get_preset
+q = get_preset("demo-b").params
+before = "numpy" in sys.modules
+profile = StrategyProfile(mode=ProfileMode.CUSTOM, params=q,
+                          custom_offer=lambda t, y, b: 0.0,
+                          custom_accept=lambda t, y, b, o: t < 3)
+stats = simulate(profile, q, BarrierDistribution.uniform_with_mean(q.mu, 0.1),
+                 horizon=10, n_runs=4, seed=1)
+print(json.dumps([before, "numpy" in sys.modules, stats.war_frequency]))
+""")
+    assert json.loads(out) == [False, True, 1.0]
 
 
 def test_to_dict_keys_are_fields():

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -397,8 +398,8 @@ class TestLockstepBatch:
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
         if entry == "single":
-            # the float path calls no numpy function
-            monkeypatch.setattr(oracle, "np", None)
+            # the float path imports no numpy: any import of it raises
+            monkeypatch.setitem(sys.modules, "numpy", None)
             bisect = oracle._bisect_up
             monkeypatch.setattr(
                 oracle, "_bisect_up",
