@@ -14,9 +14,6 @@ from .thresholds import (
     ThresholdSet,
     compute_thresholds,
     effective_mu,
-    efficient_peace_threshold,
-    inefficient_cd_threshold,
-    inefficient_joint_threshold,
     theta_floor,
 )
 from .classifier import (

@@ -176,6 +176,17 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_values(text: str) -> list[float]:
+    """A --values comma list; blank entries are skipped, an empty list refused."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise CliError(f"--values expects a comma list of numbers, got {text!r}")
+    if not values:
+        raise CliError("--values is empty")
+    return values
+
+
 def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistribution:
     kind = args.dist
     if kind == "degenerate":
@@ -206,12 +217,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _collect_params(args)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise CliError(f"--values expects a comma list of numbers, got {args.values!r}")
-    if not values:
-        raise CliError("--values is empty")
+    values = _parse_values(args.values)
     reports = comparative_static(params, args.knob, values)
     header = (f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
               f"efficient,inefficient,war")
@@ -247,16 +253,13 @@ def _cmd_figure(args) -> int:
     params = _collect_params(args)
     knob, default_values, title = _FIGURES[args.figure_id]
     if knob is None:
+        if args.values is not None:
+            raise CliError("--values applies to the shift figures, not regions")
         panels = [("base", region_grid(params, cr_range, cd_range,
                                        args.resolution))]
     else:
-        if args.values:
-            try:
-                values = tuple(float(v) for v in args.values.split(","))
-            except ValueError:
-                raise CliError(f"--values expects numbers, got {args.values!r}")
-        else:
-            values = default_values
+        values = (default_values if args.values is None
+                  else _parse_values(args.values))
         panels = [(f"{knob} = {format(v, '.6g')}",
                    region_grid(params.with_overrides(**{knob: v}), cr_range,
                                cd_range, args.resolution))

@@ -25,7 +25,7 @@ from .params import (
     require_mean_matches,
     require_valid,
 )
-from .thresholds import ThresholdSet, compute_thresholds, effective_mu
+from .thresholds import ThresholdSet, compute_thresholds
 
 
 class Response(enum.Enum):
@@ -71,23 +71,16 @@ def win_prob_d(params: ModelParams, t: int, barrier_present: bool) -> float:
     return params.theta * base if barrier_present else base
 
 
-def pie_present_value(params: ModelParams, y: float, barrier_present: bool,
-                      postwar_mean: Optional[float] = None) -> float:
-    """Expected present value of the full resource stream captured by a war
-    winner: the current realized resource plus the discounted future flow."""
-    delta = params.delta
-    if barrier_present:
-        m = effective_mu(params) if postwar_mean is None else postwar_mean
-        return y + delta * m / (1.0 - delta)
-    return y + delta / (1.0 - delta)
-
-
 def war_lottery(params: ModelParams, t: int, barrier_present: bool, y: float,
-                postwar_mean: Optional[float] = None) -> tuple[float, float]:
+                postwar_mean: float) -> tuple[float, float]:
     """(proposer, responder) expected shares of the war prize at the given
-    node, before either side pays its cost of war."""
+    node, before either side pays its cost of war.  The prize is the current
+    resource y plus the discounted future flow, whose mean is postwar_mean
+    while the barrier stands and 1 once it is gone."""
+    delta = params.delta
+    flow = postwar_mean if barrier_present else 1.0
     wp = win_prob_d(params, t, barrier_present)
-    pie = pie_present_value(params, y, barrier_present, postwar_mean)
+    pie = y + delta * flow / (1.0 - delta)
     return (1.0 - wp) * pie, wp * pie
 
 

@@ -172,7 +172,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # responder's stationary one-shot check, against the gross war
     # lotteries once the barrier is gone and power has shifted
     x_stat = v_d2 - delta * v_d2
-    stat_r, stat_d = engine.war_lottery(q, 2, False, 1.0)
+    stat_r, stat_d = engine.war_lottery(q, 2, False, 1.0, m)
     gains["responder_stationary"] = (stat_d - q.c_D) - (x_stat + delta * v_d2)
 
     # proposer's offer deviations at the prescribed elimination state.  An

@@ -73,8 +73,12 @@ class ModelParams:
             except ValueError:
                 raise ValueError(f"elimination_mode must be one of "
                                  f"{[m.value for m in EliminationMode]}, got {mode!r}")
-        return cls(elimination_mode=em, **{k: float(v) for k, v in data.items()
-                                           if k != "elimination_mode"})
+        values = {k: v for k, v in data.items() if k != "elimination_mode"}
+        for k, v in values.items():
+            # JSON numbers only: bool is an int subclass; "25" and null are not
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{k} must be a number, got {v!r}")
+        return cls(elimination_mode=em, **{k: float(v) for k, v in values.items()})
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,9 @@ class BarrierDistribution:
 
     @classmethod
     def scaled_beta(cls, alpha: float, beta: float) -> "BarrierDistribution":
-        if alpha <= 0.0 or beta <= 0.0:
-            raise ValueError(f"beta shape parameters must be positive, "
-                             f"got alpha={alpha}, beta={beta}")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ValueError(f"beta shape parameters must be positive and "
+                             f"finite, got alpha={alpha}, beta={beta}")
         return cls(DistributionKind.SCALED_BETA, alpha, beta)
 
     @classmethod
@@ -229,7 +233,7 @@ MEAN_MATCH_TOL = 1e-12
 
 def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None:
     """Simulation entry points require the distribution mean to equal mu."""
-    if abs(dist.mean - params.mu) > MEAN_MATCH_TOL:
+    if not abs(dist.mean - params.mu) <= MEAN_MATCH_TOL:
         raise ValueError(
             f"distribution mean {dist.mean} does not match mu={params.mu} "
             f"within {MEAN_MATCH_TOL}")

@@ -1,9 +1,10 @@
 """Closed-form equilibrium thresholds and indifference offers.
 
-Every formula is a pure function of ModelParams.  The postwar-renormalization
-extension enters through :func:`effective_mu`, which substitutes for the raw
-barrier mean in every war-payoff expression; the power-modification extension
-enters through theta.  When both are active the substitution composes, and
+:func:`compute_thresholds` evaluates every formula, a pure function of
+ModelParams, and the fields of the :class:`ThresholdSet` it returns are the
+threshold API.  The postwar-renormalization extension enters through
+:func:`effective_mu`, which substitutes for the raw barrier mean in every
+war-payoff expression; the power-modification extension enters through theta.  When both are active the substitution composes, and
 the result set is labeled ``extension: composed``.
 """
 from __future__ import annotations
@@ -28,32 +29,6 @@ def effective_mu(params: ModelParams) -> float:
     return ((1.0 - rho) * (1.0 - delta) * mu + rho) / (1.0 - (1.0 - rho) * delta)
 
 
-def efficient_peace_threshold(params: ModelParams) -> float:
-    """Responder war cost above which peace with the barrier removed in
-    period 1 is sustainable.  Does not depend on mu, h0, rho, or theta."""
-    delta, p, p1 = params.delta, params.p, params.p1
-    return ((p1 - delta * p) / (1.0 - delta) - 1.0) / (1.0 - delta)
-
-
-def inefficient_cd_threshold(params: ModelParams) -> float:
-    """Responder war cost above which the period-1 appeasement offer fits
-    inside the barrier-reduced resource."""
-    delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
-    m = effective_mu(params)
-    return (delta / (1.0 - delta) * (m * (theta * p1) - p)
-            - (1.0 - theta * p1) * h0) / (1.0 - delta)
-
-
-def inefficient_joint_threshold(params: ModelParams) -> float:
-    """Joint war cost below which the proposer prefers removing the barrier
-    and fighting over keeping it and appeasing."""
-    delta, p1, h0, theta = params.delta, params.p1, params.h0, params.theta
-    m = effective_mu(params)
-    return (1.0 - p1
-            - ((1.0 - delta) * h0 * (1.0 - theta * p1)
-               + delta * (1.0 - m * (theta * p1)))) / (1.0 - delta)
-
-
 def theta_floor(params: ModelParams) -> float:
     """Floor on theta; -inf when mu * p == 0 (any positive theta admissible)."""
     return _power_floor(params.mu, params.p)
@@ -72,10 +47,10 @@ class ThresholdSet:
     what an executable strategy can actually offer.
     """
 
-    cbar_D: float
-    clow_D: float
-    Clow: float
-    postwar_mean: float
+    cbar_D: float   # c_D above which barrier-free peace holds; reads no m
+    clow_D: float   # c_D above which the appeasement offer fits inside h0
+    Clow: float     # c_R + c_D below which eliminate-and-fight beats appeasing
+    postwar_mean: float     # m = effective_mu, read by every war payoff
     theta_floor: float
     offer1_efficient: float
     offer1_inefficient: float
@@ -104,18 +79,24 @@ def extension_label(params: ModelParams) -> str:
 
 
 def compute_thresholds(params: ModelParams) -> ThresholdSet:
+    """The one evaluator of the closed forms, all from one postwar mean m."""
     delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
     c_D = params.c_D
     m = effective_mu(params)
-    x1_eff = (p1 - delta * p) / (1.0 - delta) - (1.0 - delta) * c_D
-    x1_inef = (theta * p1) * h0 - (1.0 - delta) * c_D \
-        + delta / (1.0 - delta) * (m * (theta * p1) - p)
+    tp1 = theta * p1
+    # shared with the offers: the efficient offer at c_D = 0, and the
+    # barrier-keeping offer's postwar war share at m less the stationary p
+    free1 = (p1 - delta * p) / (1.0 - delta)
+    kept_rent = delta / (1.0 - delta) * (m * tp1 - p)
+    x1_eff = free1 - (1.0 - delta) * c_D
+    x1_inef = tp1 * h0 - (1.0 - delta) * c_D + kept_rent
     x_stat = p - (1.0 - delta) * c_D
     # positional, in ThresholdSet field order
     return ThresholdSet(
-        efficient_peace_threshold(params),
-        inefficient_cd_threshold(params),
-        inefficient_joint_threshold(params),
+        (free1 - 1.0) / (1.0 - delta),
+        (kept_rent - (1.0 - tp1) * h0) / (1.0 - delta),
+        (1.0 - p1 - ((1.0 - delta) * h0 * (1.0 - tp1)
+                     + delta * (1.0 - m * tp1))) / (1.0 - delta),
         m,
         theta_floor(params),
         x1_eff, x1_inef, x_stat,

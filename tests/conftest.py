@@ -22,8 +22,8 @@ def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
 
 
 def inefficient_joint_threshold_compact(params: ModelParams) -> float:
-    """Algebraic twin of ``thresholds.inefficient_joint_threshold`` in
-    product form.  Valid at theta = 1 only; an independent transcription
+    """Algebraic twin of ``compute_thresholds(params).Clow`` in product
+    form.  Valid at theta = 1 only; an independent transcription
     guard for the closed form."""
     delta, p1, h0 = params.delta, params.p1, params.h0
     m = effective_mu(params)

@@ -28,9 +28,6 @@ from barriergame.cli import run
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
-    efficient_peace_threshold,
-    inefficient_cd_threshold,
-    inefficient_joint_threshold,
 )
 from conftest import inefficient_joint_threshold_compact, random_valid_params
 
@@ -114,7 +111,7 @@ def test_criterion_3_twin_identity():
     worst = 0.0
     for _ in range(n_points):
         params = random_valid_params(rng).with_overrides(theta=1.0, rho=0.0)
-        a = inefficient_joint_threshold(params)
+        a = compute_thresholds(params).Clow
         b = inefficient_joint_threshold_compact(params)
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
         worst = max(worst, rel)
@@ -133,10 +130,11 @@ def test_criterion_4_reduction_and_endpoints():
         base_cd = (d / (1.0 - d) * (mu * p1 - p) - (1.0 - p1) * h0) / (1.0 - d)
         base_joint = (1.0 - p1 - ((1.0 - d) * h0 * (1.0 - p1)
                                   + d * (1.0 - mu * p1))) / (1.0 - d)
-        if inefficient_cd_threshold(params) != base_cd:
+        ts = compute_thresholds(params)
+        if ts.clow_D != base_cd:
             ok = False
             details.append("clow_D not bitwise-baseline at theta=1")
-        if inefficient_joint_threshold(params) != base_joint:
+        if ts.Clow != base_joint:
             ok = False
             details.append("Clow not bitwise-baseline at theta=1")
         if effective_mu(params.with_overrides(rho=0.0)) != params.mu:
@@ -145,12 +143,12 @@ def test_criterion_4_reduction_and_endpoints():
         if effective_mu(params.with_overrides(rho=1.0)) != 1.0:
             ok = False
             details.append("effective_mu(rho=1) != 1")
-        cbar = efficient_peace_threshold(params)
+        cbar = ts.cbar_D
         for kw in ({"mu": rng.uniform(0.3, 1.0)},
                    {"h0": rng.uniform(0.05, 0.95)},
                    {"rho": rng.uniform(0.0, 1.0)},
                    {"theta": 1.0 + rng.uniform(0.0, 1.0 / params.p1 - 1.0)}):
-            if efficient_peace_threshold(params.with_overrides(**kw)) != cbar:
+            if compute_thresholds(params.with_overrides(**kw)).cbar_D != cbar:
                 ok = False
                 details.append(f"cbar_D moved under {kw}")
     _report(4, "theta/rho reductions and endpoint identities are exact",
@@ -170,19 +168,21 @@ def test_criterion_5_monotonicity():
         mus = np.linspace(0.3, 1.0, 100)
         ps = np.linspace(0.02, base.p1 - 0.02, 100)
 
-        def series(knob, values, fn):
-            return [fn(base.with_overrides(**{knob: float(v)})) for v in values]
+        def series(knob, values, name):
+            return [getattr(compute_thresholds(
+                        base.with_overrides(**{knob: float(v)})), name)
+                    for v in values]
 
-        for knob, values, fn, direction in (
-                ("theta", thetas, inefficient_cd_threshold, +1),
-                ("theta", thetas, inefficient_joint_threshold, +1),
-                ("rho", rhos, inefficient_cd_threshold, +1),
-                ("rho", rhos, inefficient_joint_threshold, +1),
-                ("mu", mus, inefficient_cd_threshold, +1),
-                ("mu", mus, inefficient_joint_threshold, +1),
-                ("p", ps, efficient_peace_threshold, -1),
-                ("p", ps, inefficient_cd_threshold, -1)):
-            values_out = series(knob, values, fn)
+        for knob, values, name, direction in (
+                ("theta", thetas, "clow_D", +1),
+                ("theta", thetas, "Clow", +1),
+                ("rho", rhos, "clow_D", +1),
+                ("rho", rhos, "Clow", +1),
+                ("mu", mus, "clow_D", +1),
+                ("mu", mus, "Clow", +1),
+                ("p", ps, "cbar_D", -1),
+                ("p", ps, "clow_D", -1)):
+            values_out = series(knob, values, name)
             grids += 1
             for a, b in zip(values_out, values_out[1:]):
                 if direction * (b - a) < 0.0:

@@ -152,6 +152,9 @@ class TestConfigLayering:
     @pytest.mark.parametrize("text,error", [
         ("{not json", "config is not valid JSON: "),
         ("[0.9, 0.3]", "config must be a JSON object of parameter fields"),
+        ('{"c_R": true}', "c_R must be a number, got True"),
+        ('{"c_R": "25"}', "c_R must be a number, got '25'"),
+        ('{"c_R": null}', "c_R must be a number, got None"),
     ])
     def test_malformed_config(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "params.json"
@@ -307,7 +310,11 @@ class TestFigureCommand:
         (["regions", "--cr-range", "5"], "--cr-range expects LO:HI, got '5'"),
         (["regions", "--cr-range", "3:1"],
          "--cr-range requires HI > LO, got '3:1'"),
-        (["mu-shift", "--values", "x"], "--values expects numbers, got 'x'"),
+        (["mu-shift", "--values", "x"],
+         "--values expects a comma list of numbers, got 'x'"),
+        (["mu-shift", "--values", " , "], "--values is empty"),
+        (["regions", "--values", "1,2"],
+         "--values applies to the shift figures, not regions"),
     ])
     def test_bad_ranges_and_values(self, tmp_path, capsys, argv, error):
         svg = tmp_path / "fig.svg"
@@ -384,6 +391,18 @@ class TestSimulateCommand:
         assert payload["distribution"] == \
             BarrierDistribution.scaled_beta_with_mean(0.8, 4.0).describe()
         assert payload["distribution"].startswith("ScaledBeta(3.2, ")
+
+    @pytest.mark.parametrize("concentration", ["nan", "inf", "-1"])
+    def test_bad_concentration_refused(self, capsys, concentration):
+        code = run(["simulate", "--preset", "demo-b", "--c-d", "35",
+                    "--mode", "efficient", "--runs", "2", "--horizon", "3",
+                    "--dist", "scaled-beta",
+                    f"--dist-concentration={concentration}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"].startswith(
+            "beta shape parameters must be positive and finite")
 
     def test_cooperative_mode(self, capsys, tmp_path):
         trace = tmp_path / "coop.jsonl"

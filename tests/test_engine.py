@@ -31,7 +31,7 @@ from barriergame.params import (
     ModelParams,
 )
 from barriergame.oracle import verify_period1
-from barriergame.thresholds import compute_thresholds
+from barriergame.thresholds import compute_thresholds, effective_mu
 from conftest import assert_close, random_valid_params
 
 
@@ -292,7 +292,8 @@ class TestAnalyticPayoffs:
     def test_raw_responder_at_war_value(self):
         params = make(c_D=25.0)
         _, v_d = raw_payoffs(params, ProfileMode.INEFFICIENT_PEACE)
-        war_d = war_lottery(params, 1, True, params.h0)[1] - params.c_D
+        war_d = war_lottery(params, 1, True, params.h0,
+                            effective_mu(params))[1] - params.c_D
         assert_close(v_d, war_d, 1e-9)
 
     @pytest.mark.parametrize("clamped", [True, False])
@@ -406,7 +407,8 @@ class TestSimulate:
         stats = simulate(profile, params, DIST, horizon=150, n_runs=4000,
                          seed=5)
         assert stats.war_frequency == 1.0
-        gross_r, gross_d = war_lottery(params, 1, True, params.h0)
+        gross_r, gross_d = war_lottery(params, 1, True, params.h0,
+                                       effective_mu(params))
         war_r, war_d = gross_r - params.c_R, gross_d - params.c_D
         assert abs(stats.payoff_d_mean - war_d) <= 3.0 * stats.payoff_d_se + stats.tail_bound
         assert abs(stats.payoff_r_mean - war_r) <= 3.0 * stats.payoff_r_se + stats.tail_bound
@@ -443,7 +445,8 @@ class TestSimulate:
         profile = always_war(params)
         stats = simulate(profile, params, DIST, horizon=250, n_runs=6000,
                          seed=8)
-        gross_r, gross_d = war_lottery(params, 1, True, params.h0)
+        gross_r, gross_d = war_lottery(params, 1, True, params.h0,
+                                       effective_mu(params))
         war_r, war_d = gross_r - params.c_R, gross_d - params.c_D
         assert abs(stats.payoff_d_mean - war_d) <= \
             3.0 * stats.payoff_d_se + stats.tail_bound

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import sys
@@ -6,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from barriergame import engine, oracle
+from barriergame import engine, oracle, thresholds
 from barriergame.engine import ProfileMode
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
@@ -23,7 +24,6 @@ from barriergame.params import InvalidParamsError, ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
-    inefficient_cd_threshold,
 )
 from conftest import assert_close, random_valid_params
 
@@ -88,7 +88,7 @@ class TestVerify:
         assert "responder" in report.best_deviation
 
     def test_pass_exactly_at_threshold(self):
-        c_low = inefficient_cd_threshold(make())
+        c_low = compute_thresholds(make()).clow_D
         report = verify_period1(make(c_D=c_low), ProfileMode.INEFFICIENT_PEACE)
         assert report.passed
         assert abs(report.max_gain_d) <= 1e-9
@@ -294,7 +294,7 @@ class TestOracleThresholds:
     def test_rho_one_uses_full_postwar_market(self):
         params = make(rho=1.0)
         result = oracle_thresholds(params)
-        assert_close(result.clow_D.value, inefficient_cd_threshold(params), 1e-6)
+        assert_close(result.clow_D.value, compute_thresholds(params).clow_D, 1e-6)
         # effective market value is 1, so the threshold exceeds the baseline
         assert result.clow_D.value > 21.6
 
@@ -394,7 +394,7 @@ class TestLockstepBatch:
 
         monkeypatch.setattr(ModelParams, "__init__",
                             counted("ModelParams", ModelParams.__init__))
-        for name in ("war_lottery", "win_prob_d", "pie_present_value"):
+        for name in ("war_lottery", "win_prob_d"):
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
         if entry == "single":
@@ -489,3 +489,45 @@ class TestLockstepBatch:
                                         -1629083.2231411976)
         closed = compute_thresholds(q).clow_D
         assert abs(result.clow_D.value - closed) <= 1e-9 * abs(closed)
+
+
+class TestReadsNoClosedForm:
+    MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
+             ProfileMode.COOPERATIVE_INEFFICIENT)
+
+    @classmethod
+    def results(cls, points) -> str:
+        single = [[verify_period1(q, mode) for mode in cls.MODES]
+                  + [oracle_thresholds(q)] for q in points]
+        return repr((single, oracle_thresholds_batch(points)))
+
+    def test_results_unchanged_without_thresholds(self, monkeypatch):
+        # the oracle re-derives what the closed forms state: with every
+        # public function of barriergame.thresholds replaced by a raiser,
+        # wherever a module of the package holds it, nothing it returns
+        # moves.  agreement_rows compares against the closed forms on
+        # purpose, so it is not run here.
+        rng = np.random.default_rng(2019)
+        points = [make(), make(rho=0.3, theta=1.1)] + \
+            [random_valid_params(rng) for _ in range(50)]
+        expected = self.results(points)
+        closed_forms = {
+            id(obj): name for name, obj in vars(thresholds).items()
+            if inspect.isfunction(obj) and not name.startswith("_")
+            and obj.__module__ == thresholds.__name__}
+
+        def raiser(name):
+            def closed_form(*args, **kwargs):
+                raise AssertionError(f"the oracle read thresholds.{name}")
+            return closed_form
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "barriergame":
+                continue
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in closed_forms:
+                    monkeypatch.setattr(module, attr,
+                                        raiser(closed_forms[id(obj)]))
+        with pytest.raises(AssertionError, match="effective_mu"):
+            thresholds.effective_mu(make())
+        assert self.results(points) == expected

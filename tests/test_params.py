@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from barriergame.params import (
     BarrierDistribution,
+    DistributionKind,
     EliminationMode,
     ModelParams,
     lanes,
@@ -134,6 +136,20 @@ class TestSerialization:
         assert params.elimination_mode is EliminationMode.COOPERATIVE
         assert params == make(elimination_mode=EliminationMode.COOPERATIVE)
 
+    @pytest.mark.parametrize("value", [True, False, "25", None, [1.0]])
+    def test_non_number_value_refused(self, value):
+        # only JSON numbers: float() would read True as 1.0 and "25" as 25.0
+        data = {**make().to_dict(), "c_R": value}
+        message = f"c_R must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelParams.from_dict(data)
+
+    def test_int_values_pass(self):
+        data = {**make().to_dict(), "c_R": 2}
+        params = ModelParams.from_dict(data)
+        assert params == make(c_R=2.0)
+        assert type(params.c_R) is float
+
     def test_invalid_mode_is_a_violation(self):
         # the constructor does not coerce; validate names the bad value
         result = validate(make(elimination_mode="Cooperative"))
@@ -188,6 +204,22 @@ class TestDistributions:
             BarrierDistribution.scaled_beta(0.0, 1.0)
         with pytest.raises(ValueError, match=r"beta mean must lie in \(0, 1\)"):
             BarrierDistribution.scaled_beta_with_mean(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_shape_refused(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BarrierDistribution.scaled_beta(bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            BarrierDistribution.scaled_beta(1.0, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            BarrierDistribution.scaled_beta_with_mean(0.8, bad)
+
+    def test_nan_mean_never_matches(self):
+        # a record built around the constructors' checks still cannot pass
+        # the simulation entry check with a nan mean
+        dist = BarrierDistribution(DistributionKind.UNIFORM, math.nan, math.nan)
+        with pytest.raises(ValueError, match="does not match mu"):
+            require_mean_matches(dist, make(mu=0.5))
 
     def test_describe(self):
         assert BarrierDistribution.degenerate(0.5).describe() == "Degenerate(0.5)"

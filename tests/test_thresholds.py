@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,7 @@ from barriergame.params import ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
-    efficient_peace_threshold,
     extension_label,
-    inefficient_cd_threshold,
-    inefficient_joint_threshold,
     theta_floor,
 )
 from conftest import (assert_close, inefficient_joint_threshold_compact,
@@ -63,61 +61,61 @@ class TestEffectiveMu:
 
 class TestEfficientThreshold:
     def test_zero_case(self):
-        assert_close(efficient_peace_threshold(
-            make(delta=0.5, p=0.2, p1=0.6)), 0.0)
+        assert_close(compute_thresholds(
+            make(delta=0.5, p=0.2, p1=0.6)).cbar_D, 0.0)
 
     def test_demo_case(self):
-        assert_close(efficient_peace_threshold(
-            make(delta=0.9, p=0.3, p1=0.7)), 33.0)
+        assert_close(compute_thresholds(
+            make(delta=0.9, p=0.3, p1=0.7)).cbar_D, 33.0)
 
     def test_vanishing_power_shift(self):
         # with p1 -> p the threshold tends to (p - 1)/(1 - delta) < 0:
         # no power shift makes barrier-free peace unconditional
         params = make(delta=0.6, p=0.4, p1=0.4 + 1e-9)
         limit = (0.4 - 1.0) / (1.0 - 0.6)
-        assert_close(efficient_peace_threshold(params), limit, 1e-6)
-        assert efficient_peace_threshold(params) < 0
+        assert_close(compute_thresholds(params).cbar_D, limit, 1e-6)
+        assert compute_thresholds(params).cbar_D < 0
 
     def test_invariant_to_other_knobs(self):
-        base = efficient_peace_threshold(make())
+        base = compute_thresholds(make()).cbar_D
         for kw in ({"mu": 0.4}, {"h0": 0.2}, {"rho": 0.7}, {"theta": 1.2}):
-            assert efficient_peace_threshold(make(**kw)) == base
+            assert compute_thresholds(make(**kw)).cbar_D == base
 
 
 class TestInefficientThresholds:
     def test_cd_demo(self):
-        assert_close(inefficient_cd_threshold(make()), 21.6)
+        assert_close(compute_thresholds(make()).clow_D, 21.6)
 
     def test_cd_theta(self):
-        assert_close(inefficient_cd_threshold(make(theta=1.2)), 32.52)
-        assert inefficient_cd_threshold(make(theta=1.2)) > \
-            inefficient_cd_threshold(make(theta=1.0))
+        assert_close(compute_thresholds(make(theta=1.2)).clow_D, 32.52)
+        assert compute_thresholds(make(theta=1.2)).clow_D > \
+            compute_thresholds(make(theta=1.0)).clow_D
 
     def test_cd_negative_case(self):
-        assert_close(inefficient_cd_threshold(
-            make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5)), -0.2)
+        assert_close(compute_thresholds(
+            make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5)).clow_D, -0.2)
 
     def test_joint_demo(self):
-        assert_close(inefficient_joint_threshold(make()), -1.14)
+        assert_close(compute_thresholds(make()).Clow, -1.14)
         assert_close(inefficient_joint_threshold_compact(make()), -1.14)
 
     def test_joint_simple(self):
-        assert_close(inefficient_joint_threshold(
-            make(delta=0.5, p1=0.6, mu=0.5, h0=0.5)), -0.1)
+        assert_close(compute_thresholds(
+            make(delta=0.5, p1=0.6, mu=0.5, h0=0.5)).Clow, -0.1)
 
     def test_joint_vanishes_without_damage(self):
         # mu = 1 and h0 -> 1 leaves the proposer exactly break even
         for eps in (1e-3, 1e-6, 1e-9):
-            value = inefficient_joint_threshold(make(mu=1.0, h0=1.0 - eps))
+            value = compute_thresholds(make(mu=1.0, h0=1.0 - eps)).Clow
             assert 0.0 < value < eps
-        assert_close(inefficient_joint_threshold(make(mu=1.0, h0=1.0 - 1e-12)),
+        assert_close(compute_thresholds(make(mu=1.0, h0=1.0 - 1e-12)).Clow,
                      0.0, 1e-11)
 
     @given(valid_point)
     @settings(max_examples=200, deadline=None)
     def test_twin_identity(self, params):
         point = params.with_overrides(theta=1.0)
-        a = inefficient_joint_threshold(point)
+        a = compute_thresholds(point).Clow
         b = inefficient_joint_threshold_compact(point)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
@@ -126,23 +124,21 @@ class TestInefficientThresholds:
     def test_affine_dependence(self, params):
         # the three thresholds are affinely dependent:
         # Clow = (1 - delta) * (clow_D - cbar_D), at every theta and rho
-        cbar = efficient_peace_threshold(params)
-        clow = inefficient_cd_threshold(params)
-        cjoint = inefficient_joint_threshold(params)
-        expected = (1.0 - params.delta) * (clow - cbar)
-        assert abs(cjoint - expected) <= 1e-9 * max(1.0, abs(cjoint))
+        ts = compute_thresholds(params)
+        expected = (1.0 - params.delta) * (ts.clow_D - ts.cbar_D)
+        assert abs(ts.Clow - expected) <= 1e-9 * max(1.0, abs(ts.Clow))
 
     def test_monotone_in_theta(self):
         thetas = np.linspace(0.9, 1.0 / 0.7 - 1e-9, 100)
-        cds = [inefficient_cd_threshold(make(theta=t)) for t in thetas]
-        cjs = [inefficient_joint_threshold(make(theta=t)) for t in thetas]
+        cds = [compute_thresholds(make(theta=t)).clow_D for t in thetas]
+        cjs = [compute_thresholds(make(theta=t)).Clow for t in thetas]
         assert all(b >= a for a, b in zip(cds, cds[1:]))
         assert all(b >= a for a, b in zip(cjs, cjs[1:]))
 
     def test_monotone_in_effective_mu(self):
         rhos = np.linspace(0.0, 1.0, 100)
-        cds = [inefficient_cd_threshold(make(rho=r)) for r in rhos]
-        cjs = [inefficient_joint_threshold(make(rho=r)) for r in rhos]
+        cds = [compute_thresholds(make(rho=r)).clow_D for r in rhos]
+        cjs = [compute_thresholds(make(rho=r)).Clow for r in rhos]
         assert all(b >= a for a, b in zip(cds, cds[1:]))
         assert all(b >= a for a, b in zip(cjs, cjs[1:]))
 
@@ -151,12 +147,13 @@ class TestReduction:
     def test_theta_one_reproduces_baseline_bitwise(self):
         params = make(theta=1.0, rho=0.0)
         d, p, p1, mu, h0 = params.delta, params.p, params.p1, params.mu, params.h0
-        assert inefficient_cd_threshold(params) == \
+        ts = compute_thresholds(params)
+        assert ts.clow_D == \
             (d / (1.0 - d) * (mu * p1 - p) - (1.0 - p1) * h0) / (1.0 - d)
-        assert inefficient_joint_threshold(params) == \
+        assert ts.Clow == \
             (1.0 - p1 - ((1.0 - d) * h0 * (1.0 - p1)
                          + d * (1.0 - mu * p1))) / (1.0 - d)
-        assert efficient_peace_threshold(params) == \
+        assert ts.cbar_D == \
             ((p1 - d * p) / (1.0 - d) - 1.0) / (1.0 - d)
 
 
@@ -182,7 +179,7 @@ class TestOffers:
         # offer1_inefficient <= h0 exactly when c_D >= clow_D
         point = params.with_overrides(c_D=c_d)
         offers = compute_thresholds(point)
-        clow = inefficient_cd_threshold(point)
+        clow = offers.clow_D
         margin = (1.0 - point.delta) * (c_d - clow)
         if abs(margin) > 1e-9:
             assert (offers.offer1_inefficient <= point.h0) == (c_d >= clow)
@@ -230,3 +227,30 @@ class TestThresholdSet:
                      "offer1_efficient", "offer1_inefficient",
                      "offer_stationary"):
             assert math.isfinite(getattr(ts, name))
+
+
+def _digest_points() -> list[ModelParams]:
+    """Sampled, patient and edge points whose threshold records are pinned."""
+    rng = np.random.default_rng(19)
+    sampled = [random_valid_params(rng) for _ in range(2000)]
+    rng = np.random.default_rng(1919)
+    patient = [random_valid_params(rng).with_overrides(
+                   delta=rng.uniform(0.95, 0.9999)) for _ in range(500)]
+    edges = [point.with_overrides(**kw)
+             for point in [make(), make(rho=0.3, theta=1.1)] + sampled[:10]
+             for kw in ({"rho": 0.0}, {"rho": 1.0}, {"theta": 1.0},
+                        {"mu": 1.0}, {"h0": 1.0 - 1e-12}, {"p": 0.0})]
+    return sampled + patient + edges
+
+
+class TestThresholdDigest:
+    # SHA-256 of the full-precision reprs of compute_thresholds over
+    # _digest_points().  The goldens print at .12g, so this is what catches
+    # a one-ulp change in a closed form.  Adding a ThresholdSet field (such
+    # as C_keep and C_keep2 of ROADMAP items 3 and 7) changes the repr, so
+    # that change re-records the digest; nothing else should.
+    DIGEST = "1d40a97901ecf2e648cd14bff4d2ed80047cda586d26dd6c45324081072964cb"
+
+    def test_threshold_records_pinned(self):
+        text = "\n".join(repr(compute_thresholds(q)) for q in _digest_points())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
