@@ -6,7 +6,6 @@ from .params import (
     EliminationMode,
     InvalidParamsError,
     ModelParams,
-    ValidationResult,
     require_valid,
     validate,
 )

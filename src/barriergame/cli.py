@@ -35,7 +35,7 @@ from .oracle import (
     oracle_thresholds,
     verify_period1,
 )
-from .output import CSV_HEADER, emit_csv, emit_svg
+from .output import emit_csv, emit_svg
 from .params import (
     BarrierDistribution,
     EliminationMode,
@@ -91,7 +91,7 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
         try:
             layered.update(get_preset(args.preset).params.to_dict())
         except KeyError as e:
-            raise CliError(str(e))
+            raise CliError(e.args[0])
     if args.config:
         try:
             with open(args.config) as fh:
@@ -280,6 +280,8 @@ def _cmd_figure(args) -> int:
 def _cmd_simulate(args) -> int:
     _require_size(args.runs, "--runs", _MAX_RUNS)
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     params = _collect_params(args)
     mode = _MODES[args.mode]
     profile = StrategyProfile(mode, params)
@@ -302,6 +304,8 @@ def _cmd_verify(args) -> int:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     params = _collect_params(args)
     mode = _MODES[args.mode]
     report = verify_period1(params, mode, tol=args.tol)

@@ -65,26 +65,21 @@ class ModelParams:
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         mode = data.get("elimination_mode", EliminationMode.UNILATERAL.value)
-        if isinstance(mode, EliminationMode):
-            em = mode
-        else:
-            try:
-                em = EliminationMode(mode)
-            except ValueError:
-                raise ValueError(f"elimination_mode must be one of "
-                                 f"{[m.value for m in EliminationMode]}, got {mode!r}")
+        try:
+            em = EliminationMode(mode)
+        except ValueError:
+            raise ValueError(f"elimination_mode must be one of "
+                             f"{[m.value for m in EliminationMode]}, got {mode!r}")
         values = {k: v for k, v in data.items() if k != "elimination_mode"}
         for k, v in values.items():
             # JSON numbers only: bool is an int subclass; "25" and null are not
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"{k} must be a number, got {v!r}")
-        return cls(elimination_mode=em, **{k: float(v) for k, v in values.items()})
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
+            try:
+                values[k] = float(v)
+            except OverflowError:
+                raise ValueError(f"{k} is an integer beyond float range")
+        return cls(elimination_mode=em, **values)
 
 
 def lanes(points: Sequence[ModelParams]) -> ModelParams:
@@ -104,8 +99,8 @@ class InvalidParamsError(ValueError):
         self.violations = tuple(violations)
 
 
-def validate(params: ModelParams) -> ValidationResult:
-    """Check every parameter restriction.  Violations are data, not errors;
+def validate(params: ModelParams) -> tuple[str, ...]:
+    """Every violated parameter restriction, empty when the point is valid;
     ``require_valid`` is the one place that turns them into an exception."""
     v: list[str] = []
     q = params
@@ -140,14 +135,14 @@ def validate(params: ModelParams) -> ValidationResult:
                 v.append(f"theta below floor {floor}")
     if not isinstance(q.elimination_mode, EliminationMode):
         v.append(f"elimination_mode invalid: {q.elimination_mode!r}")
-    return ValidationResult(ok=not v, violations=tuple(v))
+    return tuple(v)
 
 
 def require_valid(params: ModelParams) -> None:
     """Raise InvalidParamsError listing every violation, if there are any."""
-    result = validate(params)
-    if not result.ok:
-        raise InvalidParamsError(result.violations)
+    violations = validate(params)
+    if violations:
+        raise InvalidParamsError(violations)
 
 
 class DistributionKind(enum.Enum):

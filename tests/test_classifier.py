@@ -144,7 +144,7 @@ class TestRegionGrid:
         base = get_preset("demo-b").params.with_overrides(**override)
         with pytest.raises(InvalidParamsError) as err:
             region_grid(base, (0.0, 10.0), (0.0, 40.0), 4)
-        assert err.value.violations == validate(base).violations
+        assert err.value.violations == validate(base)
 
     def test_overflowing_margins_skipped(self):
         demo = get_preset("demo-b").params

@@ -155,6 +155,8 @@ class TestConfigLayering:
         ('{"c_R": true}', "c_R must be a number, got True"),
         ('{"c_R": "25"}', "c_R must be a number, got '25'"),
         ('{"c_R": null}', "c_R must be a number, got None"),
+        pytest.param('{"c_R": 1' + "0" * 400 + "}",
+                     "c_R is an integer beyond float range", id="c_R=1e400"),
     ])
     def test_malformed_config(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "params.json"
@@ -572,6 +574,42 @@ def test_invalid_param_stderr_pinned(argv, err, capsys, tmp_path, monkeypatch):
     assert captured.err == err
 
 
+# each output file a command can write
+_OUTPUT_FLAGS = {
+    "simulate": ["-o", "rep.json", "--trace", "trace.jsonl"],
+    "verify": ["-o", "rep.json", "--agreement-csv", "agree.csv"],
+}
+
+REFUSALS = [
+    (["verify", "--preset", "demo-b", "--agreement", "3", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["simulate", "--preset", "demo-b", "--seed", "-5"],
+     "--seed must be >= 0, got -5"),
+    (["verify", "--preset", "demo-b", "--agreement", "3", "--tol", "-1"],
+     "--tol must be finite and >= 0, got -1.0"),
+    (["verify", "--preset", "demo-b", "--agreement", "0"],
+     "--agreement must lie in 1..100000, got 0"),
+    (["verify", "--preset", "demo-b", "--agreement", "3", "--p1", "0.1"],
+     "invalid parameters"),
+    (["simulate", "--preset", "demo-b", "--p1", "0.1"], "invalid parameters"),
+    (["verify", "--preset", "nope", "--agreement", "3"],
+     "unknown preset 'nope'; available: ['demo-b', 'post-wto', 'pre-wto']"),
+]
+
+
+@pytest.mark.parametrize("argv,error", REFUSALS,
+                         ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_writes_no_output(argv, error, capsys, tmp_path, monkeypatch):
+    # every refusal comes before the first byte of output
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    code = run([*argv, *_OUTPUT_FLAGS[argv[0]]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
 # SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
 # order, float repr or indentation shows here
 STDOUT_SHA256 = [
@@ -739,12 +777,14 @@ class TestPresetsCommand:
 
     def test_shipped_presets_validate(self):
         for preset in list_presets():
-            assert validate(preset.params).ok
+            assert validate(preset.params) == ()
 
     def test_unknown_preset(self, capsys):
         code = run(["classify", "--preset", "nope"])
         assert code == 2
-        assert "unknown preset" in json.loads(capsys.readouterr().err)["error"]
+        assert strict_json(capsys.readouterr().err)["error"] == (
+            "unknown preset 'nope'; available: ['demo-b', 'post-wto', "
+            "'pre-wto']")
 
 
 # one invocation of every subcommand, writing each file it can

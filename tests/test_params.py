@@ -26,39 +26,32 @@ def make(**kw):
 
 class TestValidate:
     def test_ok_point(self):
-        result = validate(make(rho=0.0, theta=1.0))
-        assert result.ok
-        assert result.violations == ()
+        assert validate(make(rho=0.0, theta=1.0)) == ()
 
     def test_no_power_shift_rejected(self):
-        result = validate(make(p1=0.2, p=0.2))
-        assert not result.ok
-        assert any("p1 > p" in v for v in result.violations)
+        violations = validate(make(p1=0.2, p=0.2))
+        assert any("p1 > p" in v for v in violations)
 
     def test_theta_below_floor(self):
-        result = validate(make(mu=0.8, p=0.3, theta=0.3))
-        assert not result.ok
-        msgs = [v for v in result.violations if "theta below floor" in v]
+        msgs = [v for v in validate(make(mu=0.8, p=0.3, theta=0.3))
+                if "theta below floor" in v]
         assert len(msgs) == 1
         assert "0.41666" in msgs[0]
 
     def test_theta_above_floor_ok(self):
-        assert validate(make(mu=0.8, p=0.3, theta=0.5)).ok
+        assert validate(make(mu=0.8, p=0.3, theta=0.5)) == ()
 
     def test_theta_probability_bounds(self):
-        result = validate(make(p1=0.9, theta=1.2))
-        assert any("theta*p1" in v for v in result.violations)
+        assert any("theta*p1" in v for v in validate(make(p1=0.9, theta=1.2)))
 
     def test_negative_costs(self):
-        result = validate(make(c_R=-1.0, c_D=-2.0))
-        assert sum("c_R" in v or "c_D" in v for v in result.violations) == 2
+        violations = validate(make(c_R=-1.0, c_D=-2.0))
+        assert sum("c_R" in v or "c_D" in v for v in violations) == 2
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_nonfinite_costs(self, value):
         for name in ("c_R", "c_D"):
-            result = validate(make(**{name: value}))
-            assert not result.ok
-            assert [v for v in result.violations if name in v] == \
+            assert [v for v in validate(make(**{name: value})) if name in v] == \
                 [f"finite {name} >= 0 required, got {value}"]
 
     @given(
@@ -74,9 +67,10 @@ class TestValidate:
     )
     @settings(max_examples=200, deadline=None)
     def test_total(self, delta, p, p1, mu, h0, c_r, c_d, rho, theta):
-        # every input yields Ok or a nonempty violation list, never an exception
-        result = validate(ModelParams(delta, p, p1, mu, h0, c_r, c_d, rho, theta))
-        assert result.ok == (len(result.violations) == 0)
+        # every input yields a tuple of violation strings, never an exception
+        violations = validate(ModelParams(delta, p, p1, mu, h0, c_r, c_d, rho, theta))
+        assert type(violations) is tuple
+        assert all(type(v) is str for v in violations)
 
 
 def same_fields(a, b):
@@ -144,6 +138,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelParams.from_dict(data)
 
+    @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)],
+                             ids=["1e400", "-1e400"])
+    def test_integer_beyond_float_range_refused(self, value):
+        # a JSON integer is unbounded; float() would raise OverflowError
+        data = {**make().to_dict(), "c_R": value}
+        with pytest.raises(ValueError,
+                           match="^c_R is an integer beyond float range$"):
+            ModelParams.from_dict(data)
+
     def test_int_values_pass(self):
         data = {**make().to_dict(), "c_R": 2}
         params = ModelParams.from_dict(data)
@@ -152,8 +155,7 @@ class TestSerialization:
 
     def test_invalid_mode_is_a_violation(self):
         # the constructor does not coerce; validate names the bad value
-        result = validate(make(elimination_mode="Cooperative"))
-        assert result.violations == (
+        assert validate(make(elimination_mode="Cooperative")) == (
             "elimination_mode invalid: 'Cooperative'",)
 
 
