@@ -255,15 +255,20 @@ def _cmd_figure(args) -> int:
     if knob is None:
         if args.values is not None:
             raise CliError("--values applies to the shift figures, not regions")
-        panels = [("base", region_grid(params, cr_range, cd_range,
-                                       args.resolution))]
+        points = [("base", params)]
     else:
         values = (default_values if args.values is None
                   else _parse_values(args.values))
-        panels = [(f"{knob} = {format(v, '.6g')}",
-                   region_grid(params.with_overrides(**{knob: v}), cr_range,
-                               cd_range, args.resolution))
-                  for v in values]
+        points = [(f"{knob} = {format(v, '.6g')}",
+                   params.with_overrides(**{knob: v})) for v in values]
+    # every panel is sized and checked before the first raster
+    _require_size(len(points) * args.resolution ** 2,
+                  "figure cells (panels x resolution^2)", _MAX_RESOLUTION ** 2)
+    for _, point in points:
+        require_valid(point)
+    panels = [(subtitle, region_grid(point, cr_range, cd_range,
+                                     args.resolution))
+              for subtitle, point in points]
     emit_svg(panels, title, _out_path(args.out))
     if args.csv:
         base = _out_path(args.csv)

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, IO, Optional
+from typing import Callable, IO, NamedTuple, Optional
 
 from .classifier import EquilibriumReport, Margins
 from .params import (
@@ -48,8 +48,7 @@ class ProfileExistenceError(GameError):
     """Requested profile's existence condition fails."""
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     t: int
     barrier_present: bool
     y: float                # resource disputed this period, before elimination
@@ -57,8 +56,7 @@ class GameState:
     winner: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     elim_r: bool
     offer: float
     response: Response
@@ -119,13 +117,11 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
         raise GameError(f"offer {actions.offer} outside [0, {y_eff}]")
     if actions.response is Response.REJECT:
         wp = win_prob_d(params, state.t, barrier_after)
-        return GameState(t=state.t, barrier_present=barrier_after, y=y_eff,
-                         war_occurred=True,
-                         winner="D" if rng.random() < wp else "R")
+        return GameState(state.t, barrier_after, y_eff, True,
+                         "D" if rng.random() < wp else "R")
     if barrier_after:
-        return GameState(t=state.t + 1, barrier_present=True,
-                         y=float(dist.sample(rng)))
-    return GameState(t=state.t + 1, barrier_present=False, y=1.0)
+        return GameState(state.t + 1, True, float(dist.sample(rng)))
+    return GameState(state.t + 1, False, 1.0)
 
 
 @dataclass(frozen=True)
@@ -373,6 +369,8 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
     payoff_d = np.empty(n_runs)
     wars = 0
     elim_counts: dict = {}
+    cooperative = params.elimination_mode is EliminationMode.COOPERATIVE
+    eliminate, eliminate_d = profile.custom_eliminate, profile.custom_eliminate_d
     for i in range(n_runs):
         rng = np.random.default_rng(streams[i])
         state = GameState(t=1, barrier_present=True, y=params.h0)
@@ -380,22 +378,21 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
         v_d = 0.0
         elim_at = None
         for t in range(1, horizon + 1):
-            vote_r = (profile.custom_eliminate(t, state.y, state.barrier_present)
-                      if (state.barrier_present and profile.custom_eliminate) else False)
+            vote_r = (eliminate(t, state.y, state.barrier_present)
+                      if (state.barrier_present and eliminate) else False)
             vote_d = None
-            if params.elimination_mode is EliminationMode.COOPERATIVE:
-                vote_d = (profile.custom_eliminate_d(t, state.y, state.barrier_present)
-                          if (state.barrier_present and profile.custom_eliminate_d)
-                          else False)
+            if cooperative:
+                vote_d = (eliminate_d(t, state.y, state.barrier_present)
+                          if (state.barrier_present and eliminate_d) else False)
             y_eff, barrier_after = resolve_elimination(state, vote_r, vote_d,
                                                        params)
             if state.barrier_present and not barrier_after and elim_at is None:
                 elim_at = t
             offer = profile.offer(t, y_eff, barrier_after)
             accept = profile.accepts(t, y_eff, barrier_after, offer)
-            actions = ActionRecord(elim_r=vote_r, offer=offer,
-                                   response=Response.ACCEPT if accept else Response.REJECT,
-                                   elim_d=vote_d)
+            actions = ActionRecord(
+                vote_r, offer, Response.ACCEPT if accept else Response.REJECT,
+                vote_d)
             outcome = step(state, actions, params, dist, rng)
             war = outcome.war_occurred
             flow_r, flow_d = (0.0, 0.0) if war else _split_flows(y_eff, offer)

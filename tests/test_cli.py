@@ -274,6 +274,42 @@ class TestFigureCommand:
         assert strict_json(captured.err)["error"] == \
             f"--resolution must lie in 1..4000, got {value}"
 
+    @pytest.mark.parametrize("values, resolution", [
+        ("0.5,0.6", "4000"), ("0.5,0.6,0.7", "2310"),
+        (",".join(["0.5"] * 1001), "127")],
+        ids=["2x4000^2", "3x2310^2", "1001x127^2"])
+    def test_total_cell_cap(self, tmp_path, capsys, monkeypatch, values,
+                            resolution):
+        assert_no_work(monkeypatch, ("region_grid", "emit_svg", "emit_csv"))
+        code = run(["figure", "mu-shift", "--preset", "demo-b",
+                    "-o", str(tmp_path / "f.svg"), "--csv",
+                    str(tmp_path / "f.csv"), "--values", values,
+                    "--resolution", resolution])
+        captured = capsys.readouterr()
+        cells = len(values.split(",")) * int(resolution) ** 2
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"] == (
+            f"figure cells (panels x resolution^2) must lie in "
+            f"1..16000000, got {cells}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invalid_later_panel_refused_before_raster(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the first panel is valid, so only a check of every panel up
+        # front keeps its raster from running
+        assert_no_work(monkeypatch, ("region_grid", "emit_svg", "emit_csv"))
+        code = run(["figure", "mu-shift", "--preset", "demo-b",
+                    "-o", str(tmp_path / "f.svg"), "--csv",
+                    str(tmp_path / "f.csv"), "--values", "0.5,0",
+                    "--resolution", "300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ('{"error": "invalid parameters", "detail": '
+                                '["0 < mu <= 1 required, got 0.0"]}\n')
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--cr-range", "--cd-range"])
     @pytest.mark.parametrize("text", ["0:inf", "-inf:0", "nan:1",
                                       "-1e308:1e308"])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -673,6 +674,85 @@ class TestPeaceStreams:
         want_stats, want_sha = self.PINNED[dist.kind.value]
         assert stats.to_dict() == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
+
+
+class TestWarStreams:
+    """Always-war runs draw the war winner through ``step`` and then the
+    whole postwar path, renormalization coins included; their seeded
+    results and trace bytes are pinned.  Every run ends in period 1 before
+    any barrier draw, so both draws write the same trace."""
+
+    TRACE_SHA = "db0fc0b09f3c78730743929eed4d5eb30f1eca25707068fbf72db04cb662724e"
+    PINNED = {
+        "Uniform": {
+            "n_runs": 25, "horizon": 40,
+            "payoff_r_mean": 1.2270921138856246,
+            "payoff_r_se": 0.8091129144461154,
+            "payoff_d_mean": -18.14650524001865,
+            "payoff_d_se": 0.7890104502796214,
+            "war_frequency": 1.0, "elimination_periods": {"None": 1.0},
+            "tail_bound": 0.14780882941434612,
+        },
+        "ScaledBeta": {
+            "n_runs": 25, "horizon": 40,
+            "payoff_r_mean": 1.1896847632354481,
+            "payoff_r_se": 0.795904087447836,
+            "payoff_d_mean": -18.11074968086625,
+            "payoff_d_se": 0.794073944396003,
+            "war_frequency": 1.0, "elimination_periods": {"None": 1.0},
+            "tail_bound": 0.14780882941434612,
+        },
+    }
+
+    @pytest.mark.parametrize("dist", [
+        BarrierDistribution.uniform_with_mean(0.8, 0.3),
+        BarrierDistribution.scaled_beta_with_mean(0.8)],
+        ids=lambda dist: dist.kind.value)
+    def test_always_war_stream_pinned(self, dist):
+        params = make(rho=0.3)
+        buf = io.StringIO()
+        stats = simulate(always_war(params), params, dist, horizon=40,
+                         n_runs=25, seed=2024, trace=buf)
+        assert stats.to_dict() == self.PINNED[dist.kind.value]
+        assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+                == self.TRACE_SHA)
+
+
+class TestRecords:
+    """``GameState`` and ``ActionRecord`` are immutable value records:
+    built by keyword with their defaults, compared and hashed by value."""
+
+    def test_keyword_construction_defaults(self):
+        state = GameState(t=1, barrier_present=True, y=0.6)
+        assert (state.war_occurred, state.winner) == (False, None)
+        actions = ActionRecord(elim_r=False, offer=0.2,
+                               response=Response.ACCEPT)
+        assert actions.elim_d is None
+
+    @pytest.mark.parametrize("cls, names", [
+        (GameState, ("t", "barrier_present", "y", "war_occurred", "winner")),
+        (ActionRecord, ("elim_r", "offer", "response", "elim_d"))],
+        ids=["GameState", "ActionRecord"])
+    def test_field_names_in_order(self, cls, names):
+        assert tuple(inspect.signature(cls).parameters) == names
+
+    @pytest.mark.parametrize("make_record", [
+        lambda: GameState(t=2, barrier_present=False, y=1.0),
+        lambda: ActionRecord(elim_r=True, offer=0.5,
+                             response=Response.REJECT, elim_d=False)],
+        ids=["GameState", "ActionRecord"])
+    def test_equal_and_hashable_by_value(self, make_record):
+        a, b = make_record(), make_record()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("record, field", [
+        (GameState(t=1, barrier_present=True, y=0.6), "y"),
+        (ActionRecord(elim_r=False, offer=0.2, response=Response.ACCEPT),
+         "offer")], ids=["GameState", "ActionRecord"])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
 
 
 class TestOnPathStreams:
