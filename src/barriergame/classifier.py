@@ -108,9 +108,7 @@ class RegionGrid:
     margins_efficient: tuple[tuple[float, ...], ...]
     margins_cd: tuple[tuple[float, ...], ...]
     margins_joint: tuple[tuple[float, ...], ...]
-    cbar_D: float
-    clow_D: float
-    Clow: float
+    thresholds: ThresholdSet    # the base point's; the boundary curves
     cr_range: tuple[float, float]
     cd_range: tuple[float, float]
 
@@ -133,7 +131,6 @@ def region_grid(base: ModelParams, cr_range: tuple[float, float],
         raise ValueError("resolution must be positive")
     crs = _cell_centers(cr_range[0], cr_range[1], resolution)
     cds = _cell_centers(cd_range[0], cd_range[1], resolution)
-    ts = compute_thresholds(base)
     nan = float("nan")
     skipped = (RegionLabel.SKIPPED, nan, nan, nan)
     # one (label, efficient, cd, joint) tuple per cell, transposed per row
@@ -154,7 +151,7 @@ def region_grid(base: ModelParams, cr_range: tuple[float, float],
     return RegionGrid(
         cr_values=crs, cd_values=cds, labels=labels,
         margins_efficient=m_eff, margins_cd=m_cd, margins_joint=m_joint,
-        cbar_D=ts.cbar_D, clow_D=ts.clow_D, Clow=ts.Clow,
+        thresholds=compute_thresholds(base),
         cr_range=tuple(cr_range), cd_range=tuple(cd_range),
     )
 

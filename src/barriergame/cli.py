@@ -264,7 +264,12 @@ def _cmd_figure(args) -> int:
     # every panel is sized and checked before the first raster
     _require_size(len(points) * args.resolution ** 2,
                   "figure cells (panels x resolution^2)", _MAX_RESOLUTION ** 2)
-    for _, point in points:
+    labels: set[str] = set()
+    for subtitle, point in points:
+        # a repeated label would draw two panels alike and share a CSV twin
+        if subtitle in labels:
+            raise CliError(f"--values gives two panels labeled {subtitle!r}")
+        labels.add(subtitle)
         require_valid(point)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
@@ -305,6 +310,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.agreement_csv is not None and args.agreement is None:
+        raise CliError("--agreement-csv requires --agreement")
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):

@@ -319,12 +319,14 @@ def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
             trace.write(json.dumps(_trace_record(0, t, y, actions,
                                                  flow_r, flow_d, False)) + "\n")
     tail = delta ** horizon * 1.0 / (1.0 - delta)
+    # a horizon shorter than elim_period ends with the barrier standing
+    elim_at = elim_period if horizon >= elim_period else None
     return SimStats(
         n_runs=n_runs, horizon=horizon,
         payoff_r_mean=v_r, payoff_r_se=0.0,
         payoff_d_mean=v_d, payoff_d_se=0.0,
         war_frequency=0.0,
-        elimination_periods={elim_period: 1.0},
+        elimination_periods={elim_at: 1.0},
         tail_bound=tail,
     )
 

@@ -272,9 +272,19 @@ class OracleThresholds:
         return d
 
 
-def _monotone_note(value: float) -> str:
-    return (f"predicate not monotone around {value}; the existence "
-            f"condition may not be an interval")
+def _finish(lo: float, hi: float, has_hi: bool, has_lo: bool, value: float,
+            odd: bool) -> tuple[Bracket, Optional[str]]:
+    """A bisection's bracket and anomaly note (or None) from its end state:
+    its ends, whether a passing (hi) and a failing (lo) end were found, the
+    midpoint value, and whether the monotonicity probe read the wrong way.
+    Without both ends the bracket has no value."""
+    if not has_hi:
+        return Bracket(math.nan, lo, hi), f"no passing point up to {hi}"
+    if not has_lo:
+        return Bracket(math.nan, lo, hi), f"no failing point down to {lo}"
+    note = (f"predicate not monotone around {value}; the existence "
+            f"condition may not be an interval") if odd else None
+    return Bracket(value, lo, hi), note
 
 
 def _bisect_up(predicate: Callable[[float], bool],
@@ -296,14 +306,14 @@ def _bisect_up(predicate: Callable[[float], bool],
             break
         hi *= 2.0
     else:
-        return Bracket(math.nan, -1.0, hi), f"no passing point up to {hi}"
+        return _finish(-1.0, hi, False, False, math.nan, False)
     lo = -1.0
     for _ in range(MAX_EXPAND):
         if not predicate(lo):
             break
         lo *= 2.0
     else:
-        return Bracket(math.nan, lo, hi), f"no failing point down to {lo}"
+        return _finish(lo, hi, True, False, math.nan, False)
     while True:
         mid = 0.5 * (lo + hi)
         if not (hi - lo > SEARCH_TOL and mid != lo and mid != hi):
@@ -315,7 +325,7 @@ def _bisect_up(predicate: Callable[[float], bool],
     value = 0.5 * (lo + hi)
     probe = max(SEARCH_TOL * 100.0, 1e-6, 4.0 * math.ulp(abs(value)) / slope)
     odd = predicate(value - probe) or not predicate(value + probe)
-    return Bracket(value, lo, hi), _monotone_note(value) if odd else None
+    return _finish(lo, hi, True, True, value, odd)
 
 
 def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
@@ -362,21 +372,8 @@ def _bisect_up_sets(predicate: Callable[[np.ndarray], np.ndarray],
     probe = np.maximum(max(SEARCH_TOL * 100.0, 1e-6),
                        4.0 * np.spacing(np.abs(value)) / slope)
     odd = predicate(value - probe) | ~predicate(value + probe)
-
-    out = []
-    for i in range(n):
-        lo_i, hi_i = float(lo[i]), float(hi[i])
-        if not has_hi[i]:
-            out.append((Bracket(math.nan, lo_i, hi_i),
-                        f"no passing point up to {hi_i}"))
-        elif not has_lo[i]:
-            out.append((Bracket(math.nan, lo_i, hi_i),
-                        f"no failing point down to {lo_i}"))
-        else:
-            v = float(value[i])
-            out.append((Bracket(v, lo_i, hi_i),
-                        _monotone_note(v) if odd[i] else None))
-    return out
+    return [_finish(*end) for end in zip(
+        *(a.tolist() for a in (lo, hi, has_hi, has_lo, value, odd)))]
 
 
 def _thresholds_from(mean: float, cbar, clow, joint) -> OracleThresholds:

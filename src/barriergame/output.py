@@ -90,7 +90,8 @@ def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[st
                  f'height="{_px(_PLOT_H)}" fill="none" stroke="#222" '
                  f'stroke-width="1"/>')
     # dashed horizontal boundaries at the two responder-cost thresholds
-    for value, name in ((grid.cbar_D, "upper"), (grid.clow_D, "lower")):
+    ts = grid.thresholds
+    for value, name in ((ts.cbar_D, "upper"), (ts.clow_D, "lower")):
         if cd_lo <= value <= cd_hi:
             y = sy(value)
             parts.append(f'<line x1="{_px(x0)}" y1="{_px(y)}" '
@@ -100,7 +101,7 @@ def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[st
             parts.append(f'<text x="{_px(x0 + _PLOT_W + 4)}" y="{_px(y + 4)}" '
                          f'font-size="11" fill="#111">{name}</text>')
     # slanted joint-cost boundary c_D + c_R = Clow, when it crosses the box
-    clow = grid.Clow
+    clow = ts.Clow
     pts = []
     for cr in (cr_lo, cr_hi):
         cd = clow - cr

@@ -66,22 +66,11 @@ class ThresholdSet:
         return {**vars(self), "theta_floor": floor}
 
 
-def extension_label(params: ModelParams) -> str:
-    rho_active = params.rho != 0.0
-    theta_active = params.theta != 1.0
-    if rho_active and theta_active:
-        return "composed"
-    if rho_active:
-        return "rho"
-    if theta_active:
-        return "theta"
-    return "baseline"
-
-
 def compute_thresholds(params: ModelParams) -> ThresholdSet:
     """The one evaluator of the closed forms, all from one postwar mean m."""
     delta, p, p1, h0, theta = params.delta, params.p, params.p1, params.h0, params.theta
     c_D = params.c_D
+    rho_on, theta_on = params.rho != 0.0, theta != 1.0
     m = effective_mu(params)
     tp1 = theta * p1
     # shared with the offers: the efficient offer at c_D = 0, and the
@@ -103,5 +92,6 @@ def compute_thresholds(params: ModelParams) -> ThresholdSet:
         min(max(x1_eff, 0.0), 1.0),
         min(max(x1_inef, 0.0), h0),
         min(max(x_stat, 0.0), 1.0),
-        extension_label(params),
+        ("composed" if rho_on and theta_on else "rho" if rho_on
+         else "theta" if theta_on else "baseline"),
     )

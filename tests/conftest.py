@@ -10,10 +10,16 @@ from barriergame.thresholds import effective_mu
 random_valid_params = sample_valid_params
 
 
+def make(**kw) -> ModelParams:
+    """The demo-b point with the fields in kw overridden."""
+    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
+    base.update(kw)
+    return ModelParams(**base)
+
+
 @pytest.fixture
 def set_b() -> ModelParams:
-    return ModelParams(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6,
-                       c_R=1.0, c_D=25.0)
+    return make()
 
 
 def assert_close(a: float, b: float, tol: float = 1e-9) -> None:

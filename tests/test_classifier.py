@@ -18,16 +18,10 @@ from barriergame.classifier import (
     intersection_nonempty,
     region_grid,
 )
-from barriergame.params import ModelParams, sample_valid_params, validate
+from barriergame.params import sample_valid_params, validate
 from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
-from conftest import random_valid_params
-
-
-def make(**kw):
-    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
-    base.update(kw)
-    return ModelParams(**base)
+from conftest import make, random_valid_params
 
 
 class TestClassify:

@@ -3,8 +3,10 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +310,21 @@ class TestFigureCommand:
         assert captured.out == ""
         assert captured.err == ('{"error": "invalid parameters", "detail": '
                                 '["0 < mu <= 1 required, got 0.0"]}\n')
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("values", ["0.5,0.5", "0.5000001,0.5000002"])
+    def test_repeated_panel_label_refused_before_raster(self, tmp_path, capsys,
+                                                        monkeypatch, values):
+        # two panels labeled alike would share one CSV twin
+        assert_no_work(monkeypatch, ("region_grid", "emit_svg", "emit_csv"))
+        code = run(["figure", "mu-shift", "--preset", "demo-b",
+                    "-o", str(tmp_path / "f.svg"), "--csv",
+                    str(tmp_path / "f.csv"), "--values", values])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert strict_json(captured.err)["error"] == \
+            "--values gives two panels labeled 'mu = 0.5'"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--cr-range", "--cd-range"])
@@ -630,6 +647,7 @@ REFUSALS = [
     (["simulate", "--preset", "demo-b", "--p1", "0.1"], "invalid parameters"),
     (["verify", "--preset", "nope", "--agreement", "3"],
      "unknown preset 'nope'; available: ['demo-b', 'post-wto', 'pre-wto']"),
+    (["verify", "--preset", "demo-b"], "--agreement-csv requires --agreement"),
 ]
 
 
@@ -914,3 +932,36 @@ class TestParserReuse:
                      ["--help"]]:
             outputs(argv)
         assert len(built) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The ``barriergame`` commands of the sh block under "## Command line"
+    in README.md, backslash continuations joined and # comments stripped,
+    each as its argv without the program name."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["barriergame"]]
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    # every documented command runs as written and writes the files it names
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
+        for flag, value in zip(argv, argv[1:]):
+            if flag not in ("-o", "--out", "--csv", "--trace",
+                            "--agreement-csv"):
+                continue
+            path = tmp_path / value
+            # a shift figure writes one CSV twin per panel, <stem>-<label>.csv
+            twins = list(tmp_path.glob(f"{path.stem}-*{path.suffix}"))
+            assert path.exists() or (flag == "--csv" and twins), (argv, flag)

@@ -29,17 +29,10 @@ from barriergame.params import (
     BarrierDistribution,
     EliminationMode,
     InvalidParamsError,
-    ModelParams,
 )
 from barriergame.oracle import verify_period1
 from barriergame.thresholds import compute_thresholds, effective_mu
-from conftest import assert_close, random_valid_params
-
-
-def make(**kw):
-    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
-    base.update(kw)
-    return ModelParams(**base)
+from conftest import assert_close, make, random_valid_params
 
 
 DIST = BarrierDistribution.degenerate(0.8)
@@ -849,10 +842,12 @@ class TestOnPathStreams:
 def played_every_period(profile, params, horizon, n_runs, trace):
     """Reference on-path run that plays the profile in every period:
     prescribed votes, offer and flow split at each t, discounted flow added
-    period by period."""
+    period by period, and the elimination period read off the votes (None
+    when the barrier still stands at the horizon)."""
     delta = params.delta
     v_r = v_d = 0.0
     elim_period = 1 if profile.mode is ProfileMode.EFFICIENT_PEACE else 2
+    eliminated_in = None
     for t in range(1, horizon + 1):
         barrier_before = t <= elim_period
         vote_r, vote_d = profile.prescribed_votes(t, barrier_before)
@@ -861,6 +856,8 @@ def played_every_period(profile, params, horizon, n_runs, trace):
             if params.elimination_mode is EliminationMode.COOPERATIVE
             else vote_r)
         barrier_after = barrier_before and not eliminated_now
+        if eliminated_now and eliminated_in is None:
+            eliminated_in = t
         y = params.h0 if (t == 1 and barrier_after) else 1.0
         offer = profile.offer(t, y, barrier_after)
         flow_r, flow_d = engine._split_flows(y, offer)
@@ -875,7 +872,7 @@ def played_every_period(profile, params, horizon, n_runs, trace):
             "payoff_r_mean": v_r, "payoff_r_se": 0.0,
             "payoff_d_mean": v_d, "payoff_d_se": 0.0,
             "war_frequency": 0.0,
-            "elimination_periods": {str(elim_period): 1.0},
+            "elimination_periods": {str(eliminated_in): 1.0},
             "tail_bound": delta ** horizon * 1.0 / (1.0 - delta)}
 
 

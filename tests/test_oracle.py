@@ -25,13 +25,7 @@ from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
 )
-from conftest import assert_close, random_valid_params
-
-
-def make(**kw):
-    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
-    base.update(kw)
-    return ModelParams(**base)
+from conftest import assert_close, make, random_valid_params
 
 
 EDGE_POINTS = [

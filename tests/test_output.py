@@ -21,15 +21,9 @@ from barriergame.output import (
     emit_svg,
     render_svg,
 )
-from barriergame.params import ModelParams
 from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
-
-
-def make(**kw):
-    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
-    base.update(kw)
-    return ModelParams(**base)
+from conftest import make
 
 
 def parse_csv(path):

@@ -9,17 +9,10 @@ from barriergame.params import ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
-    extension_label,
     theta_floor,
 )
 from conftest import (assert_close, inefficient_joint_threshold_compact,
-                      random_valid_params)
-
-
-def make(**kw):
-    base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
-    base.update(kw)
-    return ModelParams(**base)
+                      make, random_valid_params)
 
 
 valid_point = st.builds(
@@ -209,11 +202,13 @@ class TestThetaFloor:
 
 class TestThresholdSet:
     def test_extension_labels(self):
-        assert extension_label(make()) == "baseline"
-        assert extension_label(make(rho=0.3)) == "rho"
-        assert extension_label(make(theta=1.1)) == "theta"
-        assert extension_label(make(rho=0.3, theta=1.1)) == "composed"
-        assert compute_thresholds(make(rho=0.3, theta=1.1)).extension == "composed"
+        def extension(**kw):
+            return compute_thresholds(make(**kw)).extension
+
+        assert extension() == "baseline"
+        assert extension(rho=0.3) == "rho"
+        assert extension(theta=1.1) == "theta"
+        assert extension(rho=0.3, theta=1.1) == "composed"
 
     def test_to_dict_floor_undefined(self):
         d = compute_thresholds(make(p=0.0)).to_dict()
