@@ -4,7 +4,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .params import InvalidParamsError, ModelParams, require_valid
 from .thresholds import ThresholdSet, compute_thresholds
@@ -18,8 +18,7 @@ class RegionLabel(enum.Enum):
     SKIPPED = "Skipped"
 
 
-@dataclass(frozen=True)
-class Margins:
+class Margins(NamedTuple):
     efficient: float      # c_D - cbar_D
     cd: float             # c_D - clow_D
     joint: float          # c_D + c_R - Clow
@@ -43,8 +42,7 @@ class Margins:
         return cls(efficient, cd, joint)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """The taxonomy at one point: the one statement of the existence
     conditions.  Every flag is a pure function of the margins; boundary
     cells (margin 0) take the weak-inequality side."""
@@ -84,7 +82,7 @@ class EquilibriumReport:
             "war_inevitable": self.war_inevitable,
             "assumption_holds": self.assumption_holds,
             "label": self.label.value,
-            "margins": dict(vars(self.margins)),
+            "margins": self.margins._asdict(),
             "thresholds": self.thresholds.to_dict(),
         }
 

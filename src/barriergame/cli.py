@@ -148,6 +148,14 @@ def _require_size(value: int, flag: str, cap: int) -> None:
         raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
 
 
+def _refuse_shared(*paths: Optional[str]) -> None:
+    """Refuse, before any work, two output files that resolve to one path."""
+    real = [os.path.realpath(_out_path(p)) for p in paths if p]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise CliError(f"two outputs would write to {path}")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     # the file named on the command line, else stdout
     if out:
@@ -271,19 +279,18 @@ def _cmd_figure(args) -> int:
             raise CliError(f"--values gives two panels labeled {subtitle!r}")
         labels.add(subtitle)
         require_valid(point)
+    csvs = [args.csv] if args.csv else []
+    if csvs and len(points) > 1:
+        stem, ext = os.path.splitext(args.csv)
+        csvs = [f"{stem}-{s.replace(' ', '').replace('=', '-')}{ext or '.csv'}"
+                for s, _ in points]
+    _refuse_shared(args.out, *csvs)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
               for subtitle, point in points]
     emit_svg(panels, title, _out_path(args.out))
-    if args.csv:
-        base = _out_path(args.csv)
-        if len(panels) == 1:
-            emit_csv(panels[0][1], base)
-        else:
-            stem, ext = os.path.splitext(base)
-            for subtitle, grid in panels:
-                tag = subtitle.replace(" ", "").replace("=", "-")
-                emit_csv(grid, f"{stem}-{tag}{ext or '.csv'}")
+    for (_, grid), path in zip(panels, csvs):
+        emit_csv(grid, _out_path(path))
     return 0
 
 
@@ -292,6 +299,7 @@ def _cmd_simulate(args) -> int:
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
+    _refuse_shared(args.out, args.trace)
     params = _collect_params(args)
     mode = _MODES[args.mode]
     profile = StrategyProfile(mode, params)
@@ -312,6 +320,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.agreement_csv is not None and args.agreement is None:
         raise CliError("--agreement-csv requires --agreement")
+    _refuse_shared(args.out, args.agreement_csv)
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):

@@ -52,9 +52,13 @@ class ModelParams:
     elimination_mode: EliminationMode = EliminationMode.UNILATERAL
 
     def with_overrides(self, **kwargs: Any) -> "ModelParams":
-        # one constructor call is cheaper than dataclasses.replace, and an
-        # unknown field name still raises TypeError
-        return type(self)(**{**self.__dict__, **kwargs})
+        # a copy of the field dict skips the frozen __init__ (no __post_init__)
+        if not kwargs.keys() <= self.__dict__.keys():
+            raise TypeError(f"unknown ModelParams fields: "
+                            f"{sorted(kwargs.keys() - self.__dict__.keys())}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **kwargs)
+        return new
 
     def to_dict(self) -> dict:
         return {**vars(self), "elimination_mode": self.elimination_mode.value}

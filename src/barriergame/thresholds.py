@@ -10,7 +10,7 @@ the result set is labeled ``extension: composed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import ModelParams, _power_floor
 
@@ -34,8 +34,7 @@ def theta_floor(params: ModelParams) -> float:
     return _power_floor(params.mu, params.p)
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(NamedTuple):
     """All computed thresholds and derived quantities for one parameter point.
 
     The offer fields are the one record of the indifference offers: the
@@ -63,7 +62,7 @@ class ThresholdSet:
     def to_dict(self) -> dict:
         # -inf floor means "floor undefined, any theta admissible"
         floor = self.theta_floor if math.isfinite(self.theta_floor) else None
-        return {**vars(self), "theta_floor": floor}
+        return {**self._asdict(), "theta_floor": floor}
 
 
 def compute_thresholds(params: ModelParams) -> ThresholdSet:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from barriergame.classifier import (
 )
 from barriergame.params import sample_valid_params, validate
 from barriergame.presets import get_preset
-from barriergame.thresholds import compute_thresholds
+from barriergame.thresholds import ThresholdSet, compute_thresholds
 from conftest import make, random_valid_params
 
 
@@ -93,6 +92,48 @@ class TestClassify:
         # each boolean flips at most once, false -> true
         assert eff == sorted(eff)
         assert inef == sorted(inef)
+
+
+class TestRecords:
+    """``ThresholdSet``, ``Margins`` and ``EquilibriumReport`` are immutable
+    named tuples: built by keyword, read by attribute, and written as JSON
+    by their fields plus the derived keys the README lists."""
+
+    FLAGS = {"efficient_peace_exists", "inefficient_peace_exists",
+             "war_inevitable", "assumption_holds", "label"}
+
+    def test_keyword_construction(self):
+        rep = classify(make(c_D=25.0, c_R=1.0))
+        ts, m = rep.thresholds, rep.margins
+        assert ThresholdSet(**ts._asdict()) == ts
+        built = Margins(efficient=m.efficient, cd=m.cd, joint=m.joint)
+        assert (built.efficient, built.cd, built.joint) == tuple(m)
+        twin = EquilibriumReport(margins=built, thresholds=ts)
+        assert twin.margins is built and twin.thresholds is ts
+        assert twin.label is rep.label is RegionLabel.INEFFICIENT_PEACE
+
+    @pytest.mark.parametrize("pick, field", [
+        (lambda rep: rep.thresholds, "Clow"),
+        (lambda rep: rep.margins, "joint"),
+        (lambda rep: rep, "margins"),
+        (lambda rep: rep, "label"),
+    ], ids=["ThresholdSet", "Margins", "EquilibriumReport",
+            "EquilibriumReport-property"])
+    def test_fields_cannot_be_assigned(self, pick, field):
+        record = pick(classify(make()))
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.unknown = 0.0
+
+    @pytest.mark.parametrize("kw", [{}, {"p": 0.0}, {"rho": 0.3, "theta": 1.1}])
+    def test_to_dict_keys(self, kw):
+        rep = classify(make(**kw))
+        d = rep.to_dict()
+        assert set(d) == set(EquilibriumReport._fields) | self.FLAGS
+        assert list(d["margins"]) == list(Margins._fields)
+        assert list(d["thresholds"]) == list(ThresholdSet._fields)
+        assert list(rep.thresholds.to_dict()) == list(ThresholdSet._fields)
 
 
 class TestRegionGrid:
@@ -271,8 +312,7 @@ class TestIntersection:
             cases += [(clow_d, cbar_d, joint) for joint in joints]
         floors = set()
         for clow_d, cbar_d, joint in cases:
-            ts = dataclasses.replace(real, clow_D=clow_d, cbar_D=cbar_d,
-                                     Clow=joint)
+            ts = real._replace(clow_D=clow_d, cbar_D=cbar_d, Clow=joint)
             monkeypatch.setattr(classifier_mod, "compute_thresholds",
                                 lambda params: ts)
             band = intersection_nonempty(make())
@@ -298,8 +338,8 @@ class TestIntersection:
     def test_positive_joint_floor(self, monkeypatch):
         # on valid points a nonempty band has Clow <= c_D, so synthetic
         # thresholds with Clow above the band make the c_R floor positive
-        ts = dataclasses.replace(compute_thresholds(make()), clow_D=0.5,
-                                 cbar_D=2.0, Clow=3.0)
+        ts = compute_thresholds(make())._replace(clow_D=0.5, cbar_D=2.0,
+                                                 Clow=3.0)
         monkeypatch.setattr(classifier_mod, "compute_thresholds",
                             lambda params: ts)
         band = intersection_nonempty(make())

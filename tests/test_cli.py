@@ -664,6 +664,36 @@ def test_refusal_writes_no_output(argv, error, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+SHARED_OUTPUTS = [
+    (["figure", "regions", "-o", "f.svg", "--csv", "f.svg"], "f.svg"),
+    (["figure", "regions", "-o", "f.svg", "--csv", "./f.svg"], "f.svg"),
+    (["figure", "mu-shift", "-o", "f-mu-0.8.csv", "--csv", "f.csv"],
+     "f-mu-0.8.csv"),
+    (["simulate", "-o", "s.json", "--trace", "s.json"], "s.json"),
+    (["verify", "--agreement", "3", "-o", "r.json", "--agreement-csv",
+      "r.json"], "r.json"),
+]
+
+
+@pytest.mark.parametrize("argv,path", SHARED_OUTPUTS,
+                         ids=[" ".join(a) for a, _ in SHARED_OUTPUTS])
+def test_shared_output_path_refused(argv, path, capsys, tmp_path,
+                                    monkeypatch):
+    # two outputs resolving to one file are refused before any work, where
+    # the later write used to replace the earlier one silently
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    assert_no_work(monkeypatch, ("region_grid", "emit_svg", "emit_csv",
+                                 "simulate", "verify_period1",
+                                 "agreement_rows"))
+    code = run([*argv, "--preset", "demo-b"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"] == \
+        f"two outputs would write to {os.path.realpath(tmp_path / path)}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
 # order, float repr or indentation shows here
 STDOUT_SHA256 = [
@@ -815,9 +845,10 @@ def test_to_dict_keys_are_fields():
         (oracle_thresholds(q), set()),
     ]
     for record, derived in records:
-        names = {f.name for f in dataclasses.fields(record)}
+        names = (set(record._fields) if isinstance(record, tuple)
+                 else {f.name for f in dataclasses.fields(record)})
         assert set(record.to_dict()) == names | derived, type(record)
-    margins = {f.name for f in dataclasses.fields(report.margins)}
+    margins = set(report.margins._fields)
     assert set(report.to_dict()["margins"]) == margins
 
 

@@ -88,7 +88,9 @@ class TestWithOverrides:
     def test_matches_dataclasses_replace(self, kw):
         base = make(rho=0.25, theta=1.05)
         got = base.with_overrides(**kw)
+        # dataclasses.replace builds its result through the constructor
         assert got == dataclasses.replace(base, **kw)
+        assert hash(got) == hash(dataclasses.replace(base, **kw))
         assert same_fields(got, dataclasses.replace(base, **kw))
         assert base == make(rho=0.25, theta=1.05)   # the base is untouched
 
@@ -105,6 +107,18 @@ class TestWithOverrides:
             make().with_overrides(c_d=1.0)
         with pytest.raises(TypeError):
             dataclasses.replace(make(), c_d=1.0)
+        # refused before the copy, a known name alongside or not
+        with pytest.raises(TypeError, match=r"\['c_d', 'cr'\]"):
+            make().with_overrides(c_D=2.0, c_d=1.0, cr=0.5)
+
+    def test_copy_shares_no_dict(self):
+        for base in (make(), lanes([make(), make(c_D=2.0)])):
+            got = base.with_overrides(c_R=4.0)
+            assert vars(got) is not vars(base)
+            assert vars(got).keys() == vars(base).keys()
+            assert base.c_R is not got.c_R
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.c_R = 1.0
 
 
 class TestSerialization:
