@@ -44,7 +44,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import engine
 from .engine import ProfileMode
 from .params import (InvalidParamsError, ModelParams, lanes, require_valid,
-                     sample_valid_params)
+                     sample_valid_points)
 
 
 # fixed-point iteration of the postwar mean: convergence step and step cap
@@ -250,15 +250,13 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     )
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     value: float
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
-class OracleThresholds:
+class OracleThresholds(NamedTuple):
     cbar_D: Bracket
     clow_D: Bracket
     Clow: Bracket
@@ -266,8 +264,8 @@ class OracleThresholds:
     anomalies: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        d = {k: vars(v).copy() if isinstance(v, Bracket) else v
-             for k, v in vars(self).items()}
+        d = {k: v._asdict() if isinstance(v, Bracket) else v
+             for k, v in self._asdict().items()}
         d["anomalies"] = list(self.anomalies)
         return d
 
@@ -385,8 +383,7 @@ def _thresholds_from(mean: float, cbar, clow, joint) -> OracleThresholds:
         # the clow_D and Clow bisections found no passing point at a nan
         # mean; name the cause first
         anomalies = (_UNCONVERGED_MEAN, *anomalies)
-    return OracleThresholds(*brackets, search_tol=SEARCH_TOL,
-                            anomalies=anomalies)
+    return OracleThresholds(*brackets, SEARCH_TOL, anomalies)
 
 
 def oracle_thresholds(params: ModelParams) -> OracleThresholds:
@@ -459,19 +456,20 @@ AGREEMENT_CSV_HEADER = (
 def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
     """Summary rows comparing bisected thresholds against the closed forms
     at random valid parameter points; pairs with AGREEMENT_CSV_HEADER.
-    All points are sampled first and bisected as one batch."""
+    All points come from one block of draws and are bisected as one batch."""
     # local import: the closed forms stay out of the verification machinery
     import numpy as np
     from .thresholds import compute_thresholds
 
-    rng = np.random.default_rng(seed)
-    points = [sample_valid_params(rng) for _ in range(n_points)]
+    points = sample_valid_points(np.random.default_rng(seed), n_points)
     rows = []
     for params, result in zip(points, oracle_thresholds_batch(points)):
         ts = compute_thresholds(params)
-        diff = max(abs(result.cbar_D.value - ts.cbar_D),
-                   abs(result.clow_D.value - ts.clow_D),
-                   abs(result.Clow.value - ts.Clow))
+        diffs = (abs(result.cbar_D.value - ts.cbar_D),
+                 abs(result.clow_D.value - ts.clow_D),
+                 abs(result.Clow.value - ts.Clow))
+        # nan when any bracket has no value: max alone drops a later nan
+        diff = math.nan if any(map(math.isnan, diffs)) else max(diffs)
         values = [params.delta, params.p, params.p1, params.mu, params.h0,
                   params.rho, params.theta,
                   ts.cbar_D, result.cbar_D.value,

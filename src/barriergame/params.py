@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 class EliminationMode(enum.Enum):
@@ -240,6 +240,29 @@ def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None
 
 # upper end of the uniform draw of each war cost in sample_valid_params
 SAMPLE_COST_SCALE = 10.0
+SAMPLE_MAX_DRAWS = 11   # the most doubles one sampled point reads
+
+
+def _sample_point(u: Callable[[], float], theta_spread: bool,
+                  rho_spread: bool) -> ModelParams:
+    """One valid point from the doubles u() returns; each draw
+    lo + (hi - lo) * u() is bit for bit numpy's uniform(lo, hi)."""
+    delta = 0.15 + (0.95 - 0.15) * u()
+    p = 0.02 + (0.9 - 0.02) * u()
+    lo = p + 0.02
+    p1 = lo + (1.0 - lo) * u()
+    mu = 0.3 + (1.0 - 0.3) * u()
+    h0 = 0.05 + (0.95 - 0.05) * u()
+    rho = u() if (rho_spread and u() < 0.5) else 0.0    # uniform(0, 1)
+    if theta_spread and u() < 0.5:
+        lo = max(_power_floor(mu, p), 0.05)
+        theta = lo + (1.0 / p1 - lo) * u()
+    else:
+        theta = 1.0
+    c_d = SAMPLE_COST_SCALE * u()
+    c_r = SAMPLE_COST_SCALE * u()
+    return ModelParams(delta=delta, p=p, p1=p1, mu=mu, h0=h0,
+                       c_R=c_r, c_D=c_d, rho=rho, theta=theta)
 
 
 def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
@@ -249,18 +272,11 @@ def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
     theta is drawn from {1} union [floor, 1/p1] (floor clipped away from
     zero) and rho uniformly on [0, 1], each active half the time.
     """
-    delta = rng.uniform(0.15, 0.95)
-    p = rng.uniform(0.02, 0.9)
-    p1 = rng.uniform(p + 0.02, 1.0)
-    mu = rng.uniform(0.3, 1.0)
-    h0 = rng.uniform(0.05, 0.95)
-    rho = rng.uniform(0.0, 1.0) if (rho_spread and rng.random() < 0.5) else 0.0
-    if theta_spread and rng.random() < 0.5:
-        lo = max(_power_floor(mu, p), 0.05)
-        theta = rng.uniform(lo, 1.0 / p1)
-    else:
-        theta = 1.0
-    c_d = rng.uniform(0.0, SAMPLE_COST_SCALE)
-    c_r = rng.uniform(0.0, SAMPLE_COST_SCALE)
-    return ModelParams(delta=delta, p=p, p1=p1, mu=mu, h0=h0,
-                       c_R=c_r, c_D=c_d, rho=rho, theta=theta)
+    return _sample_point(rng.random, theta_spread, rho_spread)
+
+
+def sample_valid_points(rng: np.random.Generator, n: int) -> list[ModelParams]:
+    """n calls of sample_valid_params bit for bit, from one block of draws;
+    the generator's state afterwards differs from that after the calls."""
+    u = iter(rng.random(SAMPLE_MAX_DRAWS * n).tolist()).__next__
+    return [_sample_point(u, True, True) for _ in range(n)]

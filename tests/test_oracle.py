@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -12,6 +13,7 @@ from barriergame.engine import ProfileMode
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
     Bracket,
+    OracleThresholds,
     _bisect_up,
     _bisect_up_sets,
     agreement_rows,
@@ -271,6 +273,26 @@ class TestAgreementSummary:
             assert float(fields[-2]) <= 1e-6
             assert fields[-1] == "0"
 
+    @pytest.mark.parametrize("key", ["cbar_D", "clow_D", "Clow"])
+    def test_max_abs_diff_nan_when_a_bracket_has_no_value(self, monkeypatch,
+                                                         key):
+        # max alone keeps a finite diff over a nan that comes after it
+        batch = oracle.oracle_thresholds_batch
+
+        def no_value(points):
+            out = []
+            for r in batch(points):
+                kw = {k: getattr(r, k) for k in ("cbar_D", "clow_D", "Clow")}
+                kw[key] = Bracket(math.nan, kw[key].lo, kw[key].hi)
+                out.append(OracleThresholds(**kw, search_tol=r.search_tol))
+            return out
+
+        monkeypatch.setattr(oracle, "oracle_thresholds_batch", no_value)
+        col = AGREEMENT_CSV_HEADER.split(",").index(f"{key}_oracle")
+        for row in agreement_rows(4, seed=11):
+            fields = row.split(",")
+            assert (fields[col], fields[-2], fields[-1]) == ("nan", "nan", "0")
+
 
 class TestOracleThresholds:
     def test_demo_point(self):
@@ -336,10 +358,61 @@ class TestOracleThresholds:
         assert_close(result.Clow.value, ts.Clow, 1e-6)
 
 
+class TestRecords:
+    """``Bracket`` and ``OracleThresholds`` are immutable named tuples:
+    built by keyword, read by attribute, printed as the frozen dataclasses
+    they replace, and written as JSON by their fields."""
+
+    OLD = {"Bracket": dataclasses.make_dataclass(
+               "Bracket", ["value", "lo", "hi"], frozen=True),
+           "OracleThresholds": dataclasses.make_dataclass(
+               "OracleThresholds", ["cbar_D", "clow_D", "Clow", "search_tol",
+                                    ("anomalies", tuple, dataclasses.field(
+                                        default=()))], frozen=True)}
+
+    def test_keyword_construction(self):
+        b = Bracket(value=1.5, lo=1.25, hi=1.75)
+        assert (b.value, b.lo, b.hi) == (1.5, 1.25, 1.75)
+        r = OracleThresholds(cbar_D=b, clow_D=b, Clow=b, search_tol=1e-8)
+        assert r.cbar_D is b and r.Clow is b and r.search_tol == 1e-8
+        assert r.anomalies == ()
+        assert OracleThresholds(**r._asdict()) == r
+
+    @pytest.mark.parametrize("record, field", [
+        (Bracket(1.0, 0.5, 2.0), "value"),
+        (oracle_thresholds(make()), "clow_D"),
+        (oracle_thresholds(make()), "anomalies")],
+        ids=["Bracket", "OracleThresholds", "OracleThresholds-default"])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.unknown = 0.0
+
+    @pytest.mark.parametrize("params", [make(), SLOW_MEAN],
+                             ids=["finite", "nan"])
+    def test_repr_is_the_dataclass_repr(self, params):
+        result = oracle_thresholds(params)
+        brackets = [self.OLD["Bracket"](*b) for b in result[:3]]
+        old = self.OLD["OracleThresholds"](*brackets, *result[3:])
+        assert repr(result) == repr(old)
+        assert repr(result.Clow).startswith(
+            "Bracket(value=nan, " if params is SLOW_MEAN else "Bracket(value=-1.1")
+
+    def test_to_dict_keys_are_fields(self):
+        d = oracle_thresholds(SLOW_MEAN).to_dict()
+        assert list(d) == list(OracleThresholds._fields)
+        for key in ("cbar_D", "clow_D", "Clow"):
+            assert list(d[key]) == list(Bracket._fields)
+        assert isinstance(d["anomalies"], list) and len(d["anomalies"]) == 3
+
+
 class TestLockstepBatch:
     def test_agreement_golden_bytes(self):
         # brackets are bit-for-bit those of the one-point-at-a-time scalar
-        # bisection that produced this file; a one-ulp move fails here
+        # bisection that produced this file; a one-ulp move fails here.
+        # Regenerate with: barriergame verify --preset demo-b --agreement 20
+        #   --seed 11 --agreement-csv tests/golden/agreement-seed11.csv
         path = os.path.join(os.path.dirname(__file__), "golden",
                             "agreement-seed11.csv")
         with open(path) as fh:

@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barriergame.params import (
+    SAMPLE_COST_SCALE,
+    SAMPLE_MAX_DRAWS,
     BarrierDistribution,
     DistributionKind,
     EliminationMode,
     ModelParams,
+    _power_floor,
+    _sample_point,
     lanes,
     require_mean_matches,
+    sample_valid_params,
+    sample_valid_points,
     validate,
 )
 
@@ -243,3 +249,83 @@ class TestDistributions:
             "Uniform(0.25, 0.75)"
         assert BarrierDistribution.scaled_beta(2.0, 3.0).describe() == \
             "ScaledBeta(2.0, 3.0)"
+
+
+def uniform_reference(rng, theta_spread=True, rho_spread=True):
+    """The sampled distribution stated with numpy's uniform draws."""
+    delta = rng.uniform(0.15, 0.95)
+    p = rng.uniform(0.02, 0.9)
+    p1 = rng.uniform(p + 0.02, 1.0)
+    mu = rng.uniform(0.3, 1.0)
+    h0 = rng.uniform(0.05, 0.95)
+    rho = rng.uniform(0.0, 1.0) if (rho_spread and rng.random() < 0.5) else 0.0
+    if theta_spread and rng.random() < 0.5:
+        theta = rng.uniform(max(_power_floor(mu, p), 0.05), 1.0 / p1)
+    else:
+        theta = 1.0
+    c_d = rng.uniform(0.0, SAMPLE_COST_SCALE)
+    c_r = rng.uniform(0.0, SAMPLE_COST_SCALE)
+    return ModelParams(delta=delta, p=p, p1=p1, mu=mu, h0=h0,
+                       c_R=c_r, c_D=c_d, rho=rho, theta=theta)
+
+
+SPREADS = [dict(theta_spread=t, rho_spread=r)
+           for t in (True, False) for r in (True, False)]
+SPREAD_IDS = ["both", "theta", "rho", "none"]
+
+
+class TestSampling:
+    """``sample_valid_params`` draws ``lo + (hi - lo) * u`` from scalar
+    doubles and ``sample_valid_points`` from one block of them; both give
+    the points numpy's ``uniform`` gives, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_block_equals_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        scalar = [sample_valid_params(rng) for _ in range(2000)]
+        block = sample_valid_points(np.random.default_rng(seed), 2000)
+        assert repr(block) == repr(scalar)
+        assert sample_valid_points(np.random.default_rng(seed), 0) == []
+
+    @pytest.mark.parametrize("kw", SPREADS, ids=SPREAD_IDS)
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_scalar_equals_uniform_reference(self, kw, seed):
+        # the same points from the same generator state, which the scalar
+        # sampler leaves where numpy's uniform draws leave it
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [sample_valid_params(a, **kw) for _ in range(2000)]
+        want = [uniform_reference(b, **kw) for _ in range(2000)]
+        assert repr(got) == repr(want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kw", SPREADS, ids=SPREAD_IDS)
+    def test_no_point_reads_more_than_max_draws(self, kw):
+        rng = np.random.default_rng(5)
+        reads = []
+
+        def u():
+            reads[-1] += 1
+            return rng.random()
+
+        for _ in range(2000):
+            reads.append(0)
+            _sample_point(u, **kw)
+        assert max(reads) == 7 + kw["theta_spread"] * 2 + kw["rho_spread"] * 2
+        assert max(reads) <= SAMPLE_MAX_DRAWS
+
+    def test_affine_draw_is_numpy_uniform(self):
+        # numpy's uniform(lo, hi) is lo + (hi - lo) * next_double; a numpy
+        # release that computes it otherwise would move every sampled point
+        rng = np.random.default_rng(9)
+        p = rng.uniform(0.02, 0.9, 50)
+        p1 = rng.uniform(p + 0.02, 1.0)
+        mu = rng.uniform(0.3, 1.0, 50)
+        bounds = [(0.15, 0.95), (0.02, 0.9), (0.3, 1.0), (0.05, 0.95),
+                  (0.0, 1.0), (0.0, SAMPLE_COST_SCALE)]
+        for pi, p1i, mui in zip(p.tolist(), p1.tolist(), mu.tolist()):
+            bounds += [(pi + 0.02, 1.0),
+                       (max(_power_floor(mui, pi), 0.05), 1.0 / p1i)]
+        for lo, hi in bounds:
+            a, b = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(400):
+                assert lo + (hi - lo) * a.random() == b.uniform(lo, hi)
