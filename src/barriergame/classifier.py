@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .params import InvalidParamsError, ModelParams, require_valid
@@ -95,8 +94,7 @@ def classify(params: ModelParams) -> EquilibriumReport:
     return EquilibriumReport(Margins.at(params, ts), ts)
 
 
-@dataclass(frozen=True)
-class RegionGrid:
+class RegionGrid(NamedTuple):
     """Rasterized (c_R, c_D) classification with the boundary curves."""
 
     cr_values: tuple[float, ...]
@@ -166,8 +164,7 @@ def comparative_static(base: ModelParams, knob: str,
             for value in values]
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     """Where inefficient peace exists but efficient peace does not:
     ``cd_lo <= c_D < cd_hi`` and ``c_D + c_R >= Clow``, so the joint floor
     is ``c_R >= max(Clow - c_D, 0)``.  Each bound is the margin ``classify``
@@ -181,7 +178,7 @@ class IntersectionResult:
         return self.cd_lo < self.cd_hi
 
     def to_dict(self) -> dict:
-        return {"found": self.found, **vars(self)}
+        return {"found": self.found, **self._asdict()}
 
 
 def intersection_nonempty(base: ModelParams) -> IntersectionResult:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, fields
 from typing import Optional, Sequence
 
 from .classifier import (
@@ -48,9 +47,8 @@ from .thresholds import compute_thresholds
 
 # the config keys and flags are ModelParams' fields (c_R -> --c-r); a field
 # without a default is required
-_PARAM_FIELDS = fields(ModelParams)
-_PARAM_FLAGS = {f.name: "--" + f.name.lower().replace("_", "-")
-                for f in _PARAM_FIELDS if f.name != "elimination_mode"}
+_PARAM_FLAGS = {name: "--" + name.lower().replace("_", "-")
+                for name in ModelParams._fields if name != "elimination_mode"}
 
 _MODES = {
     "efficient": ProfileMode.EFFICIENT_PEACE,
@@ -103,12 +101,12 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
         if not isinstance(cfg, dict):
             raise CliError("config must be a JSON object of parameter fields")
         layered.update(cfg)
-    for f in _PARAM_FIELDS:
-        value = getattr(args, f"param_{f.name}")
+    for name in ModelParams._fields:
+        value = getattr(args, f"param_{name}")
         if value is not None:
-            layered[f.name] = value
-    missing = [f.name for f in _PARAM_FIELDS
-               if f.default is MISSING and f.name not in layered]
+            layered[name] = value
+    missing = [name for name in ModelParams._fields if name not in layered
+               and name not in ModelParams._field_defaults]
     if missing:
         raise CliError(f"missing parameters {missing}; supply a preset, a "
                        f"config file, or flags")

@@ -124,6 +124,16 @@ def step(state: GameState, actions: ActionRecord, params: ModelParams,
     return GameState(state.t + 1, False, 1.0)
 
 
+def require_elimination_mode(mode: ProfileMode, params: ModelParams) -> None:
+    """Refuse (GameError) an elimination mode the built-in profile ``mode``
+    is not played under: joint consent is for the cooperative one only."""
+    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+        if params.elimination_mode is not EliminationMode.COOPERATIVE:
+            raise GameError("cooperative profile requires cooperative elimination mode")
+    elif params.elimination_mode is not EliminationMode.UNILATERAL:
+        raise GameError(f"{mode.value} profile requires unilateral elimination mode")
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """A strategy pair for the stage game.
@@ -160,12 +170,7 @@ class StrategyProfile:
                 raise GameError("custom profile lacks an accept callback")
             return
         require_valid(params)
-        # a built-in profile is played only under the elimination mode it needs
-        if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
-            if params.elimination_mode is not EliminationMode.COOPERATIVE:
-                raise GameError("cooperative profile requires cooperative elimination mode")
-        elif params.elimination_mode is not EliminationMode.UNILATERAL:
-            raise GameError(f"{mode.value} profile requires unilateral elimination mode")
+        require_elimination_mode(mode, params)
         # the existence conditions are read from the classifier's report, at
         # the profile's own threshold record
         ts = self.thresholds
@@ -250,8 +255,7 @@ def analytic_payoffs(params: ModelParams,
     return v_r, v_d
 
 
-@dataclass(frozen=True)
-class SimStats:
+class SimStats(NamedTuple):
     n_runs: int
     horizon: int
     payoff_r_mean: float
@@ -263,7 +267,7 @@ class SimStats:
     tail_bound: float
 
     def to_dict(self) -> dict:
-        return {**vars(self), "elimination_periods": {
+        return {**self._asdict(), "elimination_periods": {
             str(k): v for k, v in self.elimination_periods.items()}}
 
 

@@ -38,7 +38,6 @@ brackets do not depend on the path or on the batch it is in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import engine
@@ -74,8 +73,7 @@ def postwar_market_mean(params: ModelParams) -> float:
     return math.nan
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     mode: ProfileMode
     passed: bool
     feasible: bool
@@ -83,11 +81,11 @@ class VerificationReport:
     max_gain_d: float
     best_deviation: str
     tol: float
-    gains: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    gains: dict
+    diagnostics: dict
 
     def to_dict(self) -> dict:
-        return {**vars(self), "mode": self.mode.value,
+        return {**self._asdict(), "mode": self.mode.value,
                 "gains": dict(self.gains),
                 "diagnostics": dict(self.diagnostics)}
 
@@ -130,6 +128,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     """Deviation-check one built-in profile at period 1; the stationary phase
     is certified by exact one-shot checks.
 
+    Refuses (GameError) an elimination mode the profile is not played under.
     Works on raw cost values without consulting parameter validation, but
     refuses a point whose war values, continuations or gains are not finite
     (InvalidParamsError naming them): costs near the float maximum overflow
@@ -138,6 +137,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     """
     if mode is ProfileMode.CUSTOM:
         raise ValueError("only built-in profiles can be certified")
+    engine.require_elimination_mode(mode, params)
     q = params
     delta = q.delta
     efficient = mode is ProfileMode.EFFICIENT_PEACE
@@ -425,13 +425,13 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
     n = len(points)
     batch = lanes(points)
     m = np.array([postwar_market_mean(q) for q in points], dtype=float)
+    w = _war_terms(batch, m)
 
     # lanes [0, n) bisect cbar_D on the efficient path, lanes [n, 2n)
     # clow_D on the barrier-keeping path
-    pair = _war_terms(lanes([*points, *points]), np.concatenate([m, m]))
-    efficient = np.arange(2 * n) < n
-    gross_d = np.where(efficient, pair.free[1], pair.bar[1])
-    y1 = np.where(efficient, 1.0, pair.h0)
+    pair = w._replace(delta=np.tile(w.delta, 2), d_flow=np.tile(w.d_flow, 2))
+    gross_d = np.concatenate([w.free[1], w.bar[1]])
+    y1 = np.concatenate([np.ones(n), w.h0])
     feasibility = _bisect_up_sets(
         lambda c: pair.cutoff1(gross_d, c) - y1 <= 0.0, 2 * n,
         slope=1.0 - pair.delta)
@@ -439,7 +439,6 @@ def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresho
 
     clow_value = np.array([b.value for b, _ in clow])
     cd_star = np.where(np.isfinite(clow_value), clow_value + 1.0, batch.c_D)
-    w = _war_terms(batch, m)
     v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
     joint = _bisect_up_sets(
         lambda s: (w.free[0] - (s - cd_star)) - v_eq_r <= 0.0, n, slope=1.0)
@@ -451,6 +450,7 @@ AGREEMENT_CSV_HEADER = (
     "delta,p,p1,mu,h0,rho,theta,"
     "cbar_D_closed,cbar_D_oracle,clow_D_closed,clow_D_oracle,"
     "Clow_closed,Clow_oracle,max_abs_diff,anomalies")
+_AGREEMENT_ROW = "%.12g," * 14 + "%d"
 
 
 def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
@@ -470,11 +470,10 @@ def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
                  abs(result.Clow.value - ts.Clow))
         # nan when any bracket has no value: max alone drops a later nan
         diff = math.nan if any(map(math.isnan, diffs)) else max(diffs)
-        values = [params.delta, params.p, params.p1, params.mu, params.h0,
-                  params.rho, params.theta,
-                  ts.cbar_D, result.cbar_D.value,
-                  ts.clow_D, result.clow_D.value,
-                  ts.Clow, result.Clow.value, diff]
-        rows.append(",".join(format(v, ".12g") for v in values)
-                    + f",{len(result.anomalies)}")
+        rows.append(_AGREEMENT_ROW % (
+            params.delta, params.p, params.p1, params.mu, params.h0,
+            params.rho, params.theta,
+            ts.cbar_D, result.cbar_D.value,
+            ts.clow_D, result.clow_D.value,
+            ts.Clow, result.Clow.value, diff, len(result.anomalies)))
     return rows

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 class EliminationMode(enum.Enum):
@@ -25,8 +24,7 @@ def _power_floor(mu: float, p: float) -> float:
     return (mu + p - 1.0) / (mu * p)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Full parameter vector of the bargaining game.
 
     delta: per-period discount factor
@@ -52,20 +50,14 @@ class ModelParams:
     elimination_mode: EliminationMode = EliminationMode.UNILATERAL
 
     def with_overrides(self, **kwargs: Any) -> "ModelParams":
-        # a copy of the field dict skips the frozen __init__ (no __post_init__)
-        if not kwargs.keys() <= self.__dict__.keys():
-            raise TypeError(f"unknown ModelParams fields: "
-                            f"{sorted(kwargs.keys() - self.__dict__.keys())}")
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, **kwargs)
-        return new
+        return self._replace(**kwargs)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "elimination_mode": self.elimination_mode.value}
+        return {**self._asdict(), "elimination_mode": self.elimination_mode.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         mode = data.get("elimination_mode", EliminationMode.UNILATERAL.value)
@@ -91,8 +83,8 @@ def lanes(points: Sequence[ModelParams]) -> ModelParams:
     the one way to build an array-lane ModelParams."""
     import numpy as np
     return ModelParams(**{
-        f.name: np.array([getattr(q, f.name) for q in points], dtype=float)
-        for f in fields(ModelParams) if f.name != "elimination_mode"})
+        name: np.array([getattr(q, name) for q in points], dtype=float)
+        for name in ModelParams._fields if name != "elimination_mode"})
 
 
 class InvalidParamsError(ValueError):
@@ -155,8 +147,7 @@ class DistributionKind(enum.Enum):
     SCALED_BETA = "ScaledBeta"
 
 
-@dataclass(frozen=True)
-class BarrierDistribution:
+class BarrierDistribution(NamedTuple):
     """Barrier-value distribution on [0, 1].
 
     Three families are supported so closed-form results, which depend on

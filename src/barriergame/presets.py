@@ -5,19 +5,18 @@ severity, war costs, size of the power shift), not calibrated magnitudes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import ModelParams
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     params: ModelParams
     annotation: str
 
     def to_dict(self) -> dict:
-        return {**vars(self), "params": self.params.to_dict()}
+        return {**self._asdict(), "params": self.params.to_dict()}
 
 
 _PRESETS = {p.name: p for p in (

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -542,6 +541,23 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == report.read_text() + csv_path.read_text()
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "cooperative"],
+        ["--mode", "efficient", "--c-d", "35",
+         "--elimination-mode", "Cooperative"],
+    ], ids=["cooperative", "efficient"])
+    def test_unplayable_elimination_mode_refused(self, capsys, flags):
+        # verify certifies no profile that simulate refuses to play: both
+        # exit 2 with the same message and print nothing
+        errors = []
+        for command in (["verify"], ["simulate", "--runs", "10"]):
+            code = run([*command, "--preset", "demo-b", *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            errors.append(strict_json(captured.err))
+        assert errors[0] == errors[1]
+        assert "elimination mode" in errors[0]["error"]
+
     def test_unconverged_postwar_mean_refused(self, capsys):
         # contraction factor (1 - rho) * delta ~ 0.99999: the postwar mean
         # is still moving after the step cap, so no verdict is printed
@@ -715,10 +731,12 @@ STDOUT_SHA256 = [
      "c4329ec8170f0353ab4e22c51a309c7911b5c5e4c391be5d9614946e698667c1"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
      "5a885b5d70db75c62c55acebdf383a7b962c51521b4e186d4304c707b64d478e"),
-    ("verify --preset demo-b --thresholds --mode cooperative --c-d 5",
-     "583ae38acca87c9c1f4eaaa3f9e9f61496b116a259573e59e045d88339e896e6"),
-    ("verify --preset demo-b --thresholds --mode cooperative --c-d 25",
-     "45acb9aeeb524db5baead8c33edd466063c1941f85ddd020d65cfa2ef3395601"),
+    ("verify --preset demo-b --thresholds --mode cooperative --c-d 5 "
+     "--elimination-mode Cooperative",
+     "cb68f0e22a3a8650e3771408ac7610fb50623069a12f5d8ae9f2f6e7ef80c7d3"),
+    ("verify --preset demo-b --thresholds --mode cooperative --c-d 25 "
+     "--elimination-mode Cooperative",
+     "54b993502abcdc942e9374a8afefd8fb1236c820cc5af15aeb36398a84105798"),
     ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
      "--horizon 50",
      "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),
@@ -845,9 +863,8 @@ def test_to_dict_keys_are_fields():
         (oracle_thresholds(q), set()),
     ]
     for record, derived in records:
-        names = (set(record._fields) if isinstance(record, tuple)
-                 else {f.name for f in dataclasses.fields(record)})
-        assert set(record.to_dict()) == names | derived, type(record)
+        assert set(record.to_dict()) == set(record._fields) | derived, \
+            type(record)
     margins = set(report.margins._fields)
     assert set(report.to_dict()["margins"]) == margins
 

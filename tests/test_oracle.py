@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from barriergame import engine, oracle, thresholds
-from barriergame.engine import ProfileMode
+from barriergame.engine import GameError, ProfileMode, StrategyProfile
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
     Bracket,
@@ -22,7 +22,7 @@ from barriergame.oracle import (
     postwar_market_mean,
     verify_period1,
 )
-from barriergame.params import InvalidParamsError, ModelParams
+from barriergame.params import EliminationMode, InvalidParamsError, ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
@@ -45,6 +45,13 @@ EDGE_POINTS = [
 
 # the postwar mean is still moving after POSTWAR_MEAN_MAX_ITER steps
 SLOW_MEAN = make(delta=0.99999, rho=1e-6)
+
+
+def playable(q, mode):
+    """q under the elimination mode the built-in profile is played under."""
+    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+        return q.with_overrides(elimination_mode=EliminationMode.COOPERATIVE)
+    return q
 
 
 class TestPostwarMean:
@@ -111,7 +118,9 @@ class TestVerify:
 
     def test_cooperative_same_numbers(self):
         a = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
-        b = verify_period1(make(c_D=25.0), ProfileMode.COOPERATIVE_INEFFICIENT)
+        b = verify_period1(
+            make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE),
+            ProfileMode.COOPERATIVE_INEFFICIENT)
         assert a.passed == b.passed
         assert a.max_gain_r == b.max_gain_r
         assert b.diagnostics["responder_vote_switch"] == 0.0
@@ -119,6 +128,24 @@ class TestVerify:
     def test_custom_rejected(self):
         with pytest.raises(ValueError):
             verify_period1(make(), ProfileMode.CUSTOM)
+
+    @pytest.mark.parametrize("q, mode", [
+        (make(), ProfileMode.COOPERATIVE_INEFFICIENT),
+        (make(c_D=35.0, elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.EFFICIENT_PEACE),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.INEFFICIENT_PEACE),
+    ], ids=["cooperative", "efficient", "inefficient"])
+    def test_unplayable_elimination_mode_refused(self, q, mode):
+        # no profile is certified under an elimination mode it cannot be
+        # played under; the refusal is the one StrategyProfile makes
+        with pytest.raises(GameError) as built:
+            StrategyProfile(mode, q)
+        with pytest.raises(GameError) as verified:
+            verify_period1(q, mode)
+        assert str(verified.value) == str(built.value)
+        assert verify_period1(playable(q.with_overrides(
+            elimination_mode=EliminationMode.UNILATERAL), mode), mode).passed
 
     @pytest.mark.parametrize("mode,last", [
         (ProfileMode.EFFICIENT_PEACE, "keep_trigger=-inf"),
@@ -129,7 +156,8 @@ class TestVerify:
         # both costs are finite, but the proposer's gains overflow to -inf;
         # no verdict is read off them
         with pytest.raises(InvalidParamsError) as info:
-            verify_period1(make(c_R=1.7e308, c_D=1.7e308), mode)
+            verify_period1(playable(make(c_R=1.7e308, c_D=1.7e308), mode),
+                           mode)
         assert info.value.violations == (
             "finite period-1 terms required, got war_period1=-inf, "
             f"proposer_stationary=-inf, {last}",)
@@ -204,7 +232,7 @@ class TestOfferCandidates:
         points = [random_valid_params(rng) for _ in range(1000)] + named
         for q in points:
             for mode in self.MODES:
-                r = verify_period1(q, mode)
+                r = verify_period1(playable(q, mode), mode)
                 gain, provoke = dense_offer_scan(q, mode)
                 gains = {**r.gains, "offer_scan": gain}
                 diagnostics = {k: v for k, v in r.diagnostics.items()
@@ -449,7 +477,8 @@ class TestLockstepBatch:
     def test_setup_work_independent_of_steps(self, monkeypatch, entry):
         # everything but the bisected cost is computed once per call: a
         # tighter tolerance adds predicate calls, but no ModelParams
-        # constructions and no engine calls
+        # constructions and no engine calls; a batch builds one set of
+        # lanes and one set of war terms
         q = make()
         counts = Counter()
 
@@ -459,8 +488,8 @@ class TestLockstepBatch:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ModelParams, "__init__",
-                            counted("ModelParams", ModelParams.__init__))
+        monkeypatch.setattr(ModelParams, "__new__",
+                            counted("ModelParams", ModelParams.__new__))
         for name in ("war_lottery", "win_prob_d"):
             monkeypatch.setattr(engine, name,
                                 counted(name, getattr(engine, name)))
@@ -489,10 +518,11 @@ class TestLockstepBatch:
         loose, tight = per_tol[1e-4], per_tol[1e-13]
         assert tight.pop("predicate") >= loose.pop("predicate") + 40
         assert tight == loose
-        assert loose.get("ModelParams", 0) <= 2
-        assert loose.get("war_lottery", 0) <= 4
+        assert loose["war_lottery"] == 2
         if entry == "single":
             assert "ModelParams" not in loose
+        else:
+            assert loose["ModelParams"] == 1    # the one lanes() call
 
     def test_unconverged_postwar_mean_is_an_anomaly(self):
         # the slow point's mean is nan, so clow_D and Clow
@@ -564,7 +594,8 @@ class TestReadsNoClosedForm:
 
     @classmethod
     def results(cls, points) -> str:
-        single = [[verify_period1(q, mode) for mode in cls.MODES]
+        single = [[verify_period1(playable(q, mode), mode)
+                   for mode in cls.MODES]
                   + [oracle_thresholds(q)] for q in points]
         return repr((single, oracle_thresholds_batch(points)))
 

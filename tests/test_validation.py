@@ -151,3 +151,36 @@ def test_validate_called_only_in_params():
             if name == "validate":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_imports_used_and_dataclasses_only_in_engine():
+    """Every name a module imports is used in it, and only ``engine.py``
+    imports ``dataclasses`` (for ``StrategyProfile``); the other records
+    are named tuples."""
+    package = Path(barriergame.__file__).parent
+    unused, dataclass_importers = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                imported.update((alias.asname or alias.name.split(".")[0],
+                                 node.lineno) for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                modules = [node.module]
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+            else:
+                continue
+            if "dataclasses" in modules and path.name != "engine.py":
+                dataclass_importers.append(f"{path.name}:{node.lineno}")
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+    assert dataclass_importers == []
