@@ -14,7 +14,6 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, IO, NamedTuple, Optional
 
 from .classifier import EquilibriumReport, Margins
@@ -99,9 +98,7 @@ def resolve_elimination(state: GameState, elim_r: bool,
         if elim_d is not None:
             raise GameError("unilateral mode forbids elim_d")
         eliminated = elim_r
-    if eliminated:
-        return 1.0, False
-    return state.y, True
+    return (1.0, False) if eliminated else (state.y, True)
 
 
 def step(state: GameState, actions: ActionRecord, params: ModelParams,
@@ -134,15 +131,24 @@ def require_elimination_mode(mode: ProfileMode, params: ModelParams) -> None:
         raise GameError(f"{mode.value} profile requires unilateral elimination mode")
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """A strategy pair for the stage game.
+class _ProfileFields(NamedTuple):
+    mode: ProfileMode
+    params: ModelParams
+    custom_eliminate: Optional[Callable[[int, float, bool], bool]] = None
+    custom_eliminate_d: Optional[Callable[[int, float, bool], bool]] = None
+    custom_offer: Optional[Callable[[int, float, bool], float]] = None
+    custom_accept: Optional[Callable[[int, float, bool, float], bool]] = None
+
+
+class StrategyProfile(_ProfileFields):
+    """A strategy pair for the stage game, as a named tuple.
 
     Built-in modes reproduce the threshold-backed constructions: both sides
     play the indifference bookkeeping on path, and the responder treats any
     off-prescription elimination decision as a war trigger (see
     ``acceptance_cutoff``, the one statement of that rule).  Custom profiles
-    supply callbacks and are simulated, not solved.
+    supply callbacks, which ``simulate`` calls directly; they are simulated,
+    not solved, and their ``offer`` and ``accepts`` raise GameError.
 
     A profile checks itself where it is built.  A built-in one refuses
     invalid parameters or overflowing margins (InvalidParamsError), an
@@ -154,21 +160,15 @@ class StrategyProfile:
     callback makes, rather than moving it into range.
     """
 
-    mode: ProfileMode
-    params: ModelParams
-    custom_eliminate: Optional[Callable[[int, float, bool], bool]] = None
-    custom_eliminate_d: Optional[Callable[[int, float, bool], bool]] = None
-    custom_offer: Optional[Callable[[int, float, bool], float]] = None
-    custom_accept: Optional[Callable[[int, float, bool, float], bool]] = None
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         mode, params = self.mode, self.params
         if mode is ProfileMode.CUSTOM:
             if self.custom_offer is None:
                 raise GameError("custom profile lacks an offer callback")
             if self.custom_accept is None:
                 raise GameError("custom profile lacks an accept callback")
-            return
+            return self
         require_valid(params)
         require_elimination_mode(mode, params)
         # the existence conditions are read from the classifier's report, at
@@ -185,6 +185,13 @@ class StrategyProfile:
                     f"c_D={params.c_D} below clow_D={ts.clow_D}")
             raise ProfileExistenceError(
                 f"c_D + c_R = {params.c_D + params.c_R} below Clow={ts.Clow}")
+        return self
+
+    # through __new__, so _replace checks too (the inherited _make skips it)
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: StrategyProfile is immutable")
 
     @property
     def elim_period(self) -> int:
@@ -223,13 +230,9 @@ class StrategyProfile:
     def offer(self, t: int, y: float, barrier_after: bool) -> float:
         """The cutoff clamped into [0, y].  Off path that is y, which the
         responder rejects all the same."""
-        if self.mode is ProfileMode.CUSTOM:
-            return self.custom_offer(t, y, barrier_after)
         return min(max(self.acceptance_cutoff(t, barrier_after), 0.0), y)
 
     def accepts(self, t: int, y: float, barrier_after: bool, offer: float) -> bool:
-        if self.mode is ProfileMode.CUSTOM:
-            return self.custom_accept(t, y, barrier_after, offer)
         return offer >= self.acceptance_cutoff(t, barrier_after)
 
 
@@ -281,18 +284,10 @@ def _split_flows(y: float, offer: float) -> tuple[float, float]:
 
 def _trace_record(run: int, state_t: int, y: float, actions: ActionRecord,
                   flow_r: float, flow_d: float, war: bool) -> dict:
-    return {
-        "run": run,
-        "period": state_t,
-        "y": y,
-        "elim_r": actions.elim_r,
-        "elim_d": actions.elim_d,
-        "offer": actions.offer,
-        "response": actions.response.value,
-        "flow_r": flow_r,
-        "flow_d": flow_d,
-        "war": war,
-    }
+    return {"run": run, "period": state_t, "y": y, "elim_r": actions.elim_r,
+            "elim_d": actions.elim_d, "offer": actions.offer,
+            "response": actions.response.value, "flow_r": flow_r,
+            "flow_d": flow_d, "war": war}
 
 
 def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
@@ -367,6 +362,11 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
                       dist: BarrierDistribution, horizon: int, n_runs: int,
                       seed: Optional[int],
                       trace: Optional[IO[str]]) -> SimStats:
+    cooperative = params.elimination_mode is EliminationMode.COOPERATIVE
+    eliminate, eliminate_d = profile.custom_eliminate, profile.custom_eliminate_d
+    if eliminate_d is not None and not cooperative:
+        raise GameError("unilateral mode forbids elim_d")
+    propose, respond = profile.custom_offer, profile.custom_accept
     import numpy as np
     delta = params.delta
     discounts = delta ** np.arange(1, horizon)
@@ -375,8 +375,6 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
     payoff_d = np.empty(n_runs)
     wars = 0
     elim_counts: dict = {}
-    cooperative = params.elimination_mode is EliminationMode.COOPERATIVE
-    eliminate, eliminate_d = profile.custom_eliminate, profile.custom_eliminate_d
     for i in range(n_runs):
         rng = np.random.default_rng(streams[i])
         state = GameState(t=1, barrier_present=True, y=params.h0)
@@ -384,18 +382,19 @@ def _simulate_general(profile: StrategyProfile, params: ModelParams,
         v_d = 0.0
         elim_at = None
         for t in range(1, horizon + 1):
-            vote_r = (eliminate(t, state.y, state.barrier_present)
-                      if (state.barrier_present and eliminate) else False)
-            vote_d = None
-            if cooperative:
-                vote_d = (eliminate_d(t, state.y, state.barrier_present)
-                          if (state.barrier_present and eliminate_d) else False)
+            # votes while the barrier stands; a side without a callback keeps it
+            standing = state.barrier_present
+            vote_r = (eliminate(t, state.y, standing) if standing and eliminate
+                      else False)
+            vote_d = (eliminate_d(t, state.y, standing)
+                      if standing and eliminate_d
+                      else False if cooperative else None)
             y_eff, barrier_after = resolve_elimination(state, vote_r, vote_d,
                                                        params)
-            if state.barrier_present and not barrier_after and elim_at is None:
+            if standing and not barrier_after:
                 elim_at = t
-            offer = profile.offer(t, y_eff, barrier_after)
-            accept = profile.accepts(t, y_eff, barrier_after, offer)
+            offer = propose(t, y_eff, barrier_after)
+            accept = respond(t, y_eff, barrier_after, offer)
             actions = ActionRecord(
                 vote_r, offer, Response.ACCEPT if accept else Response.REJECT,
                 vote_d)
@@ -453,9 +452,10 @@ def simulate(profile: StrategyProfile, params: ModelParams,
     period the barrier stands; a run that ends in war draws its whole
     postwar path in one call, so after the war draw its stream holds every
     postwar barrier value first, then the renormalization coins.  A custom
-    offer outside [0, y] raises GameError.  ``trace`` receives one JSON line
-    per period of every custom run, runs in order, or of the one built-in
-    trajectory.
+    offer outside [0, y] raises GameError, and so, before the first run, does
+    a responder elimination callback under unilateral elimination.
+    ``trace`` receives one JSON line per period of every custom run, runs in
+    order, or of the one built-in trajectory.
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")

@@ -814,6 +814,18 @@ def test_scalar_commands_do_not_import_numpy():
         assert digest == dict(STDOUT_SHA256)[argv], argv
 
 
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # every record is a named tuple, so importing the CLI and building its
+    # parser loads neither module (they cost a fresh process about 10 ms)
+    out = fresh_python("-c", """
+import json, sys
+from barriergame.cli import build_parser
+build_parser()
+print(json.dumps(["dataclasses" in sys.modules, "inspect" in sys.modules]))
+""")
+    assert json.loads(out) == [False, False]
+
+
 def test_array_paths_import_numpy(capsys):
     # the lockstep agreement batch builds arrays: numpy loads when it runs,
     # and the fresh run prints what an in-process run prints

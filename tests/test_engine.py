@@ -492,6 +492,24 @@ class TestSimulate:
         stats = simulate(alone, params, DIST, horizon=6, n_runs=2, seed=3)
         assert stats.elimination_periods == {None: 1.0}
 
+    def test_unilateral_refuses_responder_callback(self):
+        # under unilateral elimination the responder casts no vote: a custom
+        # responder callback is refused before the first run, with the text
+        # the elimination stage uses, rather than never called
+        params = make(c_D=25.0)
+        calls = []
+        profile = StrategyProfile(
+            mode=ProfileMode.CUSTOM, params=params,
+            custom_eliminate=lambda t, y, b: t >= 2,
+            custom_eliminate_d=lambda t, y, b: calls.append(t) or True,
+            custom_offer=lambda t, y, b: 0.5 * y,
+            custom_accept=lambda t, y, b, o: calls.append(t) or True)
+        buf = io.StringIO()
+        with pytest.raises(GameError, match="unilateral mode forbids elim_d"):
+            simulate(profile, params, DIST, horizon=6, n_runs=2, seed=3,
+                     trace=buf)
+        assert calls == [] and buf.getvalue() == ""
+
     @pytest.mark.parametrize("offer", [5.0, -0.1, math.nan])
     def test_custom_offer_outside_range_refused(self, offer):
         # step is the one check of a legal offer: a custom offer outside
@@ -709,6 +727,130 @@ class TestWarStreams:
         assert stats.to_dict() == self.PINNED[dist.kind.value]
         assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
                 == self.TRACE_SHA)
+
+
+class TestCustomStreams:
+    """Two more custom paths, pinned: joint consent with a responder
+    elimination callback, and war after the barrier has fallen (so the war
+    continuation is the barrier-gone closed form, whatever rho)."""
+
+    PINNED = {
+        ("joint", "Uniform"): ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 4.835468971191897,
+            "payoff_r_se": 0.011038344251451601,
+            "payoff_d_mean": 3.956292794611551,
+            "payoff_d_se": 0.009031372569369504,
+            "war_frequency": 0.0, "elimination_periods": {"4": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "caf4c0cbf0b2c629ae1c335c4e0f116436697e3eee553d433e3c713b01fe547f"),
+        ("joint", "ScaledBeta"): ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 4.856468348235251,
+            "payoff_r_se": 0.014148113589251578,
+            "payoff_d_mean": 3.9734741031015677,
+            "payoff_d_se": 0.011575729300296735,
+            "war_frequency": 0.0, "elimination_periods": {"4": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "62bc3eaed7a41a1f511ebdca5205d4d3c82ddbb3a99bb0507ae7d508046fbe02"),
+        ("late_war", "Uniform"): ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 4.650905204602656,
+            "payoff_r_se": 0.6876287899975553,
+            "payoff_d_mean": -14.638396530264897,
+            "payoff_d_se": 0.6860162894949331,
+            "war_frequency": 1.0, "elimination_periods": {"3": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "adc17ae198df382048edb6a0ff6981bcd22f50fc210438e33a88bb3e0f1fe707"),
+        ("late_war", "ScaledBeta"): ({
+            "n_runs": 25, "horizon": 30,
+            "payoff_r_mean": 4.931442315848074,
+            "payoff_r_se": 0.6731549503409521,
+            "payoff_d_mean": -14.909111017251144,
+            "payoff_d_se": 0.6725509897287372,
+            "war_frequency": 1.0, "elimination_periods": {"3": 1.0},
+            "tail_bound": 0.42391158275216245,
+        }, "9ab48cb59c33823f1f62591c49a330d6ae4a23e6f5a0be2a3a6316731e5f9a96"),
+    }
+
+    @staticmethod
+    def profile(name):
+        if name == "joint":
+            params = make(c_D=25.0,
+                          elimination_mode=EliminationMode.COOPERATIVE)
+            return params, StrategyProfile(
+                mode=ProfileMode.CUSTOM, params=params,
+                custom_eliminate=lambda t, y, b: t >= 2,
+                custom_eliminate_d=lambda t, y, b: t >= 4,
+                custom_offer=lambda t, y, b: 0.45 * y,
+                custom_accept=lambda t, y, b, o: True)
+        params = make(rho=0.3)
+        return params, StrategyProfile(
+            mode=ProfileMode.CUSTOM, params=params,
+            custom_eliminate=lambda t, y, b: t >= 3,
+            custom_offer=lambda t, y, b: 0.4 * y,
+            custom_accept=lambda t, y, b, o: t < 4)
+
+    @pytest.mark.parametrize("dist", [
+        BarrierDistribution.uniform_with_mean(0.8, 0.3),
+        BarrierDistribution.scaled_beta_with_mean(0.8)],
+        ids=lambda dist: dist.kind.value)
+    @pytest.mark.parametrize("name", ["joint", "late_war"])
+    def test_custom_stream_pinned(self, name, dist):
+        params, profile = self.profile(name)
+        buf = io.StringIO()
+        stats = simulate(profile, params, dist, horizon=30, n_runs=25,
+                         seed=2024, trace=buf)
+        want_stats, want_sha = self.PINNED[name, dist.kind.value]
+        assert stats.to_dict() == want_stats
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
+
+
+class TestCallContract:
+    """A custom run calls ``step`` once per period it plays and each
+    callback where the stage game asks for it: the count the benchmark's
+    traced coverage check (``engine.step.calls`` equals the run-periods)
+    relies on."""
+
+    @staticmethod
+    def counted(calls, name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def play(self, monkeypatch, callbacks, runs, horizon):
+        calls = dict.fromkeys(["step", *callbacks], 0)
+        monkeypatch.setattr(engine, "step",
+                            self.counted(calls, "step", engine.step))
+        params = make(c_D=25.0)
+        profile = StrategyProfile(ProfileMode.CUSTOM, params, **{
+            f"custom_{name}": self.counted(calls, name, fn)
+            for name, fn in callbacks.items()})
+        dist = BarrierDistribution.uniform_with_mean(0.8, 0.3)
+        stats = simulate(profile, params, dist, horizon=horizon,
+                         n_runs=runs, seed=7)
+        return stats, calls
+
+    def test_peace_profile(self, monkeypatch):
+        # the benchmark's peace profile: the barrier falls in period 3
+        runs, horizon = 7, 20
+        stats, calls = self.play(monkeypatch, {
+            "eliminate": lambda t, y, b: t >= 3,
+            "offer": lambda t, y, b: 0.4 * y,
+            "accept": lambda t, y, b, o: True}, runs, horizon)
+        assert stats.war_frequency == 0.0
+        assert stats.elimination_periods == {3: 1.0}
+        assert calls == {"step": runs * horizon, "eliminate": 3 * runs,
+                         "offer": runs * horizon, "accept": runs * horizon}
+
+    def test_always_war(self, monkeypatch):
+        runs = 9
+        stats, calls = self.play(monkeypatch, {
+            "offer": lambda t, y, b: 0.0,
+            "accept": lambda t, y, b, o: False}, runs, horizon=20)
+        assert stats.war_frequency == 1.0
+        assert calls == {"step": runs, "offer": runs, "accept": runs}
 
 
 class TestRecords:

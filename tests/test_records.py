@@ -2,6 +2,7 @@
 same fields, order, defaults and ``repr``: built by keyword and immutable.
 ``test_cli.py::test_to_dict_keys_are_fields`` holds their JSON keys to
 their fields."""
+import copy
 import dataclasses
 
 import pytest
@@ -12,7 +13,14 @@ from barriergame.classifier import (
     intersection_nonempty,
     region_grid,
 )
-from barriergame.engine import ProfileMode, SimStats, StrategyProfile, simulate
+from barriergame.engine import (
+    GameError,
+    ProfileExistenceError,
+    ProfileMode,
+    SimStats,
+    StrategyProfile,
+    simulate,
+)
 from barriergame.oracle import VerificationReport, verify_period1
 from barriergame.params import BarrierDistribution, EliminationMode, ModelParams
 from barriergame.presets import Preset, get_preset
@@ -68,6 +76,12 @@ RECORDS = {
             "n_runs", "horizon", "payoff_r_mean", "payoff_r_se",
             "payoff_d_mean", "payoff_d_se", "war_frequency",
             "elimination_periods", "tail_bound"], frozen=True)),
+    StrategyProfile: (
+        StrategyProfile(ProfileMode.INEFFICIENT_PEACE, make()),
+        dataclasses.make_dataclass("StrategyProfile", ["mode", "params"] + [
+            (name, object, dataclasses.field(default=None)) for name in (
+                "custom_eliminate", "custom_eliminate_d", "custom_offer",
+                "custom_accept")], frozen=True)),
 }
 IDS = [cls.__name__ for cls in RECORDS]
 
@@ -108,3 +122,68 @@ class TestRecordContract:
         assert record == tuple(record) and tuple(record) == record
         if cls not in (SimStats, VerificationReport):   # these hold dicts
             assert hash(record) == hash(tuple(record))
+
+
+def _offer(t, y, b):
+    return 0.0
+
+
+def _accept(t, y, b, o):
+    return True
+
+
+class TestStrategyProfileChecks:
+    """A profile checks itself however it is built: by its constructor, by
+    ``_replace``, by ``_make`` and by ``copy.copy``."""
+
+    CUSTOM = StrategyProfile(ProfileMode.CUSTOM, make(), custom_offer=_offer,
+                             custom_accept=_accept)
+    BUILTIN = StrategyProfile(ProfileMode.EFFICIENT_PEACE, make(c_D=35.0))
+    # (error, text, an unchecked record of the fields, the same fields as
+    # a _replace of a checked profile)
+    REFUSED = {
+        "below-threshold": (
+            ProfileExistenceError, "below cbar_D",
+            (ProfileMode.EFFICIENT_PEACE, make(c_D=25.0)) + 4 * (None,),
+            (BUILTIN, {"params": make(c_D=25.0)})),
+        "no-accept-callback": (
+            GameError, "lacks an accept callback",
+            (ProfileMode.CUSTOM, make(), None, None, _offer, None),
+            (CUSTOM, {"custom_accept": None})),
+    }
+    BUILDS = {
+        "constructor": lambda fields, replace: StrategyProfile(*fields),
+        "_replace": lambda fields, replace: replace[0]._replace(**replace[1]),
+        "_make": lambda fields, replace: StrategyProfile._make(fields),
+        "copy": lambda fields, replace: copy.copy(
+            tuple.__new__(StrategyProfile, fields)),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_every_build_checks(self, case, build):
+        error, text, fields, replace = self.REFUSED[case]
+        with pytest.raises(error, match=text):
+            self.BUILDS[build](fields, replace)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_every_build_keeps_a_valid_profile(self, build):
+        for profile in (self.CUSTOM, self.BUILTIN):
+            got = self.BUILDS[build](tuple(profile), (profile, {}))
+            assert type(got) is StrategyProfile and got == profile
+
+    def test_thresholds_cached_and_not_assignable(self):
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, make())
+        assert profile.thresholds is profile.thresholds
+        # a copy keeps the record its original computed
+        assert copy.copy(profile).thresholds is profile.thresholds
+        with pytest.raises(AttributeError):
+            profile.thresholds = None
+
+    @pytest.mark.parametrize("method, args", [
+        ("offer", (1, 0.6, True)), ("accepts", (1, 0.6, True, 0.0))])
+    def test_custom_profile_prescribes_via_callbacks(self, method, args):
+        # simulate calls a custom profile's callbacks directly; these
+        # methods serve built-in profiles only
+        with pytest.raises(GameError, match="prescribe via callbacks"):
+            getattr(self.CUSTOM, method)(*args)

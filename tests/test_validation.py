@@ -153,10 +153,9 @@ def test_validate_called_only_in_params():
     assert offenders == []
 
 
-def test_imports_used_and_dataclasses_only_in_engine():
-    """Every name a module imports is used in it, and only ``engine.py``
-    imports ``dataclasses`` (for ``StrategyProfile``); the other records
-    are named tuples."""
+def test_imports_used_and_no_dataclasses():
+    """Every name a module imports is used in it, and no module imports
+    ``dataclasses``: every record is a named tuple."""
     package = Path(barriergame.__file__).parent
     unused, dataclass_importers = [], []
     for path in sorted(package.glob("*.py")):
@@ -176,7 +175,7 @@ def test_imports_used_and_dataclasses_only_in_engine():
                                 for alias in node.names)
             else:
                 continue
-            if "dataclasses" in modules and path.name != "engine.py":
+            if "dataclasses" in modules:
                 dataclass_importers.append(f"{path.name}:{node.lineno}")
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
