@@ -146,10 +146,13 @@ def _require_size(value: int, flag: str, cap: int) -> None:
         raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
 
 
-def _refuse_shared(*paths: Optional[str]) -> None:
-    """Refuse, before any work, two output files that resolve to one path."""
+def _refuse_outputs(*paths: Optional[str]) -> None:
+    """Refuse, before any work, an output file whose directory does not
+    exist and two output files that resolve to one path."""
     real = [os.path.realpath(_out_path(p)) for p in paths if p]
     for i, path in enumerate(real):
+        if not os.path.isdir(os.path.dirname(path)):
+            raise CliError(f"no directory for output {path}")
         if path in real[:i]:
             raise CliError(f"two outputs would write to {path}")
 
@@ -225,19 +228,15 @@ def _cmd_sweep(args) -> int:
     params = _collect_params(args)
     values = _parse_values(args.values)
     reports = comparative_static(params, args.knob, values)
-    header = (f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
-              f"efficient,inefficient,war")
-    lines = [header]
+    lines = [f"{args.knob},cbar_D,clow_D,Clow,postwar_mean,"
+             f"efficient,inefficient,war"]
     for value, rep in zip(values, reports):
         ts = rep.thresholds
-        lines.append(",".join([
-            format(value, ".12g"), format(ts.cbar_D, ".12g"),
-            format(ts.clow_D, ".12g"), format(ts.Clow, ".12g"),
-            format(ts.postwar_mean, ".12g"),
-            str(rep.efficient_peace_exists).lower(),
-            str(rep.inefficient_peace_exists).lower(),
-            str(rep.war_inevitable).lower(),
-        ]))
+        flags = (rep.efficient_peace_exists, rep.inefficient_peace_exists,
+                 rep.war_inevitable)
+        lines.append("%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s,%s" % (
+            value, ts.cbar_D, ts.clow_D, ts.Clow, ts.postwar_mean,
+            *(str(flag).lower() for flag in flags)))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -282,7 +281,7 @@ def _cmd_figure(args) -> int:
         stem, ext = os.path.splitext(args.csv)
         csvs = [f"{stem}-{s.replace(' ', '').replace('=', '-')}{ext or '.csv'}"
                 for s, _ in points]
-    _refuse_shared(args.out, *csvs)
+    _refuse_outputs(args.out, *csvs)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
               for subtitle, point in points]
@@ -297,7 +296,7 @@ def _cmd_simulate(args) -> int:
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    _refuse_shared(args.out, args.trace)
+    _refuse_outputs(args.out, args.trace)
     params = _collect_params(args)
     mode = _MODES[args.mode]
     profile = StrategyProfile(mode, params)
@@ -318,7 +317,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.agreement_csv is not None and args.agreement is None:
         raise CliError("--agreement-csv requires --agreement")
-    _refuse_shared(args.out, args.agreement_csv)
+    _refuse_outputs(args.out, args.agreement_csv)
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):

@@ -150,26 +150,31 @@ class StrategyProfile(_ProfileFields):
     supply callbacks, which ``simulate`` calls directly; they are simulated,
     not solved, and their ``offer`` and ``accepts`` raise GameError.
 
-    A profile checks itself where it is built.  A built-in one refuses
-    invalid parameters or overflowing margins (InvalidParamsError), an
-    elimination mode it cannot be played under (GameError) and a point where
-    ``classify`` does not report it (ProfileExistenceError); it reads its
-    offers from the ``ThresholdSet`` of its params, computed once, by that
-    check.  A custom one needs its offer and accept callbacks (GameError),
-    and ``simulate`` refuses an offer outside [0, y] (GameError) that its
+    A profile checks itself where it is built, and is played under its own
+    params.  Every profile refuses invalid parameters or overflowing margins
+    (InvalidParamsError).  A built-in one then refuses an elimination mode
+    it cannot be played under (GameError) and a point where ``classify``
+    does not report it (ProfileExistenceError); it reads its offers from the
+    ``ThresholdSet`` of its params, computed once, by that check.  A custom
+    one needs its offer and accept callbacks, and may have no responder
+    elimination callback under unilateral elimination (GameError);
+    ``simulate`` refuses an offer outside [0, y] (GameError) that its
     callback makes, rather than moving it into range.
     """
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         mode, params = self.mode, self.params
+        require_valid(params)
         if mode is ProfileMode.CUSTOM:
             if self.custom_offer is None:
                 raise GameError("custom profile lacks an offer callback")
             if self.custom_accept is None:
                 raise GameError("custom profile lacks an accept callback")
+            if (self.custom_eliminate_d is not None and
+                    params.elimination_mode is EliminationMode.UNILATERAL):
+                raise GameError("unilateral mode forbids elim_d")
             return self
-        require_valid(params)
         require_elimination_mode(mode, params)
         # the existence conditions are read from the classifier's report, at
         # the profile's own threshold record
@@ -290,14 +295,14 @@ def _trace_record(run: int, state_t: int, y: float, actions: ActionRecord,
             "flow_d": flow_d, "war": war}
 
 
-def _simulate_onpath(profile: StrategyProfile, params: ModelParams,
-                     horizon: int, n_runs: int,
+def _simulate_onpath(profile: StrategyProfile, horizon: int, n_runs: int,
                      trace: Optional[IO[str]]) -> SimStats:
     """Built-in profiles never reach the war lottery and their on-path flows
     are deterministic, so one trajectory prices every run exactly.  From the
     period after elimination on, play is stationary: each later period
     repeats that period's votes, resource, offer and flows and only adds its
     discounted flow."""
+    params = profile.params
     delta = params.delta
     v_r = 0.0
     v_d = 0.0
@@ -358,14 +363,12 @@ def _war_continuation(params: ModelParams, dist: BarrierDistribution,
     return float(flows @ discounts[:periods_left])
 
 
-def _simulate_general(profile: StrategyProfile, params: ModelParams,
-                      dist: BarrierDistribution, horizon: int, n_runs: int,
-                      seed: Optional[int],
+def _simulate_general(profile: StrategyProfile, dist: BarrierDistribution,
+                      horizon: int, n_runs: int, seed: Optional[int],
                       trace: Optional[IO[str]]) -> SimStats:
+    params = profile.params
     cooperative = params.elimination_mode is EliminationMode.COOPERATIVE
     eliminate, eliminate_d = profile.custom_eliminate, profile.custom_eliminate_d
-    if eliminate_d is not None and not cooperative:
-        raise GameError("unilateral mode forbids elim_d")
     propose, respond = profile.custom_offer, profile.custom_accept
     import numpy as np
     delta = params.delta
@@ -443,28 +446,24 @@ def simulate(profile: StrategyProfile, params: ModelParams,
              trace: Optional[IO[str]] = None) -> SimStats:
     """Monte Carlo estimate of discounted payoffs under a strategy profile.
 
-    Invalid parameters raise InvalidParamsError.  A profile checks itself
-    when it is built, so a built-in profile needs no further check here; it
-    must be simulated under the parameters it was built for.  Runs draw
-    independent generator streams from the master seed; built-in profiles
-    take a deterministic fast path since their on-path play never touches
-    the draws.  Custom profiles step period by period, one barrier draw per
-    period the barrier stands; a run that ends in war draws its whole
-    postwar path in one call, so after the war draw its stream holds every
-    postwar barrier value first, then the renormalization coins.  A custom
-    offer outside [0, y] raises GameError, and so, before the first run, does
-    a responder elimination callback under unilateral elimination.
-    ``trace`` receives one JSON line per period of every custom run, runs in
-    order, or of the one built-in trajectory.
+    A profile checks itself, and its params, when it is built, so it needs
+    no further check here; it must be simulated under the parameters it was
+    built for (GameError otherwise).  Runs draw independent generator
+    streams from the master seed; built-in profiles take a deterministic
+    fast path since their on-path play never touches the draws.  Custom
+    profiles step period by period, one barrier draw per period the barrier
+    stands; a run that ends in war draws its whole postwar path in one call,
+    so after the war draw its stream holds every postwar barrier value
+    first, then the renormalization coins.  A custom offer outside [0, y]
+    raises GameError.  ``trace`` receives one JSON line per period of every
+    custom run, runs in order, or of the one built-in trajectory.
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")
-    require_valid(params)
+    if profile.params != params:
+        raise GameError("a profile must be simulated under the parameters "
+                        "it was built for")
     require_mean_matches(dist, params)
-    if profile.mode is not ProfileMode.CUSTOM:
-        if profile.params != params:
-            raise GameError("built-in profiles must be simulated under the "
-                            "parameters they were built for")
-        return _simulate_onpath(profile, params, horizon, n_runs, trace)
-    return _simulate_general(profile, params, dist, horizon, n_runs, seed,
-                             trace)
+    if profile.mode is ProfileMode.CUSTOM:
+        return _simulate_general(profile, dist, horizon, n_runs, seed, trace)
+    return _simulate_onpath(profile, horizon, n_runs, trace)

@@ -149,17 +149,15 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     v_r2 = w.r_flow + q.c_D
     war_r_free, war_d_free = w.free[0] - q.c_R, w.free[1] - q.c_D
     war_r_bar, war_d_bar = w.bar[0] - q.c_R, w.bar[1] - q.c_D
-    cutoff_eff = w.cutoff1(w.free[1], q.c_D)
-    cutoff_keep = w.cutoff1(w.bar[1], q.c_D)
-    if efficient:
-        y1, cutoff1 = 1.0, cutoff_eff
-        war_r_onpath, war_d_onpath = war_r_free, war_d_free
-    else:
-        y1, cutoff1 = q.h0, cutoff_keep
-        war_r_onpath, war_d_onpath = war_r_bar, war_d_bar
+    # a period-1 path, barrier gone or kept: (resource, cutoff offer,
+    # proposer's war value, responder's war value).  The profile plays its
+    # own; a cross-elimination deviation reaches the other.
+    free = (1.0, w.cutoff1(w.free[1], q.c_D), war_r_free, war_d_free)
+    bar = (q.h0, w.cutoff1(w.bar[1], q.c_D), war_r_bar, war_d_bar)
+    path, crossing = (free, bar) if efficient else (bar, free)
+    y1, cutoff1, war_r_onpath, war_d_onpath = path
     v_eq_r = w.v_eq_r(y1, cutoff1, q.c_D)
     feasibility = cutoff1 - y1
-
     feasible = feasibility <= tol
 
     gains: dict[str, float] = {}
@@ -199,24 +197,23 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # proposer's stationary one-shot check
     gains["proposer_stationary"] = (stat_r - q.c_R) - v_r2
 
+    # crossing to the other path (retaining the barrier, or eliminating it
+    # first), answered by the profile's war trigger or by a responder that
+    # accepts its cutoff
+    y_x, cutoff_x, war_r_x, _ = crossing
+    trigger = war_r_x - v_eq_r
+    best = war_r_x
+    if cutoff_x <= y_x:
+        best = max(best, (y_x - cutoff_x) + delta * v_r2)
     if efficient:
-        # retaining the barrier, answered by the profile's war trigger
-        diagnostics["keep_trigger"] = war_r_bar - v_eq_r
-        best = war_r_bar
-        if cutoff_keep <= q.h0:
-            best = max(best, (q.h0 - cutoff_keep) + delta * v_r2)
-        diagnostics["keep_best_response"] = best - v_eq_r
+        diagnostics["keep_trigger"] = trigger
     else:
-        # eliminating first, answered by the profile's war trigger: the
-        # joint-cost condition
-        gains["eliminate_then_war"] = war_r_free - v_eq_r
-        best = war_r_free
-        if cutoff_eff <= 1.0:
-            best = max(best, (1.0 - cutoff_eff) + delta * v_r2)
-        diagnostics["eliminate_best_response"] = best - v_eq_r
-        if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
-            # a lone consent switch by the responder cannot force elimination
-            diagnostics["responder_vote_switch"] = 0.0
+        gains["eliminate_then_war"] = trigger   # the joint-cost condition
+    best_key = "keep_best_response" if efficient else "eliminate_best_response"
+    diagnostics[best_key] = best - v_eq_r
+    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
+        # a lone consent switch by the responder cannot force elimination
+        diagnostics["responder_vote_switch"] = 0.0
 
     terms = {"war_r_free": war_r_free, "war_d_free": war_d_free,
              "war_r_bar": war_r_bar, "war_d_bar": war_d_bar,

@@ -664,19 +664,29 @@ REFUSALS = [
     (["verify", "--preset", "nope", "--agreement", "3"],
      "unknown preset 'nope'; available: ['demo-b', 'post-wto', 'pre-wto']"),
     (["verify", "--preset", "demo-b"], "--agreement-csv requires --agreement"),
+    # an output in a missing directory is refused before any other is written
+    (["figure", "regions", "--preset", "demo-b", "-o", "ok.svg",
+      "--csv", "nodir/x.csv"], "no directory for output {outdir}/nodir/x.csv"),
+    (["verify", "--preset", "demo-b", "-o", "v.json", "--agreement", "3",
+      "--agreement-csv", "nodir/a.csv"],
+     "no directory for output {outdir}/nodir/a.csv"),
+    (["simulate", "--preset", "demo-b", "--trace", "t.jsonl",
+      "-o", "nodir/o.json"], "no directory for output {outdir}/nodir/o.json"),
 ]
 
 
 @pytest.mark.parametrize("argv,error", REFUSALS,
                          ids=[" ".join(a) for a, _ in REFUSALS])
 def test_refusal_writes_no_output(argv, error, capsys, tmp_path, monkeypatch):
-    # every refusal comes before the first byte of output
+    # every refusal comes before the first byte of output; output flags in
+    # argv come after the command's usual ones, so they win
     monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
-    code = run([*argv, *_OUTPUT_FLAGS[argv[0]]])
+    code = run([argv[0], *_OUTPUT_FLAGS.get(argv[0], []), *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert strict_json(captured.err)["error"] == error
+    assert strict_json(captured.err)["error"] == error.replace(
+        "{outdir}", os.path.realpath(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -494,21 +494,25 @@ class TestSimulate:
 
     def test_unilateral_refuses_responder_callback(self):
         # under unilateral elimination the responder casts no vote: a custom
-        # responder callback is refused before the first run, with the text
-        # the elimination stage uses, rather than never called
+        # responder callback is refused where the profile is built, with the
+        # text the elimination stage uses, rather than never called
         params = make(c_D=25.0)
         calls = []
-        profile = StrategyProfile(
-            mode=ProfileMode.CUSTOM, params=params,
+        callbacks = dict(
             custom_eliminate=lambda t, y, b: t >= 2,
             custom_eliminate_d=lambda t, y, b: calls.append(t) or True,
             custom_offer=lambda t, y, b: 0.5 * y,
             custom_accept=lambda t, y, b, o: calls.append(t) or True)
-        buf = io.StringIO()
         with pytest.raises(GameError, match="unilateral mode forbids elim_d"):
-            simulate(profile, params, DIST, horizon=6, n_runs=2, seed=3,
-                     trace=buf)
-        assert calls == [] and buf.getvalue() == ""
+            StrategyProfile(mode=ProfileMode.CUSTOM, params=params,
+                            **callbacks)
+        coop = StrategyProfile(
+            mode=ProfileMode.CUSTOM,
+            params=params._replace(elimination_mode=EliminationMode.COOPERATIVE),
+            **callbacks)
+        with pytest.raises(GameError, match="unilateral mode forbids elim_d"):
+            coop._replace(params=params)
+        assert calls == []
 
     @pytest.mark.parametrize("offer", [5.0, -0.1, math.nan])
     def test_custom_offer_outside_range_refused(self, offer):
@@ -535,10 +539,13 @@ class TestSimulate:
             "war": True} for run in range(3)]
 
     def test_profile_params_must_match(self):
-        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE,
-                                  make(c_D=25.0))
-        with pytest.raises(GameError, match="built for"):
-            simulate(profile, make(c_D=26.0), DIST, horizon=10, n_runs=1)
+        # every profile, built-in or custom, is played under the params it
+        # was built for
+        for profile in (StrategyProfile(ProfileMode.INEFFICIENT_PEACE,
+                                        make(c_D=25.0)),
+                        always_war(make(c_D=25.0))):
+            with pytest.raises(GameError, match="built for"):
+                simulate(profile, make(c_D=26.0), DIST, horizon=10, n_runs=1)
 
     @pytest.mark.parametrize("params,mode", [
         (make(c_D=35.0, elimination_mode=EliminationMode.COOPERATIVE),

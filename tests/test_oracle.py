@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 import os
@@ -22,7 +23,8 @@ from barriergame.oracle import (
     postwar_market_mean,
     verify_period1,
 )
-from barriergame.params import EliminationMode, InvalidParamsError, ModelParams
+from barriergame.params import (EliminationMode, InvalidParamsError, ModelParams,
+                                sample_valid_points)
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
@@ -190,6 +192,29 @@ class TestVerify:
         report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
         # the scan offers the exact indifference point, so its gain is zero
         assert abs(report.gains["offer_scan"]) <= 1e-12
+
+    def test_reports_pinned(self):
+        # every report (repr, and the order of its gains and diagnostics) or
+        # refusal at 6000 random points, at 50 of them with overflowing costs
+        # and at 50 with a negative c_D, under each built-in profile
+        points = sample_valid_points(np.random.default_rng(5), 6000)
+        points += ([q._replace(c_R=1e308, c_D=1e308) for q in points[:50]]
+                   + [q._replace(c_D=-3.0) for q in points[:50]])
+        modes = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
+                 ProfileMode.COOPERATIVE_INEFFICIENT)
+        digest = hashlib.sha256()
+        for q in points:
+            for mode in modes:
+                try:
+                    r = verify_period1(playable(q, mode), mode)
+                except Exception as e:
+                    text = type(e).__name__ + str(e)
+                else:
+                    text = (repr(r) + repr(list(r.gains.items()))
+                            + repr(list(r.diagnostics.items())))
+                digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "6580d78bd4cc9db57cf296aeca43a6d31ea505b0139a4933825b39c40ad6ac9f")
 
 
 def dense_offer_scan(q, mode):

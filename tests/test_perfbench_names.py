@@ -82,3 +82,17 @@ def test_workloads_reference_existing_names_and_parameters():
 def test_removed_name_is_caught(call, problem):
     source = f"import barriergame.engine as bg_engine\n{call}\n"
     assert check_references(source)[1] == [problem]
+
+
+@pytest.mark.parametrize("name,first", [
+    ("engine.simulate", "profile"),
+    ("thresholds.compute_thresholds", "params"),
+])
+def test_observed_calls_keep_first_parameter(name, first):
+    # the benchmark's tracer observers (perfbench/run.py) read the first
+    # argument of these calls by position, or by keyword under this name
+    module, func = name.split(".")
+    callee = getattr(importlib.import_module(f"barriergame.{module}"), func)
+    assert next(iter(inspect.signature(callee).parameters)) == first
+    run_py = WORKLOADS.with_name("run.py").read_text()
+    assert f'observers["{name}"]' in run_py and f'kw["{first}"]' in run_py

@@ -22,7 +22,8 @@ from barriergame.engine import (
     simulate,
 )
 from barriergame.oracle import VerificationReport, verify_period1
-from barriergame.params import BarrierDistribution, EliminationMode, ModelParams
+from barriergame.params import (BarrierDistribution, EliminationMode,
+                                InvalidParamsError, ModelParams)
 from barriergame.presets import Preset, get_preset
 from conftest import make
 
@@ -150,6 +151,12 @@ class TestStrategyProfileChecks:
             GameError, "lacks an accept callback",
             (ProfileMode.CUSTOM, make(), None, None, _offer, None),
             (CUSTOM, {"custom_accept": None})),
+        # a custom profile's params are checked as a built-in one's are
+        "invalid-custom-params": (
+            InvalidParamsError, "0 < delta < 1 required",
+            (ProfileMode.CUSTOM, make(delta=2.0, c_D=-5.0), None, None,
+             _offer, _accept),
+            (CUSTOM, {"params": make(delta=2.0, c_D=-5.0)})),
     }
     BUILDS = {
         "constructor": lambda fields, replace: StrategyProfile(*fields),
