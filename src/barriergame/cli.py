@@ -281,6 +281,8 @@ def _cmd_figure(args) -> int:
         stem, ext = os.path.splitext(args.csv)
         csvs = [f"{stem}-{s.replace(' ', '').replace('=', '-')}{ext or '.csv'}"
                 for s, _ in points]
+    # run() checked --csv itself; the per-panel names derived from it are
+    # checked here
     _refuse_outputs(args.out, *csvs)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
@@ -296,7 +298,6 @@ def _cmd_simulate(args) -> int:
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    _refuse_outputs(args.out, args.trace)
     params = _collect_params(args)
     mode = _MODES[args.mode]
     profile = StrategyProfile(mode, params)
@@ -317,7 +318,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.agreement_csv is not None and args.agreement is None:
         raise CliError("--agreement-csv requires --agreement")
-    _refuse_outputs(args.out, args.agreement_csv)
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -433,6 +433,8 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     try:
         args = _parser().parse_args(argv)
+        _refuse_outputs(*(getattr(args, dest, None) for dest
+                          in ("out", "csv", "trace", "agreement_csv")))
         return args.func(args)
     except SystemExit as e:
         # --help and friends

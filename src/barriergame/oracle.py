@@ -8,9 +8,10 @@ indifference structure (the responder is held at its war value once the
 power shift has passed and the barrier is gone).
 
 The certification verdict checks each profile against the deviation set
-that supports it: period-1 offer feasibility, the proposer's war deviation
-at the prescribed barrier state, the eliminate-then-fight deviation for the
-barrier-keeping profile, the responder's acceptance rule, and the
+that supports it: period-1 offer feasibility, the proposer's best accepted
+offer and its war deviation at the prescribed barrier state (the one price
+of the war any rejected offer provokes), the eliminate-then-fight deviation
+for the barrier-keeping profile, the responder's acceptance rule, and the
 stationary phase via the one-shot deviation principle.  Cross-elimination
 deviations are reported as diagnostics (see the `diagnostics` field):
 `keep_trigger` prices keeping the barrier against the profile's war
@@ -176,21 +177,13 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # proposer's offer deviations at the prescribed elimination state.  An
     # accepted offer x is worth (y1 - x) plus a continuation that does not
     # move with x, so its value falls one for one with x (in floats too:
-    # each operation rounds monotonically); a rejected offer is worth the
-    # flat war value.  The best accepted offer is thus the least one: the
-    # cutoff when it lies in [0, y1], else 0 (every offer is accepted) or
-    # none (no offer is); and 0 is rejected whenever any offer is.  Any
-    # finer grid of [0, y1] holding these points has the same maximum.
-    offers = (0.0, y1, cutoff1) if 0.0 <= cutoff1 <= y1 else (0.0, y1)
-    kept = [(y1 - x) + delta * v_r2 for x in offers if x >= cutoff1]
-    provoked = len(kept) < len(offers)
-    if efficient:
-        # the war value goes first, so a nan there is not masked
-        gains["offer_scan"] = max([war_r_onpath] * provoked + kept) - v_eq_r
-    else:
-        gains["offer_scan"] = max(kept) - v_eq_r if kept else -math.inf
-        if provoked:
-            diagnostics["keep_provoke_war"] = war_r_onpath - v_eq_r
+    # each operation rounds monotonically).  The best accepted offer is thus
+    # the least one the responder accepts, when it fits in [0, y1]; -inf
+    # when none does.  A rejected offer provokes the war war_period1 prices.
+    least = max(cutoff1, 0.0)
+    accepted = least <= y1
+    gains["offer_scan"] = ((y1 - least) + delta * v_r2 - v_eq_r if accepted
+                           else -math.inf)
 
     # proposer's war deviation at the prescribed barrier state
     gains["war_period1"] = war_r_onpath - v_eq_r
@@ -211,14 +204,11 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
         gains["eliminate_then_war"] = trigger   # the joint-cost condition
     best_key = "keep_best_response" if efficient else "eliminate_best_response"
     diagnostics[best_key] = best - v_eq_r
-    if mode is ProfileMode.COOPERATIVE_INEFFICIENT:
-        # a lone consent switch by the responder cannot force elimination
-        diagnostics["responder_vote_switch"] = 0.0
 
     terms = {"war_r_free": war_r_free, "war_d_free": war_d_free,
              "war_r_bar": war_r_bar, "war_d_bar": war_d_bar,
              "v_d2": v_d2, "v_r2": v_r2, **gains, **diagnostics}
-    if not efficient and not kept:
+    if not accepted:
         del terms["offer_scan"]     # -inf by design: no offer is accepted
     nonfinite = [f"{k}={v}" for k, v in terms.items() if not math.isfinite(v)]
     if nonfinite:

@@ -672,6 +672,14 @@ REFUSALS = [
      "no directory for output {outdir}/nodir/a.csv"),
     (["simulate", "--preset", "demo-b", "--trace", "t.jsonl",
       "-o", "nodir/o.json"], "no directory for output {outdir}/nodir/o.json"),
+    (["thresholds", "--preset", "demo-b", "-o", "nodir/x.json"],
+     "no directory for output {outdir}/nodir/x.json"),
+    (["classify", "--preset", "demo-b", "-o", "nodir/x.json"],
+     "no directory for output {outdir}/nodir/x.json"),
+    (["sweep", "--preset", "demo-b", "--knob", "mu", "--values", "0.5",
+      "-o", "nodir/x.json"], "no directory for output {outdir}/nodir/x.json"),
+    (["presets", "-o", "nodir/x.json"],
+     "no directory for output {outdir}/nodir/x.json"),
 ]
 
 
@@ -734,19 +742,19 @@ STDOUT_SHA256 = [
     ("presets",
      "2ff0517246fb65a171fff7585283ded54ac07efed3825ee8373baf242ee97b21"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 5",
-     "0d031af7fb5651ad859e968f0b370f59e51c41ca1081d3c8dff71fff0b07ecf7"),
+     "4a6b7d2fd2f37bdae8886fe7d2ec649d7228bdf09f0e9adf7d2c266a8f16f4c9"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 25",
-     "68eaf53cbea6db755fd4e77f48d8836f5ecd7afb3952aceb0442f09ceb92aaf1"),
+     "ec084646c17d8a8312c0737f8f2bc01df1b356e8027e51101095675911042dee"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 5",
-     "c4329ec8170f0353ab4e22c51a309c7911b5c5e4c391be5d9614946e698667c1"),
+     "1d63ad7892ce39af3eaa6fa9448cb514243c5eb0bc776113c7c2a72c8b03ee85"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
-     "5a885b5d70db75c62c55acebdf383a7b962c51521b4e186d4304c707b64d478e"),
+     "9888279e6e2545579f87eccbb0197530bacc82c8af6c6e39142ce523183d899a"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 5 "
      "--elimination-mode Cooperative",
-     "cb68f0e22a3a8650e3771408ac7610fb50623069a12f5d8ae9f2f6e7ef80c7d3"),
+     "513d22407241e0f96183be77b66f1ea49c44061728e9114ae25b22653f3ac58d"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 25 "
      "--elimination-mode Cooperative",
-     "54b993502abcdc942e9374a8afefd8fb1236c820cc5af15aeb36398a84105798"),
+     "df3ce056edc22af99e17487b85caaf6be52de43bbcbebb7a214ae17ebcaf8c4a"),
     ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
      "--horizon 50",
      "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),

@@ -1118,27 +1118,32 @@ class TestCooperativeEquivalence:
                 assert a[key] == b[key]
 
 
-def replayed(builtin, flip_period=None):
+def replayed(builtin, flip_period=None, offer1=None):
     """Custom profile that plays the built-in profile's votes, offers and
     acceptance rule; its proposer flips the prescribed vote in
-    ``flip_period``."""
+    ``flip_period``, and offers ``offer1`` in period 1 when one is given."""
     votes = builtin.prescribed_votes
     eliminate_d = None
     if builtin.mode is ProfileMode.COOPERATIVE_INEFFICIENT:
         def eliminate_d(t, y, b):
             return votes(t, b)[1]
+    offer = builtin.offer
+    if offer1 is not None:
+        def offer(t, y, b):
+            return offer1 if t == 1 else builtin.offer(t, y, b)
     return StrategyProfile(
         mode=ProfileMode.CUSTOM, params=builtin.params,
         custom_eliminate=lambda t, y, b: votes(t, b)[0] != (t == flip_period),
         custom_eliminate_d=eliminate_d,
-        custom_offer=builtin.offer, custom_accept=builtin.accepts)
+        custom_offer=offer, custom_accept=builtin.accepts)
 
 
 class TestOffPathRule:
     """The engine plays the war trigger that the oracle prices: a proposer
-    that departs from the prescribed period-1 elimination decision, facing
-    the built-in responder, is met with war at once, and its payoff is the
-    oracle's war value for that deviation."""
+    that departs from the prescribed period-1 elimination decision, or
+    offers less than the responder accepts, facing the built-in responder,
+    is met with war at once, and its payoff is the oracle's war value for
+    that deviation."""
 
     CASES = {
         "efficient": (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
@@ -1169,6 +1174,23 @@ class TestOffPathRule:
                 if mode is ProfileMode.EFFICIENT_PEACE
                 else report.gains["eliminate_then_war"])
         war_r = gain + raw_payoffs(params, mode)[0]
+        assert abs(stats.payoff_r_mean - war_r) <= \
+            4.0 * stats.payoff_r_se + stats.tail_bound
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rejected_offer_meets_priced_war(self, name):
+        # an offer of 0 in period 1 falls below the responder's cutoff at
+        # each case, so it is rejected and war follows at once; verify
+        # prices that war once, as war_period1
+        params, mode = self.CASES[name]
+        builtin = StrategyProfile(mode, params)
+        barrier_after = not builtin.prescribed_votes(1, True)[0]
+        assert builtin.acceptance_cutoff(1, barrier_after) > 0.0
+        stats = simulate(replayed(builtin, offer1=0.0), params, self.DIST,
+                         self.HORIZON, n_runs=4000, seed=16)
+        assert stats.war_frequency == 1.0
+        war_r = (verify_period1(params, mode).gains["war_period1"]
+                 + raw_payoffs(params, mode)[0])
         assert abs(stats.payoff_r_mean - war_r) <= \
             4.0 * stats.payoff_r_se + stats.tail_bound
 

@@ -56,6 +56,32 @@ def playable(q, mode):
     return q
 
 
+# 6000 random points, 50 of them with overflowing costs and 50 with a
+# negative c_D
+REPORT_POINTS = sample_valid_points(np.random.default_rng(5), 6000)
+REPORT_POINTS += ([q._replace(c_R=1e308, c_D=1e308) for q in REPORT_POINTS[:50]]
+                  + [q._replace(c_D=-3.0) for q in REPORT_POINTS[:50]])
+BUILT_IN_MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
+                  ProfileMode.COOPERATIVE_INEFFICIENT)
+
+
+def report_digest(points, text) -> str:
+    """SHA-256 over text(report), or the refusal's type and text, of each
+    point under each built-in profile, in the elimination mode the profile
+    is played under."""
+    digest = hashlib.sha256()
+    for q in points:
+        for mode in BUILT_IN_MODES:
+            try:
+                r = verify_period1(playable(q, mode), mode)
+            except Exception as e:
+                line = type(e).__name__ + str(e)
+            else:
+                line = text(r)
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
 class TestPostwarMean:
     def test_matches_closed_form(self):
         for rho in (0.0, 0.25, 0.5, 0.9, 1.0):
@@ -123,9 +149,8 @@ class TestVerify:
         b = verify_period1(
             make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE),
             ProfileMode.COOPERATIVE_INEFFICIENT)
-        assert a.passed == b.passed
-        assert a.max_gain_r == b.max_gain_r
-        assert b.diagnostics["responder_vote_switch"] == 0.0
+        # gains, diagnostics and verdict alike
+        assert a._replace(mode=b.mode) == b
 
     def test_custom_rejected(self):
         with pytest.raises(ValueError):
@@ -195,56 +220,44 @@ class TestVerify:
 
     def test_reports_pinned(self):
         # every report (repr, and the order of its gains and diagnostics) or
-        # refusal at 6000 random points, at 50 of them with overflowing costs
-        # and at 50 with a negative c_D, under each built-in profile
-        points = sample_valid_points(np.random.default_rng(5), 6000)
-        points += ([q._replace(c_R=1e308, c_D=1e308) for q in points[:50]]
-                   + [q._replace(c_D=-3.0) for q in points[:50]])
-        modes = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
-                 ProfileMode.COOPERATIVE_INEFFICIENT)
-        digest = hashlib.sha256()
-        for q in points:
-            for mode in modes:
-                try:
-                    r = verify_period1(playable(q, mode), mode)
-                except Exception as e:
-                    text = type(e).__name__ + str(e)
-                else:
-                    text = (repr(r) + repr(list(r.gains.items()))
-                            + repr(list(r.diagnostics.items())))
-                digest.update(text.encode())
-        assert digest.hexdigest() == (
-            "6580d78bd4cc9db57cf296aeca43a6d31ea505b0139a4933825b39c40ad6ac9f")
+        # refusal at REPORT_POINTS
+        assert report_digest(REPORT_POINTS, lambda r: (
+            repr(r) + repr(list(r.gains.items()))
+            + repr(list(r.diagnostics.items())))) == (
+            "daead53baffe4a9a26a6eefe0dbb65143199637c15afda785a9cb797fa5d8870")
+
+    def test_verdicts_pinned(self):
+        # the verdict of every report (or the refusal) at REPORT_POINTS and
+        # at 300 of them with c_D drawn five times from U(-5, 60), which
+        # puts the period-1 cutoffs below, inside and above [0, y1]
+        draws = np.random.default_rng(7).uniform(-5.0, 60.0, (300, 5))
+        points = REPORT_POINTS + [q._replace(c_D=float(c)) for q, row
+                                  in zip(REPORT_POINTS, draws) for c in row]
+        assert report_digest(points, lambda r: repr(
+            (r.passed, r.feasible, r.max_gain_r, r.max_gain_d))) == (
+            "f7b597dfcfb2d54fefa047145e1f03b38853e0a7d164f1e81b0f028d24287b00")
 
 
 def dense_offer_scan(q, mode):
-    """The offer-scan gain and the keep-provoke-war diagnostic of a dense
-    reference scan: 10 001 evenly spaced offers in [0, y1], plus the cutoff
-    when it lies in [0, y1], priced on the period-1 terms
-    ``verify_period1`` reads.  Returns (gain, diagnostics)."""
+    """The offer-scan gain of a dense reference scan: the best of 10 001
+    evenly spaced offers in [0, y1], plus the cutoff when it lies in
+    [0, y1], that the responder accepts, priced on the period-1 terms
+    ``verify_period1`` reads; -inf when it accepts none."""
     w = oracle._war_terms(q, postwar_market_mean(q))
     efficient = mode is ProfileMode.EFFICIENT_PEACE
     y1, gross = (1.0, w.free) if efficient else (q.h0, w.bar)
     cutoff1 = w.cutoff1(gross[1], q.c_D)
-    war_r = gross[0] - q.c_R
     v_eq_r = w.v_eq_r(y1, cutoff1, q.c_D)
     grid = np.linspace(0.0, y1, 10_001)
     if 0.0 <= cutoff1 <= y1:
         grid = np.append(grid, cutoff1)
-    accepted = grid >= cutoff1
-    values = np.where(accepted, (y1 - grid) + q.delta * (w.r_flow + q.c_D),
-                      war_r)
-    if efficient:
-        return float(values.max()) - v_eq_r, {}
-    gain = (float(values[accepted].max()) - v_eq_r if accepted.any()
-            else -math.inf)
-    return gain, ({"keep_provoke_war": war_r - v_eq_r}
-                  if (~accepted).any() else {})
+    accepted = grid[grid >= cutoff1]
+    if not accepted.size:
+        return -math.inf
+    return float(((y1 - accepted) + q.delta * (w.r_flow + q.c_D)).max()) - v_eq_r
 
 
 class TestOfferCandidates:
-    MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
-             ProfileMode.COOPERATIVE_INEFFICIENT)
     D_KEYS = ("feasibility", "responder_period1", "responder_stationary")
 
     def test_dense_scan_is_reference(self):
@@ -256,19 +269,16 @@ class TestOfferCandidates:
         rng = np.random.default_rng(20240823)
         points = [random_valid_params(rng) for _ in range(1000)] + named
         for q in points:
-            for mode in self.MODES:
+            for mode in BUILT_IN_MODES:
                 r = verify_period1(playable(q, mode), mode)
-                gain, provoke = dense_offer_scan(q, mode)
-                gains = {**r.gains, "offer_scan": gain}
-                diagnostics = {k: v for k, v in r.diagnostics.items()
-                               if k != "keep_provoke_war"} | provoke
+                gains = {**r.gains, "offer_scan": dense_offer_scan(q, mode)}
                 # the verdict the dense gains give, by verify_period1's rule
                 max_gain_d = max(gains[k] for k in self.D_KEYS)
                 max_gain_r = max(v for k, v in gains.items()
                                  if k not in self.D_KEYS)
                 passed = max_gain_r <= r.tol and max_gain_d <= r.tol
                 worst = max(gains, key=lambda k: gains[k])
-                assert (r.gains, r.diagnostics) == (gains, diagnostics)
+                assert r.gains == gains
                 assert (r.max_gain_r, r.max_gain_d, r.passed) == (
                     max_gain_r, max_gain_d, passed)
                 assert r.feasible == (gains["feasibility"] <= r.tol)
@@ -614,13 +624,10 @@ class TestLockstepBatch:
 
 
 class TestReadsNoClosedForm:
-    MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
-             ProfileMode.COOPERATIVE_INEFFICIENT)
-
-    @classmethod
-    def results(cls, points) -> str:
+    @staticmethod
+    def results(points) -> str:
         single = [[verify_period1(playable(q, mode), mode)
-                   for mode in cls.MODES]
+                   for mode in BUILT_IN_MODES]
                   + [oracle_thresholds(q)] for q in points]
         return repr((single, oracle_thresholds_batch(points)))
 
