@@ -24,27 +24,22 @@ def main() -> int:
     ap.add_argument("--resolution", type=int, default=32)
     args = ap.parse_args()
 
-    os.makedirs(args.outdir, exist_ok=True)
-    for figure_id in FIGURES:
-        svg = os.path.join(args.outdir, f"{figure_id}.svg")
-        csv = os.path.join(args.outdir, f"{figure_id}.csv")
-        code = run(["figure", figure_id, "--preset", "demo-b",
-                    "-o", svg, "--csv", csv,
-                    "--resolution", str(args.resolution)])
-        if code != 0:
-            return code
-        print(f"wrote {svg} and {csv}")
-
+    # (directory, resolution, with a CSV twin); the goldens are SVG only
+    targets = [(args.outdir, args.resolution, True)]
     if args.golden:
         golden = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
-        os.makedirs(golden, exist_ok=True)
+        targets.append((golden, 32, False))
+    for outdir, resolution, with_csv in targets:
+        os.makedirs(outdir, exist_ok=True)
         for figure_id in FIGURES:
-            svg = os.path.join(golden, f"{figure_id}.svg")
-            code = run(["figure", figure_id, "--preset", "demo-b",
-                        "-o", svg, "--resolution", "32"])
+            svg = os.path.join(outdir, f"{figure_id}.svg")
+            csv = os.path.join(outdir, f"{figure_id}.csv")
+            code = run(["figure", figure_id, "--preset", "demo-b", "-o", svg,
+                        *(["--csv", csv] if with_csv else []),
+                        "--resolution", str(resolution)])
             if code != 0:
                 return code
-            print(f"wrote {svg}")
+            print(f"wrote {svg} and {csv}" if with_csv else f"wrote {svg}")
     return 0
 
 

@@ -74,17 +74,6 @@ class EquilibriumReport(NamedTuple):
             return RegionLabel.BOTH if inefficient else RegionLabel.EFFICIENT_PEACE
         return RegionLabel.INEFFICIENT_PEACE if inefficient else RegionLabel.WAR
 
-    def to_dict(self) -> dict:
-        return {
-            "efficient_peace_exists": self.efficient_peace_exists,
-            "inefficient_peace_exists": self.inefficient_peace_exists,
-            "war_inevitable": self.war_inevitable,
-            "assumption_holds": self.assumption_holds,
-            "label": self.label.value,
-            "margins": self.margins._asdict(),
-            "thresholds": self.thresholds.to_dict(),
-        }
-
 
 def classify(params: ModelParams) -> EquilibriumReport:
     """Map one parameter point to the equilibrium taxonomy; invalid points
@@ -176,9 +165,6 @@ class IntersectionResult(NamedTuple):
     @property
     def found(self) -> bool:
         return self.cd_lo < self.cd_hi
-
-    def to_dict(self) -> dict:
-        return {"found": self.found, **self._asdict()}
 
 
 def intersection_nonempty(base: ModelParams) -> IntersectionResult:

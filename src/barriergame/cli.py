@@ -8,6 +8,7 @@ The BARRIERGAME_OUTDIR environment variable prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import enum
 import functools
 import json
 import math
@@ -124,20 +125,35 @@ def _out_path(path: str) -> str:
     return os.path.join(os.environ.get("BARRIERGAME_OUTDIR", "."), path)
 
 
-def _finite(value):
-    # strict JSON has no token for inf or nan; they are reported as null
+@functools.cache
+def _record_keys(record_type: type) -> tuple[str, ...]:
+    # a record's JSON keys: its fields, then the properties its class defines
+    return record_type._fields + tuple(
+        name for name, attr in vars(record_type).items()
+        if isinstance(attr, property))
+
+
+def _plain(value):
+    """The one JSON rule: a named-tuple record is an object of its fields
+    and properties, an enum its value, a dict key its ``str``, any other
+    tuple a list, and a non-finite float null, since strict JSON has no
+    token for inf or nan."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, enum.Enum):
+        return value.value
     if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {k: _plain(getattr(value, k)) for k in _record_keys(type(value))}
     if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
+        return [_plain(v) for v in value]
     return value
 
 
 def _json_text(payload: dict, **fmt) -> str:
     """Serialize a stdout, --out or stderr payload as strict JSON."""
-    return json.dumps(_finite(payload), allow_nan=False, **fmt) + "\n"
+    return json.dumps(_plain(payload), allow_nan=False, **fmt) + "\n"
 
 
 def _require_size(value: int, flag: str, cap: int) -> None:
@@ -208,19 +224,16 @@ def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistrib
 
 def _cmd_thresholds(args) -> int:
     params = _collect_params(args)
-    payload = {"params": params.to_dict(),
-               "thresholds": compute_thresholds(params).to_dict()}
+    payload = {"params": params, "thresholds": compute_thresholds(params)}
     if args.intersection:
-        payload["intersection"] = intersection_nonempty(params).to_dict()
+        payload["intersection"] = intersection_nonempty(params)
     _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
     params = _collect_params(args)
-    report = classify(params)
-    payload = {"params": params.to_dict(), "report": report.to_dict()}
-    _emit_json(payload, args.out)
+    _emit_json({"params": params, "report": classify(params)}, args.out)
     return 0
 
 
@@ -309,8 +322,8 @@ def _cmd_simulate(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
-    payload = {"params": params.to_dict(), "mode": mode.value,
-               "distribution": dist.describe(), "stats": stats.to_dict()}
+    payload = {"params": params, "mode": mode,
+               "distribution": dist.describe(), "stats": stats}
     _emit_json(payload, args.out)
     return 0
 
@@ -327,9 +340,9 @@ def _cmd_verify(args) -> int:
     params = _collect_params(args)
     mode = _MODES[args.mode]
     report = verify_period1(params, mode, tol=args.tol)
-    payload = {"params": params.to_dict(), "report": report.to_dict()}
+    payload = {"params": params, "report": report}
     if args.thresholds:
-        payload["oracle_thresholds"] = oracle_thresholds(params).to_dict()
+        payload["oracle_thresholds"] = oracle_thresholds(params)
     _emit_json(payload, args.out)
     if args.agreement:
         rows = agreement_rows(args.agreement, seed=args.seed)
@@ -339,8 +352,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    payload = {"presets": [p.to_dict() for p in list_presets()]}
-    _emit_json(payload, args.out)
+    _emit_json({"presets": list_presets()}, args.out)
     return 0
 
 

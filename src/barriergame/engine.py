@@ -274,10 +274,6 @@ class SimStats(NamedTuple):
     elimination_periods: dict
     tail_bound: float
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "elimination_periods": {
-            str(k): v for k, v in self.elimination_periods.items()}}
-
 
 def _split_flows(y: float, offer: float) -> tuple[float, float]:
     # flows must sum to y exactly; the responder's booked flow absorbs the

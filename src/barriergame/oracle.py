@@ -85,11 +85,6 @@ class VerificationReport(NamedTuple):
     gains: dict
     diagnostics: dict
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "mode": self.mode.value,
-                "gains": dict(self.gains),
-                "diagnostics": dict(self.diagnostics)}
-
 
 class _WarTerms(NamedTuple):
     """Period-1 terms that do not depend on the costs of war.  Each field is
@@ -249,12 +244,6 @@ class OracleThresholds(NamedTuple):
     Clow: Bracket
     search_tol: float
     anomalies: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        d = {k: v._asdict() if isinstance(v, Bracket) else v
-             for k, v in self._asdict().items()}
-        d["anomalies"] = list(self.anomalies)
-        return d
 
 
 def _finish(lo: float, hi: float, has_hi: bool, has_lo: bool, value: float,

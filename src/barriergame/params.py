@@ -80,11 +80,11 @@ class ModelParams(NamedTuple):
 
 def lanes(points: Sequence[ModelParams]) -> ModelParams:
     """One ModelParams whose numeric fields are arrays, a lane per point;
-    the one way to build an array-lane ModelParams."""
+    the one way to build an array-lane ModelParams.  Each point's nine
+    numeric fields precede elimination_mode, left at its default."""
     import numpy as np
-    return ModelParams(**{
-        name: np.array([getattr(q, name) for q in points], dtype=float)
-        for name in ModelParams._fields if name != "elimination_mode"})
+    return ModelParams(*np.array([q[:-1] for q in points],
+                                 dtype=float).reshape(-1, 9).T)
 
 
 class InvalidParamsError(ValueError):

@@ -15,9 +15,6 @@ class Preset(NamedTuple):
     params: ModelParams
     annotation: str
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "params": self.params.to_dict()}
-
 
 _PRESETS = {p.name: p for p in (
     Preset(

@@ -9,7 +9,6 @@ the result set is labeled ``extension: composed``.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .params import ModelParams, _power_floor
@@ -58,11 +57,6 @@ class ThresholdSet(NamedTuple):
     offer1_inefficient_clamped: float
     offer_stationary_clamped: float
     extension: str
-
-    def to_dict(self) -> dict:
-        # -inf floor means "floor undefined, any theta admissible"
-        floor = self.theta_floor if math.isfinite(self.theta_floor) else None
-        return {**self._asdict(), "theta_floor": floor}
 
 
 def compute_thresholds(params: ModelParams) -> ThresholdSet:

@@ -17,6 +17,7 @@ from barriergame.classifier import (
     intersection_nonempty,
     region_grid,
 )
+from barriergame.cli import _plain
 from barriergame.params import sample_valid_params, validate
 from barriergame.presets import get_preset
 from barriergame.thresholds import ThresholdSet, compute_thresholds
@@ -129,11 +130,11 @@ class TestRecords:
     @pytest.mark.parametrize("kw", [{}, {"p": 0.0}, {"rho": 0.3, "theta": 1.1}])
     def test_to_dict_keys(self, kw):
         rep = classify(make(**kw))
-        d = rep.to_dict()
+        d = _plain(rep)
         assert set(d) == set(EquilibriumReport._fields) | self.FLAGS
         assert list(d["margins"]) == list(Margins._fields)
         assert list(d["thresholds"]) == list(ThresholdSet._fields)
-        assert list(rep.thresholds.to_dict()) == list(ThresholdSet._fields)
+        assert list(_plain(rep.thresholds)) == list(ThresholdSet._fields)
 
 
 class TestRegionGrid:
@@ -357,15 +358,15 @@ class TestIntersection:
         assert result.found
         assert result.cd_lo <= 25.0 < result.cd_hi
         assert 25.0 + 1.0 >= result.Clow
-        assert result.to_dict() == {"found": True, "cd_lo": result.cd_lo,
-                                    "cd_hi": result.cd_hi,
-                                    "Clow": result.Clow}
+        assert _plain(result) == {"found": True, "cd_lo": result.cd_lo,
+                                  "cd_hi": result.cd_hi,
+                                  "Clow": result.Clow}
 
     def test_empty_band_recorded(self):
         # mu = 1 removes all barrier damage: the inefficient band vanishes
         result = intersection_nonempty(make(mu=1.0))
         assert not result.found and result.cd_lo >= result.cd_hi
-        assert result.to_dict()["found"] is False
+        assert _plain(result)["found"] is False
 
     def test_vacuous_joint_constraint(self):
         params = make(p=0.35)

@@ -872,14 +872,15 @@ print(json.dumps([before, "numpy" in sys.modules, stats.war_frequency]))
     assert json.loads(out) == [False, True, 1.0]
 
 
-def test_to_dict_keys_are_fields():
-    """Each record's JSON object is its own fields plus the derived keys
-    the README lists, and nothing else."""
+def test_json_keys_are_fields_and_properties():
+    """Each record's JSON object is its own fields plus the properties
+    the README lists, and nothing else; a nested record is an object."""
     q = get_preset("demo-b").params
     stats = simulate(StrategyProfile(ProfileMode.INEFFICIENT_PEACE, q),
                      q, BarrierDistribution.degenerate(q.mu), horizon=3,
                      n_runs=2)
     report = classify(q)
+    oracle = oracle_thresholds(q)
     flags = {"efficient_peace_exists", "inefficient_peace_exists",
              "war_inevitable", "assumption_holds", "label"}
     records = [
@@ -890,13 +891,17 @@ def test_to_dict_keys_are_fields():
         (get_preset("demo-b"), set()),
         (report, flags),
         (intersection_nonempty(q), {"found"}),
-        (oracle_thresholds(q), set()),
+        (oracle, set()),
     ]
     for record, derived in records:
-        assert set(record.to_dict()) == set(record._fields) | derived, \
+        assert set(cli._plain(record)) == set(record._fields) | derived, \
             type(record)
-    margins = set(report.margins._fields)
-    assert set(report.to_dict()["margins"]) == margins
+    # demo-b's values are all finite, so each nested object is _asdict()
+    plain_report, plain_oracle = cli._plain(report), cli._plain(oracle)
+    assert plain_report["margins"] == report.margins._asdict()
+    assert plain_report["thresholds"] == report.thresholds._asdict()
+    assert [plain_oracle[k] for k in ("cbar_D", "clow_D", "Clow")] == [
+        bracket._asdict() for bracket in oracle[:3]]
 
 
 class TestPresetsCommand:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from barriergame import engine
+from barriergame import cli, engine
 from barriergame.engine import (
     ActionRecord,
     GameError,
@@ -690,7 +690,7 @@ class TestPeaceStreams:
         stats = simulate(profile, params, dist, horizon=30, n_runs=25,
                          seed=2024, trace=buf)
         want_stats, want_sha = self.PINNED[dist.kind.value]
-        assert stats.to_dict() == want_stats
+        assert cli._plain(stats) == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
 
 
@@ -731,7 +731,7 @@ class TestWarStreams:
         buf = io.StringIO()
         stats = simulate(always_war(params), params, dist, horizon=40,
                          n_runs=25, seed=2024, trace=buf)
-        assert stats.to_dict() == self.PINNED[dist.kind.value]
+        assert cli._plain(stats) == self.PINNED[dist.kind.value]
         assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
                 == self.TRACE_SHA)
 
@@ -809,7 +809,7 @@ class TestCustomStreams:
         stats = simulate(profile, params, dist, horizon=30, n_runs=25,
                          seed=2024, trace=buf)
         want_stats, want_sha = self.PINNED[name, dist.kind.value]
-        assert stats.to_dict() == want_stats
+        assert cli._plain(stats) == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
 
 
@@ -984,7 +984,7 @@ class TestOnPathStreams:
         stats = simulate(profile, params, DIST, horizon=30, n_runs=7, seed=5,
                          trace=buf)
         want_stats, want_sha = self.PINNED[name]
-        assert stats.to_dict() == want_stats
+        assert cli._plain(stats) == want_stats
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
 
 
@@ -1074,8 +1074,8 @@ class TestOnPathReference:
                 stats = simulate(profile, params, dist, horizon, n_runs=3,
                                  seed=1, trace=got)
                 ref = played_every_period(profile, params, horizon, 3, want)
-                assert repr(stats.to_dict()) == repr(ref), (params, mode,
-                                                            horizon)
+                assert repr(cli._plain(stats)) == repr(ref), (params, mode,
+                                                              horizon)
                 assert got.getvalue() == want.getvalue(), (params, mode,
                                                            horizon)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from barriergame import engine, oracle, thresholds
+from barriergame.cli import _plain
 from barriergame.engine import GameError, ProfileMode, StrategyProfile
 from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
@@ -463,7 +464,7 @@ class TestRecords:
             "Bracket(value=nan, " if params is SLOW_MEAN else "Bracket(value=-1.1")
 
     def test_to_dict_keys_are_fields(self):
-        d = oracle_thresholds(SLOW_MEAN).to_dict()
+        d = _plain(oracle_thresholds(SLOW_MEAN))
         assert list(d) == list(OracleThresholds._fields)
         for key in ("cbar_D", "clow_D", "Clow"):
             assert list(d[key]) == list(Bracket._fields)

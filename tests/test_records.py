@@ -1,7 +1,7 @@
 """The value records that were frozen dataclasses are named tuples with the
 same fields, order, defaults and ``repr``: built by keyword and immutable.
-``test_cli.py::test_to_dict_keys_are_fields`` holds their JSON keys to
-their fields."""
+``test_cli.py::test_json_keys_are_fields_and_properties`` holds their JSON
+keys to their fields and properties."""
 import copy
 import dataclasses
 

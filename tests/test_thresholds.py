@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barriergame.cli import _plain
 from barriergame.params import ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
@@ -211,7 +212,7 @@ class TestThresholdSet:
         assert extension(rho=0.3, theta=1.1) == "composed"
 
     def test_to_dict_floor_undefined(self):
-        d = compute_thresholds(make(p=0.0)).to_dict()
+        d = _plain(compute_thresholds(make(p=0.0)))
         assert d["theta_floor"] is None
 
     @given(valid_point)

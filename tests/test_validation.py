@@ -183,3 +183,18 @@ def test_imports_used_and_no_dataclasses():
                    for name, line in imported.items() if name not in used]
     assert unused == []
     assert dataclass_importers == []
+
+
+def test_to_dict_only_on_model_params():
+    """The CLI's one encoder writes every record's JSON, so no module
+    defines a ``to_dict`` of its own; ``ModelParams`` keeps one because the
+    benchmark harness calls it."""
+    package = Path(barriergame.__file__).parent
+    owners = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            owners += [f"{path.name}:{getattr(node, 'name', '<module>')}"
+                       for child in ast.iter_child_nodes(node)
+                       if isinstance(child, ast.FunctionDef)
+                       and child.name == "to_dict"]
+    assert owners == ["params.py:ModelParams"]
