@@ -417,11 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--thresholds", action="store_true",
-                    help="also re-derive thresholds by bisection")
+                    help="also re-derive thresholds by the oracle's solve")
     sp.add_argument("--agreement", type=int, metavar="N",
                     help="emit an oracle-vs-formula agreement summary over "
-                         "N random points, bisected as one batch "
-                         f"(1..{_MAX_AGREEMENT})")
+                         f"N random points (1..{_MAX_AGREEMENT})")
     sp.add_argument("--agreement-csv", help="agreement summary output path")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-o", "--out")

@@ -75,10 +75,10 @@ def war_lottery(params: ModelParams, t: int, barrier_present: bool, y: float,
     resource y plus the discounted future flow, whose mean is postwar_mean
     while the barrier stands and 1 once it is gone."""
     delta = params.delta
-    flow = postwar_mean if barrier_present else 1.0
+    flow = postwar_mean if barrier_present else 1
     wp = win_prob_d(params, t, barrier_present)
-    pie = y + delta * flow / (1.0 - delta)
-    return (1.0 - wp) * pie, wp * pie
+    pie = y + delta * flow / (1 - delta)
+    return (1 - wp) * pie, wp * pie
 
 
 def resolve_elimination(state: GameState, elim_r: bool,

@@ -21,7 +21,7 @@ def _power_floor(mu: float, p: float) -> float:
     mu * p == 0 (the bound is vacuous there: any positive theta qualifies)."""
     if mu * p == 0.0:
         return -math.inf
-    return (mu + p - 1.0) / (mu * p)
+    return (mu + p - 1) / (mu * p)
 
 
 class ModelParams(NamedTuple):
@@ -76,15 +76,6 @@ class ModelParams(NamedTuple):
             except OverflowError:
                 raise ValueError(f"{k} is an integer beyond float range")
         return cls(elimination_mode=em, **values)
-
-
-def lanes(points: Sequence[ModelParams]) -> ModelParams:
-    """One ModelParams whose numeric fields are arrays, a lane per point;
-    the one way to build an array-lane ModelParams.  Each point's nine
-    numeric fields precede elimination_mode, left at its default."""
-    import numpy as np
-    return ModelParams(*np.array([q[:-1] for q in points],
-                                 dtype=float).reshape(-1, 9).T)
 
 
 class InvalidParamsError(ValueError):
@@ -266,8 +257,11 @@ def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
     return _sample_point(rng.random, theta_spread, rho_spread)
 
 
-def sample_valid_points(rng: np.random.Generator, n: int) -> list[ModelParams]:
+def sample_valid_points(rng, n: int) -> list[ModelParams]:
     """n calls of sample_valid_params bit for bit, from one block of draws;
-    the generator's state afterwards differs from that after the calls."""
-    u = iter(rng.random(SAMPLE_MAX_DRAWS * n).tolist()).__next__
+    the generator's state afterwards differs from that after the calls.
+    rng is a numpy Generator, or a seed for numpy.random.default_rng."""
+    import numpy as np
+    u = iter(np.random.default_rng(rng).random(SAMPLE_MAX_DRAWS * n)
+             .tolist()).__next__
     return [_sample_point(u, True, True) for _ in range(n)]

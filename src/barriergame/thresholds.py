@@ -18,14 +18,15 @@ def effective_mu(params: ModelParams) -> float:
     """Mean value of the postwar market under per-period renormalization.
 
     Solves x = rho + (1 - rho) * ((1 - delta) * mu + delta * x).
-    The endpoints are returned exactly: mu at rho=0 and 1 at rho=1.
+    The endpoints are returned exactly, in the parameters' number type: mu
+    at rho=0 and rho itself at rho=1.
     """
     if params.rho == 0.0:
         return params.mu
     if params.rho == 1.0:
-        return 1.0
+        return params.rho
     rho, delta, mu = params.rho, params.delta, params.mu
-    return ((1.0 - rho) * (1.0 - delta) * mu + rho) / (1.0 - (1.0 - rho) * delta)
+    return ((1 - rho) * (1 - delta) * mu + rho) / (1 - (1 - rho) * delta)
 
 
 def theta_floor(params: ModelParams) -> float:
@@ -66,19 +67,19 @@ def compute_thresholds(params: ModelParams) -> ThresholdSet:
     rho_on, theta_on = params.rho != 0.0, theta != 1.0
     m = effective_mu(params)
     tp1 = theta * p1
+    w = 1 - delta   # the weight of one period in a discounted sum
     # shared with the offers: the efficient offer at c_D = 0, and the
     # barrier-keeping offer's postwar war share at m less the stationary p
-    free1 = (p1 - delta * p) / (1.0 - delta)
-    kept_rent = delta / (1.0 - delta) * (m * tp1 - p)
-    x1_eff = free1 - (1.0 - delta) * c_D
-    x1_inef = tp1 * h0 - (1.0 - delta) * c_D + kept_rent
-    x_stat = p - (1.0 - delta) * c_D
+    free1 = (p1 - delta * p) / w
+    kept_rent = delta / w * (m * tp1 - p)
+    x1_eff = free1 - w * c_D
+    x1_inef = tp1 * h0 - w * c_D + kept_rent
+    x_stat = p - w * c_D
     # positional, in ThresholdSet field order
     return ThresholdSet(
-        (free1 - 1.0) / (1.0 - delta),
-        (kept_rent - (1.0 - tp1) * h0) / (1.0 - delta),
-        (1.0 - p1 - ((1.0 - delta) * h0 * (1.0 - tp1)
-                     + delta * (1.0 - m * tp1))) / (1.0 - delta),
+        (free1 - 1) / w,
+        (kept_rent - (1 - tp1) * h0) / w,
+        (1 - p1 - (w * h0 * (1 - tp1) + delta * (1 - m * tp1))) / w,
         m,
         theta_floor(params),
         x1_eff, x1_inef, x_stat,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,12 @@ def make(**kw) -> ModelParams:
     base = dict(delta=0.9, p=0.3, p1=0.7, mu=0.8, h0=0.6, c_R=1.0, c_D=25.0)
     base.update(kw)
     return ModelParams(**base)
+
+
+def exact(q: ModelParams) -> ModelParams:
+    """q with its numeric fields as the Fractions of their floats, on which
+    the closed forms and the oracle compute exactly."""
+    return ModelParams(*map(Fraction, q[:9]), q.elimination_mode)
 
 
 @pytest.fixture

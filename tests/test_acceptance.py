@@ -60,7 +60,7 @@ def test_criterion_1_oracle_threshold_agreement():
                     abs(result.clow_D.value - ts.clow_D),
                     abs(result.Clow.value - ts.Clow))
         assert result.anomalies == (), result.anomalies
-    _report(1, "oracle-bisected thresholds match closed forms",
+    _report(1, "oracle-solved thresholds match closed forms",
             worst <= 1e-6, f"n={n_points}, max|diff|={worst:.3e} <= 1e-06")
 
 
@@ -395,6 +395,6 @@ def test_criterion_11_oracle_agreement_near_delta_one():
             closed = getattr(ts, name)
             worst = max(worst, abs(getattr(result, name).value - closed)
                         / max(1.0, abs(closed)))
-    _report(11, "oracle-bisected thresholds match closed forms near delta = 1",
+    _report(11, "oracle-solved thresholds match closed forms near delta = 1",
             worst <= 1e-7, f"n={n_points}, delta in [0.95, 0.9999], "
             f"max|diff|/max(1, |v|)={worst:.3e} <= 1e-07")

@@ -9,14 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from barriergame import cli
+from barriergame import cli, oracle
 from barriergame.classifier import classify, intersection_nonempty
 from barriergame.cli import run
 from barriergame.engine import ProfileMode, StrategyProfile, simulate
 from barriergame.oracle import (AGREEMENT_CSV_HEADER, oracle_thresholds,
                                verify_period1)
-from barriergame.params import BarrierDistribution, validate
+from barriergame.params import BarrierDistribution, ModelParams, validate
 from barriergame.presets import get_preset, list_presets
+from barriergame.thresholds import compute_thresholds, effective_mu
+from conftest import exact
 
 
 def run_json(capsys, argv):
@@ -558,19 +560,28 @@ class TestVerifyCommand:
         assert errors[0] == errors[1]
         assert "elimination mode" in errors[0]["error"]
 
-    def test_unconverged_postwar_mean_refused(self, capsys):
+    def test_slow_postwar_mean_verified(self, capsys):
         # contraction factor (1 - rho) * delta ~ 0.99999: the postwar mean
-        # is still moving after the step cap, so no verdict is printed
-        for flags in ([], ["--thresholds"]):
-            code = run(["verify", "--preset", "demo-b", "--delta", "0.99999",
-                        "--rho", "1e-6", *flags])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert strict_json(captured.err) == {
-                "error": "invalid parameters",
-                "detail": ["postwar_mean: no convergence in 100000 steps"]}
-
+        # is solved, not iterated, so the point gets a verdict, and the
+        # mean and every oracle bracket lie within their bands of the
+        # exact values
+        argv = ["verify", "--preset", "demo-b", "--delta", "0.99999",
+                "--rho", "1e-6"]
+        plain = run_json(capsys, argv)
+        payload = run_json(capsys, [*argv, "--thresholds"])
+        assert payload["report"] == plain["report"]
+        assert plain["report"]["passed"] is False
+        assert plain["report"]["best_deviation"].startswith(
+            "responder rejects")
+        q = ModelParams.from_dict(payload["params"])
+        mean, note = oracle._mean(q)
+        assert note is None
+        assert mean.lo <= effective_mu(exact(q)) <= mean.hi
+        ts = compute_thresholds(exact(q))
+        brackets = payload["oracle_thresholds"]
+        assert brackets["anomalies"] == []
+        for key in ("cbar_D", "clow_D", "Clow"):
+            assert brackets[key]["lo"] <= getattr(ts, key) <= brackets[key]["hi"]
 
     @pytest.mark.parametrize("flags", [
         ["--agreement", "100001"],
@@ -742,19 +753,19 @@ STDOUT_SHA256 = [
     ("presets",
      "2ff0517246fb65a171fff7585283ded54ac07efed3825ee8373baf242ee97b21"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 5",
-     "4a6b7d2fd2f37bdae8886fe7d2ec649d7228bdf09f0e9adf7d2c266a8f16f4c9"),
+     "ce3d10b698f238e4e2ee14287f11f865b9867e36cc92edaf4d34e34fc0d5b36f"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 25",
-     "ec084646c17d8a8312c0737f8f2bc01df1b356e8027e51101095675911042dee"),
+     "97c836be109a334cffff314457bde302a9d4770518708ddcd21aefa15e1dc88a"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 5",
-     "1d63ad7892ce39af3eaa6fa9448cb514243c5eb0bc776113c7c2a72c8b03ee85"),
+     "24396ec81d125ff3f25515d73f1f99c97b69ecc2f3d702e528308f847859bcc5"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
-     "9888279e6e2545579f87eccbb0197530bacc82c8af6c6e39142ce523183d899a"),
+     "b602f5780668a12eda3f31538f3a3463d67c758894948dcb5c49eb52b7764a34"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 5 "
      "--elimination-mode Cooperative",
-     "513d22407241e0f96183be77b66f1ea49c44061728e9114ae25b22653f3ac58d"),
+     "895089c9e236a51d22ccb3bbed378a00145784a618240a9f96a0d8fd6cc9e02b"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 25 "
      "--elimination-mode Cooperative",
-     "df3ce056edc22af99e17487b85caaf6be52de43bbcbebb7a214ae17ebcaf8c4a"),
+     "1fd3555a9937ea7b2673368142a1be0bc19548ccb6ba26262455e5c231a1ff47"),
     ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
      "--horizon 50",
      "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),
@@ -845,8 +856,9 @@ print(json.dumps(["dataclasses" in sys.modules, "inspect" in sys.modules]))
 
 
 def test_array_paths_import_numpy(capsys):
-    # the lockstep agreement batch builds arrays: numpy loads when it runs,
-    # and the fresh run prints what an in-process run prints
+    # the agreement points are drawn from a numpy Generator: numpy loads
+    # when the command runs, and the fresh run prints what an in-process
+    # run prints
     argv = "verify --preset demo-b --agreement 3 --seed 5"
     _, (_, loaded, code, digest) = numpy_probe(argv)
     assert (loaded, code) == (True, 0)

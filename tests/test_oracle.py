@@ -16,8 +16,8 @@ from barriergame.oracle import (
     AGREEMENT_CSV_HEADER,
     Bracket,
     OracleThresholds,
-    _bisect_up,
-    _bisect_up_sets,
+    _mean,
+    _solve,
     agreement_rows,
     oracle_thresholds,
     oracle_thresholds_batch,
@@ -30,7 +30,7 @@ from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
 )
-from conftest import assert_close, make, random_valid_params
+from conftest import assert_close, exact, make, random_valid_params
 
 
 EDGE_POINTS = [
@@ -46,8 +46,11 @@ EDGE_POINTS = [
 ]
 
 
-# the postwar mean is still moving after POSTWAR_MEAN_MAX_ITER steps
+# the postwar mean's map contracts by (1 - rho) * delta ~ 0.99999, so an
+# iteration of it would still be moving after 100 000 steps
 SLOW_MEAN = make(delta=0.99999, rho=1e-6)
+# so patient that rounding hides the fall of every row, the mean's included
+UNRESOLVED = make(delta=1.0 - 1e-15)
 
 
 def playable(q, mode):
@@ -89,21 +92,47 @@ class TestPostwarMean:
             params = make(rho=rho)
             assert_close(postwar_market_mean(params), effective_mu(params), 1e-10)
 
-    def test_unconverged_is_nan(self):
-        # contraction factor (1 - rho) * delta ~ 0.99999: the last iterate
-        # (0.81213) is far from the fixed point (0.81818), so none is given
-        assert math.isnan(postwar_market_mean(SLOW_MEAN))
-        assert_close(effective_mu(SLOW_MEAN), 0.8181818, 1e-6)
+    @pytest.mark.parametrize("q", [SLOW_MEAN, make(delta=0.9999, rho=1e-3),
+                                   make(), make(rho=0.37), make(rho=1.0)],
+                             ids=["slow", "patient", "rho-zero", "rho",
+                                  "rho-one"])
+    def test_solved_within_band_of_exact(self, q):
+        # the mean is solved from three evaluations of its affine map, so a
+        # slow contraction (0.99999 here) costs no more than a fast one and
+        # lands within its rounding band of the exact fixed point
+        mean, note = _mean(q)
+        assert note is None and mean.value == postwar_market_mean(q)
+        assert mean.lo <= effective_mu(exact(q)) <= mean.hi
+        assert mean.hi - mean.lo <= 1e-9
+
+    def test_never_nan_at_valid_points(self):
+        # the map contracts at every valid point, so its row falls; only a
+        # fall within rounding of zero, (1 - rho) * delta within about
+        # 1e-14 of 1, is left unsolved
+        points = sample_valid_points(np.random.default_rng(4), 2000)
+        points += [q._replace(delta=1.0 - 10.0 ** -k, rho=r)
+                   for q in points[:50] for k in range(1, 14)
+                   for r in (0.0, 1e-9, 0.5)]
+        assert not any(math.isnan(postwar_market_mean(q)) for q in points)
+        mean, note = _mean(UNRESOLVED)
+        assert all(map(math.isnan, mean))
+        assert note.startswith("row does not fall beyond rounding: ")
 
 
 class TestVerify:
     @pytest.mark.parametrize("mode", [ProfileMode.EFFICIENT_PEACE,
                                       ProfileMode.INEFFICIENT_PEACE])
-    def test_unconverged_postwar_mean_refused(self, mode):
-        with pytest.raises(InvalidParamsError) as err:
-            verify_period1(SLOW_MEAN, mode)
-        assert err.value.violations == (
-            "postwar_mean: no convergence in 100000 steps",)
+    def test_slow_mean_point_gets_the_exact_verdict(self, mode):
+        # a slow postwar mean is solved, not iterated, so the point gets a
+        # verdict; on the exact parameters the same code gives the same one
+        report = verify_period1(SLOW_MEAN, mode)
+        truth = verify_period1(exact(SLOW_MEAN), mode)
+        assert (report.passed, report.feasible, report.best_deviation) == (
+            truth.passed, truth.feasible, truth.best_deviation)
+        assert list(report.gains) == list(truth.gains)
+        for key, gain in truth.gains.items():
+            assert report.gains[key] == gain or (
+                abs(report.gains[key] - gain) <= 1e-9 * max(1, abs(gain)))
 
     def test_pass_at_demo_point(self):
         report = verify_period1(make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE)
@@ -225,7 +254,7 @@ class TestVerify:
         assert report_digest(REPORT_POINTS, lambda r: (
             repr(r) + repr(list(r.gains.items()))
             + repr(list(r.diagnostics.items())))) == (
-            "daead53baffe4a9a26a6eefe0dbb65143199637c15afda785a9cb797fa5d8870")
+            "7586fdd53f46a490f93c8400d20d646b89c97fc4c154a633878739adcb07859a")
 
     def test_verdicts_pinned(self):
         # the verdict of every report (or the refusal) at REPORT_POINTS and
@@ -236,7 +265,7 @@ class TestVerify:
                                   in zip(REPORT_POINTS, draws) for c in row]
         assert report_digest(points, lambda r: repr(
             (r.passed, r.feasible, r.max_gain_r, r.max_gain_d))) == (
-            "f7b597dfcfb2d54fefa047145e1f03b38853e0a7d164f1e81b0f028d24287b00")
+            "f67e4fab4690674ee3d41b1f34243d7f9e8b3cfdec4c273a010d6653defd24c7")
 
 
 def dense_offer_scan(q, mode):
@@ -348,7 +377,7 @@ class TestAgreementSummary:
             for r in batch(points):
                 kw = {k: getattr(r, k) for k in ("cbar_D", "clow_D", "Clow")}
                 kw[key] = Bracket(math.nan, kw[key].lo, kw[key].hi)
-                out.append(OracleThresholds(**kw, search_tol=r.search_tol))
+                out.append(OracleThresholds(**kw))
             return out
 
         monkeypatch.setattr(oracle, "oracle_thresholds_batch", no_value)
@@ -430,15 +459,15 @@ class TestRecords:
     OLD = {"Bracket": dataclasses.make_dataclass(
                "Bracket", ["value", "lo", "hi"], frozen=True),
            "OracleThresholds": dataclasses.make_dataclass(
-               "OracleThresholds", ["cbar_D", "clow_D", "Clow", "search_tol",
+               "OracleThresholds", ["cbar_D", "clow_D", "Clow",
                                     ("anomalies", tuple, dataclasses.field(
                                         default=()))], frozen=True)}
 
     def test_keyword_construction(self):
         b = Bracket(value=1.5, lo=1.25, hi=1.75)
         assert (b.value, b.lo, b.hi) == (1.5, 1.25, 1.75)
-        r = OracleThresholds(cbar_D=b, clow_D=b, Clow=b, search_tol=1e-8)
-        assert r.cbar_D is b and r.Clow is b and r.search_tol == 1e-8
+        r = OracleThresholds(cbar_D=b, clow_D=b, Clow=b)
+        assert r.cbar_D is b and r.Clow is b
         assert r.anomalies == ()
         assert OracleThresholds(**r._asdict()) == r
 
@@ -453,7 +482,7 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.unknown = 0.0
 
-    @pytest.mark.parametrize("params", [make(), SLOW_MEAN],
+    @pytest.mark.parametrize("params", [make(), UNRESOLVED],
                              ids=["finite", "nan"])
     def test_repr_is_the_dataclass_repr(self, params):
         result = oracle_thresholds(params)
@@ -461,20 +490,25 @@ class TestRecords:
         old = self.OLD["OracleThresholds"](*brackets, *result[3:])
         assert repr(result) == repr(old)
         assert repr(result.Clow).startswith(
-            "Bracket(value=nan, " if params is SLOW_MEAN else "Bracket(value=-1.1")
+            "Bracket(value=nan, " if params is UNRESOLVED
+            else "Bracket(value=-1.1")
 
     def test_to_dict_keys_are_fields(self):
-        d = _plain(oracle_thresholds(SLOW_MEAN))
+        d = _plain(oracle_thresholds(UNRESOLVED))
         assert list(d) == list(OracleThresholds._fields)
         for key in ("cbar_D", "clow_D", "Clow"):
             assert list(d[key]) == list(Bracket._fields)
-        assert isinstance(d["anomalies"], list) and len(d["anomalies"]) == 3
+            assert list(d[key].values()) == [None, None, None]
+        # the mean's anomaly comes first: the clow_D and Clow rows read it
+        assert isinstance(d["anomalies"], list) and len(d["anomalies"]) == 4
+        assert d["anomalies"][0].startswith(
+            "postwar_mean: row does not fall beyond rounding: ")
 
 
-class TestLockstepBatch:
+class TestSolver:
     def test_agreement_golden_bytes(self):
-        # brackets are bit-for-bit those of the one-point-at-a-time scalar
-        # bisection that produced this file; a one-ulp move fails here.
+        # the solved values at .12g beside the closed forms;
+        # test_oracle_brackets.py holds every bracket end to the bit.
         # Regenerate with: barriergame verify --preset demo-b --agreement 20
         #   --seed 11 --agreement-csv tests/golden/agreement-seed11.csv
         path = os.path.join(os.path.dirname(__file__), "golden",
@@ -485,141 +519,100 @@ class TestLockstepBatch:
             agreement_rows(20, seed=11)) + "\n"
         assert text == golden
 
-    def test_lanes_independent_of_batch(self, monkeypatch):
-        # each lockstep lane gives exactly the record of the lone float
-        # bisection at its point (repr: a nan bracket is unequal to itself)
-        points = [
-            make(rho=0.0), make(rho=0.37), make(rho=1.0),
-            make(theta=1.2), make(theta=0.9, rho=0.6),
-            # negative clow_D and Clow
-            make(delta=0.5, p=0.2, p1=0.6, mu=0.5, h0=0.5),
-            *EDGE_POINTS, SLOW_MEAN,
-        ]
-        rng = np.random.default_rng(7)
-        points += [random_valid_params(rng) for _ in range(1000)]
-        # patient points: delta in [0.95, 0.9999]
-        points += [random_valid_params(rng).with_overrides(
-                       delta=1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.05)))
-                   for _ in range(500)]
-        for tol in (1e-8, 1e-13, 1e-4):
-            monkeypatch.setattr(oracle, "SEARCH_TOL", tol)
-            batch = oracle_thresholds_batch(points)
-            assert len(batch) == len(points)
-            for params, result in zip(points, batch):
-                assert repr(result) == repr(oracle_thresholds(params)), tol
+    def test_batch_is_one_call_per_point(self):
+        # repr: a nan bracket is unequal to itself
+        points = [make(rho=0.0), make(rho=0.37), make(rho=1.0),
+                  make(theta=1.2), make(theta=0.9, rho=0.6),
+                  *EDGE_POINTS, SLOW_MEAN, UNRESOLVED]
+        points += sample_valid_points(np.random.default_rng(7), 200)
+        assert repr(oracle_thresholds_batch(points)) == repr(
+            [oracle_thresholds(q) for q in points])
         assert oracle_thresholds_batch([]) == []
 
-    @pytest.mark.parametrize("entry", ["single", "batch"])
-    def test_setup_work_independent_of_steps(self, monkeypatch, entry):
-        # everything but the bisected cost is computed once per call: a
-        # tighter tolerance adds predicate calls, but no ModelParams
-        # constructions and no engine calls; a batch builds one set of
-        # lanes and one set of war terms
-        q = make()
-        counts = Counter()
+    def test_three_evaluations_per_row(self, monkeypatch):
+        # everything but the cost is computed once per point: each of the
+        # four rows (the mean and three thresholds) is evaluated three
+        # times, the engine's lottery is read three times (two sets of war
+        # terms and the mean band's shift), no ModelParams is built, and
+        # numpy is never imported
+        calls = Counter()
+        evaluations = []
+        solve = oracle._solve
+
+        def counted_solve(f, *args):
+            evaluations.append(0)
+            k = len(evaluations) - 1
+
+            def row(c):
+                evaluations[k] += 1
+                return f(c)
+            return solve(row, *args)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
+        q = make()
+        monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.setattr(ModelParams, "__new__",
                             counted("ModelParams", ModelParams.__new__))
-        for name in ("war_lottery", "win_prob_d"):
-            monkeypatch.setattr(engine, name,
-                                counted(name, getattr(engine, name)))
-        if entry == "single":
-            # the float path imports no numpy: any import of it raises
-            monkeypatch.setitem(sys.modules, "numpy", None)
-            bisect = oracle._bisect_up
-            monkeypatch.setattr(
-                oracle, "_bisect_up",
-                lambda predicate, *a: bisect(counted("predicate", predicate),
-                                             *a))
-            run = lambda: oracle_thresholds(q)
-        else:
-            bisect = oracle._bisect_up_sets
-            monkeypatch.setattr(
-                oracle, "_bisect_up_sets",
-                lambda predicate, n, **kw: bisect(
-                    counted("predicate", predicate), n, **kw))
-            run = lambda: oracle_thresholds_batch([q])
-        per_tol = {}
-        for tol in (1e-4, 1e-13):
-            counts.clear()
-            monkeypatch.setattr(oracle, "SEARCH_TOL", tol)
-            run()
-            per_tol[tol] = dict(counts)
-        loose, tight = per_tol[1e-4], per_tol[1e-13]
-        assert tight.pop("predicate") >= loose.pop("predicate") + 40
-        assert tight == loose
-        assert loose["war_lottery"] == 2
-        if entry == "single":
-            assert "ModelParams" not in loose
-        else:
-            assert loose["ModelParams"] == 1    # the one lanes() call
+        monkeypatch.setattr(engine, "war_lottery",
+                            counted("war_lottery", engine.war_lottery))
+        monkeypatch.setattr(oracle, "_solve", counted_solve)
+        assert oracle_thresholds(q).anomalies == ()
+        assert evaluations == [3, 3, 3, 3]
+        assert calls == {"war_lottery": 3}
 
-    def test_unconverged_postwar_mean_is_an_anomaly(self):
-        # the slow point's mean is nan, so clow_D and Clow
-        # have no value, and the anomaly names the cause first; cbar_D does
-        # not read the mean, and the other lane is untouched
-        demo, slow = oracle_thresholds_batch([make(), SLOW_MEAN])
-        assert demo == oracle_thresholds(make())
-        assert slow.anomalies == (
-            "postwar_mean: no convergence in 100000 steps",
-            "clow_D: no passing point up to 1.8446744073709552e+19",
-            "Clow: no passing point up to 1.8446744073709552e+19")
-        assert math.isnan(slow.clow_D.value) and math.isnan(slow.Clow.value)
-        assert math.isclose(slow.cbar_D.value,
-                            compute_thresholds(SLOW_MEAN).cbar_D, rel_tol=1e-9)
+    @pytest.mark.parametrize("row, scale, note", [
+        (lambda c: 0.37 - c ** 3, 1,
+         "row not affine: slope -1.0 on [0, 1], -1.5069"),
+        (lambda c: 1.0, 1, "row does not fall: 1.0 at 0, 1.0 at 1"),
+        (lambda c: c - 0.37, 1, "row does not fall: -0.37 at 0, 0.63 at 1"),
+        # a fall of 1e-15 where rounding of terms near 1e16 hides it
+        (lambda c: 1.0 - 1e-15 * c, 1e16,
+         "row does not fall beyond rounding: slope -1e-15 on [0, "),
+    ], ids=["cubic", "flat", "rising", "under-rounding"])
+    def test_anomaly_paths(self, row, scale, note):
+        # a row that does not fall, or is not affine, is never solved
+        bracket, got = _solve(row, scale)
+        assert all(map(math.isnan, bracket))
+        assert got.startswith(note), got
 
-    def test_anomaly_paths(self):
-        lone = [
-            lambda x: False,                            # never passes
-            lambda x: True,                             # never fails
-            # a passing island just below the boundary at 2.5
-            lambda x: x >= 2.5 or 2.5 - 1.5e-6 < x < 2.5 - 0.5e-6,
-            lambda x: x >= 0.37,                        # well behaved
-        ]
+    def test_affine_row_solved_to_the_ulp(self):
+        band = 8 * math.ulp(1.0) + math.ulp(0.37)
+        assert _solve(lambda c: 0.37 - c, 1) == (
+            Bracket(0.37, 0.37 - band, 0.37 + band), None)
+        # a row's inputs that may be off by slack widen the band by
+        # slack over the slope
+        bracket, _ = _solve(lambda c: 2.0 - 0.5 * c, 1, slack=1e-9)
+        band = (8 * math.ulp(4.0) + 1e-9) / 0.5 + math.ulp(4.0)
+        assert bracket == Bracket(4.0, 4.0 - band, 4.0 + band)
 
-        def predicate(x):
-            return np.array([f(v) for f, v in zip(lone, x)])
-
-        lanes = _bisect_up_sets(predicate, 4)
-        (never_pass, n0), (never_fail, n1), (island, n2), (normal, n3) = lanes
-        assert math.isnan(never_pass.value)
-        assert (never_pass.lo, never_pass.hi) == (-1.0, 2.0 ** 64)
-        assert n0 == "no passing point up to 1.8446744073709552e+19"
-        assert math.isnan(never_fail.value)
-        assert (never_fail.lo, never_fail.hi) == (-(2.0 ** 64), 1.0)
-        assert n1 == "no failing point down to -1.8446744073709552e+19"
-        assert island == Bracket(2.4999985015019774, 2.4999984968453646,
-                                 2.4999985061585903)
-        assert n2 == ("predicate not monotone around 2.4999985015019774; "
-                      "the existence condition may not be an interval")
-        assert normal == Bracket(0.3700000010430813, 0.369999997317791,
-                                 0.3700000047683716)
-        assert n3 is None
-        # the same lane alone takes the same steps, in lockstep and on floats
-        assert _bisect_up_sets(lambda x: x >= 0.37, 1) == [(normal, None)]
-        for f, lane in zip(lone, lanes):
-            assert repr(_bisect_up(f)) == repr(lane)
+    def test_no_false_anomaly(self):
+        # the affinity check allows for rounding, so no point of the
+        # 20 000-point census is refused; criterion 11 checks its corpus
+        # near delta = 1
+        points = sample_valid_points(np.random.default_rng(4), 20_000)
+        assert not any(oracle_thresholds(q).anomalies for q in points)
 
     def test_no_false_anomaly_near_delta_one(self):
-        # the feasibility predicate moves with the cost at rate 1 - delta,
-        # so near delta = 1 rounding alone flips it within about
-        # ulp(|clow_D|) / (1 - delta) = 2.2e-6 of the boundary, wider than
-        # a fixed 1e-6 probe; the probe scales with that band instead
+        # the feasibility rows fall with the cost at rate 1 - delta, so
+        # near delta = 1 rounding alone moves them by about
+        # ulp(1 / (1 - delta)) for each unit of slope; the allowance
+        # scales with the row's terms, not with its value
         q = ModelParams(delta=0.9998937534481658, p=0.47889639294569647,
                         p1=0.6252236074796401, mu=0.7365483637824521,
                         h0=0.06566167438462142, c_R=3.6534990202737125,
                         c_D=4.88142903470984)
         result = oracle_thresholds(q)
         assert result.anomalies == ()
-        assert result.clow_D == Bracket(-1629083.2231412013,
-                                        -1629083.223141205,
-                                        -1629083.2231411976)
+        assert result.clow_D == Bracket(-1629083.2231235595,
+                                        -1629083.2240670195,
+                                        -1629083.2221800995)
+        exact_clow = compute_thresholds(exact(q)).clow_D
+        assert result.clow_D.lo <= exact_clow <= result.clow_D.hi
         closed = compute_thresholds(q).clow_D
         assert abs(result.clow_D.value - closed) <= 1e-9 * abs(closed)
 

@@ -1,6 +1,6 @@
 """Exact oracle brackets: the repr of every bracket end, so a one-ulp drift
-in the bisection or its predicates fails here even where the agreement
-golden's .12g columns cannot see it.
+in the solve or its rows fails here even where the agreement golden's .12g
+columns cannot see it.
 
 Regenerate the golden (only when a change to the brackets is intended) with
     PYTHONPATH=src:tests python tests/test_oracle_brackets.py
@@ -10,17 +10,14 @@ import os
 
 import numpy as np
 
-from barriergame import oracle
 from barriergame.params import sample_valid_params
-from barriergame.oracle import oracle_thresholds, oracle_thresholds_batch
+from barriergame.oracle import oracle_thresholds
 from test_oracle import EDGE_POINTS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "oracle-brackets.json")
 SEED = 808
 N_POINTS = 200
-TOLS = (1e-8, 1e-6, 1e-13)
-N_SINGLE = 20
 
 
 def _row(result) -> str:
@@ -31,29 +28,11 @@ def _row(result) -> str:
     return " | ".join([brackets, *result.anomalies])
 
 
-def _batch_at(points, tol):
-    """The batch's brackets with the bisection tolerance set to tol."""
-    saved = oracle.SEARCH_TOL
-    oracle.SEARCH_TOL = tol
-    try:
-        return oracle_thresholds_batch(points)
-    finally:
-        oracle.SEARCH_TOL = saved
-
-
 def bracket_record() -> dict:
     rng = np.random.default_rng(SEED)
     points = [sample_valid_params(rng) for _ in range(N_POINTS)] + EDGE_POINTS
-    return {
-        "seed": SEED,
-        "points": len(points),
-        "batch": {repr(tol): [_row(r) for r in _batch_at(points, tol)]
-                  for tol in TOLS},
-        # oracle_thresholds now takes the lone float path, not a batch of
-        # one; the key keeps its name so the golden stays byte-identical
-        "batch_of_one": [_row(oracle_thresholds(q)) for q in
-                         points[:N_SINGLE]],
-    }
+    return {"seed": SEED, "points": len(points),
+            "brackets": [_row(oracle_thresholds(q)) for q in points]}
 
 
 def test_brackets_match_golden_exactly():
@@ -61,12 +40,12 @@ def test_brackets_match_golden_exactly():
         golden = json.load(fh)
     record = bracket_record()
     assert record.keys() == golden.keys()
-    for key in ("seed", "points", "batch_of_one"):
+    for key in ("seed", "points"):
         assert record[key] == golden[key], key
-    for tol, rows in golden["batch"].items():
-        for i, (got, want) in enumerate(zip(record["batch"][tol], rows)):
-            assert got == want, f"tol {tol}, point {i}"
-        assert len(record["batch"][tol]) == len(rows)
+    for i, (got, want) in enumerate(zip(record["brackets"],
+                                        golden["brackets"])):
+        assert got == want, f"point {i}"
+    assert len(record["brackets"]) == len(golden["brackets"])
 
 
 if __name__ == "__main__":
