@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .params import InvalidParamsError, ModelParams, require_valid
 from .thresholds import ThresholdSet, compute_thresholds
@@ -84,18 +84,34 @@ def classify(params: ModelParams) -> EquilibriumReport:
 
 
 class RegionGrid(NamedTuple):
-    """Rasterized (c_R, c_D) classification with the boundary curves."""
+    """A (c_R, c_D) raster of ``base``: its cell centers, its ranges and the
+    base point's thresholds, which draw the boundary curves.  The cells are
+    classified when ``rows`` is read, so a grid holds no per-cell data."""
 
+    base: ModelParams
     cr_values: tuple[float, ...]
     cd_values: tuple[float, ...]
-    # labels[i][j] corresponds to (cd_values[i], cr_values[j])
-    labels: tuple[tuple[RegionLabel, ...], ...]
-    margins_efficient: tuple[tuple[float, ...], ...]
-    margins_cd: tuple[tuple[float, ...], ...]
-    margins_joint: tuple[tuple[float, ...], ...]
-    thresholds: ThresholdSet    # the base point's; the boundary curves
     cr_range: tuple[float, float]
     cd_range: tuple[float, float]
+    thresholds: ThresholdSet
+
+    def rows(self) -> Iterator[list[tuple[RegionLabel, Margins]]]:
+        """One list of (label, margins) per c_D, by increasing c_D, each in
+        increasing c_R.  Every cell is one classify call; a cell classify
+        refuses (e.g. a negative cost) is Skipped with nan margins."""
+        base = self.base
+        nan = float("nan")
+        skipped = (RegionLabel.SKIPPED, Margins(nan, nan, nan))
+        for cd in self.cd_values:
+            row = []
+            for cr in self.cr_values:
+                try:
+                    rep = classify(base.with_overrides(c_D=cd, c_R=cr))
+                except InvalidParamsError:
+                    row.append(skipped)
+                    continue
+                row.append((rep.label, rep.margins))
+            yield row
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -105,39 +121,20 @@ def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 def region_grid(base: ModelParams, cr_range: tuple[float, float],
                 cd_range: tuple[float, float], resolution: int) -> RegionGrid:
-    """Classify every cell center of a (c_R, c_D) raster.
+    """The raster of ``base`` with ``resolution`` cells per axis.
 
     An invalid ``base`` raises InvalidParamsError; invalid cells (e.g.
-    ranges reaching into negative costs) are Skipped.  Cell evaluation is
-    pure and independent, so callers may shard it freely.
+    ranges reaching into negative costs) are Skipped when the rows are read.
     """
     require_valid(base)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    crs = _cell_centers(cr_range[0], cr_range[1], resolution)
-    cds = _cell_centers(cd_range[0], cd_range[1], resolution)
-    nan = float("nan")
-    skipped = (RegionLabel.SKIPPED, nan, nan, nan)
-    # one (label, efficient, cd, joint) tuple per cell, transposed per row
-    rows: list[tuple[tuple, ...]] = []
-    for cd in cds:
-        row = []
-        for cr in crs:
-            # one classify call per cell, Skipped cells included
-            try:
-                rep = classify(base.with_overrides(c_D=cd, c_R=cr))
-            except InvalidParamsError:
-                row.append(skipped)
-                continue
-            m = rep.margins
-            row.append((rep.label, m.efficient, m.cd, m.joint))
-        rows.append(tuple(zip(*row)))
-    labels, m_eff, m_cd, m_joint = zip(*rows)
     return RegionGrid(
-        cr_values=crs, cd_values=cds, labels=labels,
-        margins_efficient=m_eff, margins_cd=m_cd, margins_joint=m_joint,
-        thresholds=compute_thresholds(base),
+        base=base,
+        cr_values=_cell_centers(cr_range[0], cr_range[1], resolution),
+        cd_values=_cell_centers(cd_range[0], cd_range[1], resolution),
         cr_range=tuple(cr_range), cd_range=tuple(cd_range),
+        thresholds=compute_thresholds(base),
     )
 
 

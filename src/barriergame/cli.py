@@ -35,7 +35,7 @@ from .oracle import (
     oracle_thresholds,
     verify_period1,
 )
-from .output import emit_csv, emit_svg
+from .output import emit_figure
 from .params import (
     BarrierDistribution,
     EliminationMode,
@@ -300,9 +300,8 @@ def _cmd_figure(args) -> int:
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
               for subtitle, point in points]
-    emit_svg(panels, title, _out_path(args.out))
-    for (_, grid), path in zip(panels, csvs):
-        emit_csv(grid, _out_path(path))
+    emit_figure(panels, title, _out_path(args.out),
+                [_out_path(path) for path in csvs])
     return 0
 
 

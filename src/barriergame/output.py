@@ -1,11 +1,12 @@
-"""CSV and SVG emission for region grids and comparative sweeps.
+"""SVG and CSV emission for region figures.
 
 SVG is hand-emitted primitive shapes with fixed number formatting so output
-is byte-stable and suitable for golden-file comparison.
+is byte-stable and suitable for golden-file comparison.  A figure is
+written one raster row at a time, as its cells are classified.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, TextIO
 
 from .classifier import RegionGrid, RegionLabel
 
@@ -27,29 +28,6 @@ _LEGEND = (
 )
 
 
-def csv_rows(grid: RegionGrid) -> list[str]:
-    """One row per cell, ordered by increasing c_D then c_R.
-
-    Numbers take 12 significant digits; a Skipped cell's nan margins print
-    as ``nan``.  Each c_R is formatted once per column and each c_D once
-    per row."""
-    cr_texts = [format(cr, ".12g") for cr in grid.cr_values]
-    rows: list[str] = []
-    for cd, labels, m_eff, m_cd, m_joint in zip(
-            grid.cd_values, grid.labels, grid.margins_efficient,
-            grid.margins_cd, grid.margins_joint):
-        mid = f",{cd:.12g},"
-        rows += [f"{cr}{mid}{label.value},{e:.12g},{c:.12g},{j:.12g}"
-                 for cr, label, e, c, j in zip(cr_texts, labels, m_eff,
-                                               m_cd, m_joint)]
-    return rows
-
-
-def emit_csv(grid: RegionGrid, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([CSV_HEADER, *csv_rows(grid)]) + "\n")
-
-
 _PLOT_W = 320.0
 _PLOT_H = 280.0
 _MARGIN_L = 64.0
@@ -63,7 +41,9 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[str]:
+def _panel_marks(grid: RegionGrid, x0: float, y0: float,
+                 subtitle: str) -> list[str]:
+    """A panel's frame, boundary curves and annotations: all but its cells."""
     cr_lo, cr_hi = grid.cr_range
     cd_lo, cd_hi = grid.cd_range
 
@@ -73,18 +53,7 @@ def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[st
     def sy(cd: float) -> float:
         return y0 + _PLOT_H - (cd - cd_lo) / (cd_hi - cd_lo) * _PLOT_H
 
-    n_cd = len(grid.cd_values)
-    n_cr = len(grid.cr_values)
-    cw = _PLOT_W / n_cr
-    ch = _PLOT_H / n_cd
-    # each cell's x is formatted once per column and its y once per row
-    heads = [f'<rect x="{_px(x0 + j * cw)}" y="' for j in range(n_cr)]
-    size = f'" width="{_px(cw)}" height="{_px(ch)}" fill="'
     parts = []
-    for i, labels in enumerate(grid.labels):
-        mid = _px(y0 + _PLOT_H - (i + 1) * ch) + size
-        parts += [f'{head}{mid}{_FILL[label]}"/>'
-                  for head, label in zip(heads, labels)]
     # frame
     parts.append(f'<rect x="{_px(x0)}" y="{_px(y0)}" width="{_px(_PLOT_W)}" '
                  f'height="{_px(_PLOT_H)}" fill="none" stroke="#222" '
@@ -138,13 +107,47 @@ def _panel_svg(grid: RegionGrid, x0: float, y0: float, subtitle: str) -> list[st
     return parts
 
 
-def render_svg(panels: Sequence[tuple[str, RegionGrid]], title: str) -> str:
+def _write_panel(svg: TextIO, csv: Optional[TextIO], grid: RegionGrid,
+                 x0: float, y0: float) -> None:
+    """Write a panel's cell rects to ``svg`` and, unless ``csv`` is None,
+    its CSV rows, one raster row at a time.
+
+    CSV rows run by increasing c_D then c_R, with 12 significant digits; a
+    Skipped cell's nan margins print as ``nan``.  Each c_R and each cell x
+    is formatted once per column, each c_D and each cell y once per row."""
+    n_cr = len(grid.cr_values)
+    cw = _PLOT_W / n_cr
+    ch = _PLOT_H / len(grid.cd_values)
+    heads = [f'<rect x="{_px(x0 + j * cw)}" y="' for j in range(n_cr)]
+    size = f'" width="{_px(cw)}" height="{_px(ch)}" fill="'
+    cr_texts = [format(cr, ".12g") for cr in grid.cr_values]
+    for i, (cd, row) in enumerate(zip(grid.cd_values, grid.rows())):
+        mid = _px(y0 + _PLOT_H - (i + 1) * ch) + size
+        svg.write("".join([f'{head}{mid}{_FILL[label]}"/>\n'
+                           for head, (label, _) in zip(heads, row)]))
+        if csv is not None:
+            mid = f",{cd:.12g},"
+            csv.write("".join([
+                f"{cr}{mid}{label.value},{m.efficient:.12g},{m.cd:.12g},"
+                f"{m.joint:.12g}\n" for cr, (label, m) in zip(cr_texts, row)]))
+
+
+def emit_figure(panels: Sequence[tuple[str, RegionGrid]], title: str,
+                svg: str, csvs: Sequence[str] = ()) -> None:
+    """Write the figure of ``panels`` to the SVG file ``svg`` and, when
+    ``csvs`` names one file per panel, each panel's CSV twin.
+
+    Each grid's rows are read once, and each row is written to both files
+    before the next is read, so memory grows with the resolution, not with
+    the number of cells."""
     n = len(panels)
     if n == 0:
         raise ValueError("at least one panel required")
+    if csvs and len(csvs) != n:
+        raise ValueError(f"{len(csvs)} CSV paths for {n} panels")
     width = _MARGIN_L + n * _PLOT_W + (n - 1) * _PANEL_GAP + _MARGIN_L
     height = _MARGIN_T + _PLOT_H + _MARGIN_B + _LEGEND_H
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
         f'height="{_px(height)}" viewBox="0 0 {_px(width)} {_px(height)}">',
         f'<rect x="0" y="0" width="{_px(width)}" height="{_px(height)}" '
@@ -152,24 +155,28 @@ def render_svg(panels: Sequence[tuple[str, RegionGrid]], title: str) -> str:
         f'<text x="{_px(width / 2)}" y="20" font-size="15" '
         f'text-anchor="middle" fill="#111">{title}</text>',
     ]
-    for k, (subtitle, grid) in enumerate(panels):
-        x0 = _MARGIN_L + k * (_PLOT_W + _PANEL_GAP)
-        parts.extend(_panel_svg(grid, x0, _MARGIN_T + 16, subtitle))
-    # legend
+    legend = []
     lx = _MARGIN_L
     ly = height - _LEGEND_H + 8
     for label, text in _LEGEND:
-        parts.append(f'<rect x="{_px(lx)}" y="{_px(ly)}" width="14" height="14" '
-                     f'fill="{_FILL[label]}" stroke="#222" stroke-width="0.5"/>')
-        parts.append(f'<text x="{_px(lx + 20)}" y="{_px(ly + 11)}" '
-                     f'font-size="12" fill="#111">{text}</text>')
+        legend.append(f'<rect x="{_px(lx)}" y="{_px(ly)}" width="14" '
+                      f'height="14" fill="{_FILL[label]}" stroke="#222" '
+                      f'stroke-width="0.5"/>')
+        legend.append(f'<text x="{_px(lx + 20)}" y="{_px(ly + 11)}" '
+                      f'font-size="12" fill="#111">{text}</text>')
         lx += 20 + 8 * len(text) + 30
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def emit_svg(panels: Sequence[tuple[str, RegionGrid]], title: str,
-             path: str) -> None:
-    svg = render_svg(panels, title)
-    with open(path, "w") as fh:
-        fh.write(svg)
+    legend.append("</svg>")
+    y0 = _MARGIN_T + 16
+    with open(svg, "w") as out:
+        out.writelines(line + "\n" for line in head)
+        for k, (subtitle, grid) in enumerate(panels):
+            x0 = _MARGIN_L + k * (_PLOT_W + _PANEL_GAP)
+            if csvs:
+                with open(csvs[k], "w", newline="") as csv:
+                    csv.write(CSV_HEADER + "\n")
+                    _write_panel(out, csv, grid, x0, y0)
+            else:
+                _write_panel(out, None, grid, x0, y0)
+            out.writelines(line + "\n"
+                           for line in _panel_marks(grid, x0, y0, subtitle))
+        out.writelines(line + "\n" for line in legend)

@@ -24,6 +24,11 @@ def exact(q: ModelParams) -> ModelParams:
     return ModelParams(*map(Fraction, q[:9]), q.elimination_mode)
 
 
+def grid_labels(grid) -> list[list]:
+    """A RegionGrid's labels, one list per c_D, read through its rows."""
+    return [[label for label, _ in row] for row in grid.rows()]
+
+
 @pytest.fixture
 def set_b() -> ModelParams:
     return make()

@@ -21,7 +21,8 @@ from barriergame.cli import _plain
 from barriergame.params import sample_valid_params, validate
 from barriergame.presets import get_preset
 from barriergame.thresholds import ThresholdSet, compute_thresholds
-from conftest import make, random_valid_params
+from barriergame.output import emit_figure
+from conftest import grid_labels, make, random_valid_params
 
 
 class TestClassify:
@@ -141,9 +142,10 @@ class TestRegionGrid:
     def test_three_bands_demo(self):
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 40)
         ts = compute_thresholds(make())
+        labels = grid_labels(grid)
         for i, cd in enumerate(grid.cd_values):
             for j in range(len(grid.cr_values)):
-                label = grid.labels[i][j]
+                label = labels[i][j]
                 if cd < ts.clow_D:
                     assert label is RegionLabel.WAR
                 elif cd < ts.cbar_D:
@@ -155,19 +157,22 @@ class TestRegionGrid:
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 25)
         order = {RegionLabel.WAR: 0, RegionLabel.INEFFICIENT_PEACE: 1,
                  RegionLabel.BOTH: 2}
+        labels = grid_labels(grid)
         for j in range(len(grid.cr_values)):
-            ranks = [order[grid.labels[i][j]] for i in range(len(grid.cd_values))]
+            ranks = [order[labels[i][j]] for i in range(len(grid.cd_values))]
             assert ranks == sorted(ranks)
 
     def test_single_cell_matches_classify(self):
         grid = region_grid(make(), (0.9, 1.1), (24.0, 26.0), 1)
         center = make(c_R=1.0, c_D=25.0)
-        assert grid.labels[0][0] == classify(center).label
+        [[(label, margins)]] = grid.rows()
+        assert (label, margins) == (classify(center).label,
+                                    classify(center).margins)
 
     def test_invalid_cells_skipped(self):
-        grid = region_grid(make(), (0.0, 1.0), (-2.0, 2.0), 2)
-        assert grid.labels[0][0] is RegionLabel.SKIPPED  # c_D < 0 there
-        assert grid.labels[1][0] is not RegionLabel.SKIPPED
+        labels = grid_labels(region_grid(make(), (0.0, 1.0), (-2.0, 2.0), 2))
+        assert labels[0][0] is RegionLabel.SKIPPED  # c_D < 0 there
+        assert labels[1][0] is not RegionLabel.SKIPPED
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -185,14 +190,14 @@ class TestRegionGrid:
     def test_overflowing_margins_skipped(self):
         demo = get_preset("demo-b").params
         grid = region_grid(demo, (1e308, 1.7e308), (1e308, 1.7e308), 2)
-        assert all(l is RegionLabel.SKIPPED for row in grid.labels for l in row)
-        for margins in (grid.margins_efficient, grid.margins_cd,
-                        grid.margins_joint):
-            assert all(math.isnan(m) for row in margins for m in row)
+        cells = [cell for row in grid.rows() for cell in row]
+        assert len(cells) == 4
+        assert all(l is RegionLabel.SKIPPED for l, _ in cells)
+        assert all(math.isnan(m) for _, margins in cells for m in margins)
         # only the cells whose joint cost overflows are Skipped
         grid = region_grid(demo, (0.0, 1.7e308), (0.0, 1.7e308), 2)
         assert [[l is RegionLabel.SKIPPED for l in row]
-                for row in grid.labels] == [[False, False], [False, True]]
+                for row in grid_labels(grid)] == [[False, False], [False, True]]
 
 
 def count_classify(monkeypatch):
@@ -212,11 +217,15 @@ class TestOneClassifyPerPoint:
     # and requires exactly one per raster cell and per sweep point.
 
     @pytest.mark.parametrize("n", [1, 7, 20])
-    def test_region_grid_calls_classify_per_cell(self, monkeypatch, n):
+    def test_region_grid_calls_classify_per_cell(self, tmp_path, monkeypatch,
+                                                 n):
         calls = count_classify(monkeypatch)
         grid = region_grid(make(), (-1.0, 4.0), (-10.0, 40.0), n)
+        assert calls == []   # cells are classified as the figure is written
+        csv = tmp_path / "f.csv"
+        emit_figure([("base", grid)], "t", str(tmp_path / "f.svg"), [str(csv)])
         assert len(calls) == n * n
-        skipped = sum(l is RegionLabel.SKIPPED for row in grid.labels for l in row)
+        skipped = sum(",Skipped," in row for row in csv.read_text().splitlines())
         assert n == 1 or skipped > 0   # Skipped cells are classified too
         assert [(q.c_D, q.c_R) for q in calls] == [
             (cd, cr) for cd in grid.cd_values for cr in grid.cr_values]

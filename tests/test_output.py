@@ -16,14 +16,22 @@ from barriergame.output import (
     _PLOT_H,
     _PLOT_W,
     CSV_HEADER,
-    csv_rows,
-    emit_csv,
-    emit_svg,
-    render_svg,
+    emit_figure,
 )
 from barriergame.presets import get_preset
 from barriergame.thresholds import compute_thresholds
-from conftest import make
+from conftest import grid_labels, make
+
+
+def render(tmp_path, panels, title="regions", csvs=()):
+    """The SVG text emit_figure writes for ``panels``."""
+    path = tmp_path / "fig.svg"
+    emit_figure(panels, title, str(path), [str(tmp_path / c) for c in csvs])
+    return path.read_text()
+
+
+def write_csv(grid, path):
+    emit_figure([("base", grid)], "regions", str(path) + ".svg", [str(path)])
 
 
 def parse_csv(path):
@@ -39,7 +47,8 @@ def parse_csv(path):
 
 
 # Per-cell reference formatters: the emitters as they were before they
-# built their strings from per-row and per-column prefixes.
+# built their strings from per-row and per-column prefixes.  They read the
+# cells through RegionGrid.rows, as the emitter does.
 
 def reference_num(x):
     if isinstance(x, float) and math.isnan(x):
@@ -49,13 +58,12 @@ def reference_num(x):
 
 def reference_csv_rows(grid):
     rows = []
-    for i, cd in enumerate(grid.cd_values):
-        for j, cr in enumerate(grid.cr_values):
+    for cd, cells in zip(grid.cd_values, grid.rows()):
+        for cr, (label, m) in zip(grid.cr_values, cells):
             rows.append(",".join([
-                reference_num(cr), reference_num(cd), grid.labels[i][j].value,
-                reference_num(grid.margins_efficient[i][j]),
-                reference_num(grid.margins_cd[i][j]),
-                reference_num(grid.margins_joint[i][j]),
+                reference_num(cr), reference_num(cd), label.value,
+                reference_num(m.efficient), reference_num(m.cd),
+                reference_num(m.joint),
             ]))
     return rows
 
@@ -67,9 +75,9 @@ def reference_cell_rects(grid, x0, y0):
     cw = _PLOT_W / len(grid.cr_values)
     ch = _PLOT_H / len(grid.cd_values)
     parts = []
-    for i in range(len(grid.cd_values)):
-        for j in range(len(grid.cr_values)):
-            fill = _FILL[grid.labels[i][j]]
+    for i, cells in enumerate(grid.rows()):
+        for j, (label, _) in enumerate(cells):
+            fill = _FILL[label]
             x = x0 + j * cw
             y = y0 + _PLOT_H - (i + 1) * ch
             parts.append(f'<rect x="{px(x)}" y="{px(y)}" width="{px(cw)}" '
@@ -97,25 +105,33 @@ REFERENCE_GRIDS = [
 class TestAgainstPerCellReference:
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("case", range(len(REFERENCE_GRIDS)))
-    def test_csv_rows(self, n, case):
+    def test_csv_rows(self, tmp_path, n, case):
         base, cr_range, cd_range = REFERENCE_GRIDS[case]
         grid = region_grid(base, cr_range, cd_range, n)
-        assert csv_rows(grid) == reference_csv_rows(grid)
+        path = tmp_path / "grid.csv"
+        write_csv(grid, path)
+        assert path.read_text() == "\n".join(
+            [CSV_HEADER, *reference_csv_rows(grid)]) + "\n"
 
     @pytest.mark.parametrize("n", [1, 7, 64])
-    def test_render_svg_cells(self, n):
+    def test_render_svg_cells(self, tmp_path, n):
         grids = [region_grid(base, cr_range, cd_range, n)
                  for base, cr_range, cd_range in REFERENCE_GRIDS]
         want = []
         for k, grid in enumerate(grids):
             want += reference_cell_rects(
                 grid, _MARGIN_L + k * (_PLOT_W + _PANEL_GAP), _MARGIN_T + 16)
-        svg = render_svg([(f"panel {k}", g) for k, g in enumerate(grids)], "t")
+        svg = render(tmp_path, [(f"panel {k}", g) for k, g in enumerate(grids)],
+                     "t", [f"panel{k}.csv" for k in range(len(grids))])
         assert cell_rects(svg) == want
+        # each panel's CSV twin is written beside the SVG from the same rows
+        for k, grid in enumerate(grids):
+            assert (tmp_path / f"panel{k}.csv").read_text() == "\n".join(
+                [CSV_HEADER, *reference_csv_rows(grid)]) + "\n"
 
     def test_skipped_and_crossing_zero_covered(self):
         grid = region_grid(*REFERENCE_GRIDS[1], 64)
-        labels = {l for row in grid.labels for l in row}
+        labels = {l for row in grid_labels(grid) for l in row}
         assert RegionLabel.SKIPPED in labels and len(labels) == 4
         assert any(cr < 0 for cr in grid.cr_values)
         assert any(cr > 0 for cr in grid.cr_values)
@@ -125,14 +141,14 @@ class TestCsv:
     def test_shape_2x2(self, tmp_path):
         grid = region_grid(make(), (0.0, 2.0), (0.0, 40.0), 2)
         path = tmp_path / "grid.csv"
-        emit_csv(grid, str(path))
+        write_csv(grid, path)
         rows = parse_csv(path)
         assert len(rows) == 4
 
     def test_order_cd_then_cr(self, tmp_path):
         grid = region_grid(make(), (0.0, 2.0), (0.0, 40.0), 2)
         path = tmp_path / "grid.csv"
-        emit_csv(grid, str(path))
+        write_csv(grid, path)
         rows = parse_csv(path)
         cds = [r[1] for r in rows]
         assert cds == sorted(cds)
@@ -141,7 +157,7 @@ class TestCsv:
     def test_labels_roundtrip_from_margins(self, tmp_path):
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 12)
         path = tmp_path / "grid.csv"
-        emit_csv(grid, str(path))
+        write_csv(grid, path)
         ts = compute_thresholds(make())
         for cr, cd, label, m_eff, m_cd, m_joint in parse_csv(path):
             rebuilt = EquilibriumReport(
@@ -151,7 +167,7 @@ class TestCsv:
     def test_twelve_significant_digits(self, tmp_path):
         grid = region_grid(make(), (0.0, 3.0), (0.0, 40.0), 3)
         path = tmp_path / "grid.csv"
-        emit_csv(grid, str(path))
+        write_csv(grid, path)
         rows = parse_csv(path)
         # margins survive the 12-digit round trip at 1e-9 relative error
         for cr, cd, label, m_eff, m_cd, m_joint in rows:
@@ -166,15 +182,15 @@ class TestCsv:
 
 
 class TestSvg:
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 8)
-        a = render_svg([("base", grid)], "regions")
-        b = render_svg([("base", grid)], "regions")
+        a = render(tmp_path, [("base", grid)])
+        b = render(tmp_path, [("base", grid)])
         assert a == b
 
-    def test_layout_elements(self):
+    def test_layout_elements(self, tmp_path):
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 8)
-        svg = render_svg([("base", grid)], "regions")
+        svg = render(tmp_path, [("base", grid)])
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         # both responder-cost thresholds are inside [0, 40]: two dashed lines
@@ -185,30 +201,42 @@ class TestSvg:
         for legend in ("War", "Inefficient peace", "Efficient peace"):
             assert legend in svg
 
-    def test_slanted_line_when_joint_threshold_positive(self):
+    def test_slanted_line_when_joint_threshold_positive(self, tmp_path):
         params = make(delta=0.5, p=0.5, p1=0.55, mu=0.95, h0=0.1, c_D=0.1)
         ts = compute_thresholds(params)
         assert ts.Clow > 0.0
         grid = region_grid(params, (0.0, 1.0), (0.0, 1.0), 10)
-        svg = render_svg([("base", grid)], "regions")
+        svg = render(tmp_path, [("base", grid)])
         assert svg.count('stroke-dasharray="2,3"') == 1
 
-    def test_both_collapses_to_efficient_color(self):
+    def test_both_collapses_to_efficient_color(self, tmp_path):
         grid = region_grid(make(c_D=35.0), (0.0, 1.0), (34.0, 40.0), 2)
-        assert all(l is RegionLabel.BOTH for row in grid.labels for l in row)
-        svg = render_svg([("base", grid)], "regions")
+        assert all(l is RegionLabel.BOTH for row in grid_labels(grid)
+                   for l in row)
+        svg = render(tmp_path, [("base", grid)])
         assert svg.count('fill="#2e8b57"') >= 4
 
-    def test_emit_svg_takes_title(self, tmp_path):
+    def test_emit_figure_takes_title(self, tmp_path):
         grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 4)
-        path = tmp_path / "fig.svg"
-        emit_svg([("base", grid)], "Some title", str(path))
-        assert path.read_text() == render_svg([("base", grid)], "Some title")
-        assert ">Some title</text>" in path.read_text()
+        titled = render(tmp_path, [("base", grid)], "Some title").splitlines()
+        plain = render(tmp_path, [("base", grid)], "regions").splitlines()
+        # the title is the one line that differs
+        assert [k for k, (a, b) in enumerate(zip(titled, plain)) if a != b] \
+            == [2] and len(titled) == len(plain)
+        assert titled[2].endswith(">Some title</text>")
 
-    def test_empty_panels_rejected(self):
+    def test_empty_panels_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            render_svg([], "nothing")
+            render(tmp_path, [], "nothing")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("panels, csvs", [(2, 1), (1, 2)])
+    def test_csv_count_must_match_panels(self, tmp_path, panels, csvs):
+        grid = region_grid(make(), (0.0, 10.0), (0.0, 40.0), 4)
+        with pytest.raises(ValueError):
+            render(tmp_path, [("base", grid)] * panels, "nothing",
+                   [f"f{k}.csv" for k in range(csvs)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestShiftFigures:
@@ -217,7 +245,7 @@ class TestShiftFigures:
         hi = region_grid(make(mu=0.8), (0.0, 10.0), (0.0, 40.0), 20)
 
         def count(grid, label):
-            return sum(l is label for row in grid.labels for l in row)
+            return sum(l is label for row in grid_labels(grid) for l in row)
 
         assert count(lo, RegionLabel.INEFFICIENT_PEACE) > \
             count(hi, RegionLabel.INEFFICIENT_PEACE)

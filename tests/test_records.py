@@ -56,9 +56,8 @@ RECORDS = {
     RegionGrid: (
         region_grid(make(), (-1.0, 10.0), (0.0, 40.0), 2),
         dataclasses.make_dataclass("RegionGrid", [
-            "cr_values", "cd_values", "labels", "margins_efficient",
-            "margins_cd", "margins_joint", "thresholds", "cr_range",
-            "cd_range"], frozen=True)),
+            "base", "cr_values", "cd_values", "cr_range", "cd_range",
+            "thresholds"], frozen=True)),
     IntersectionResult: (
         intersection_nonempty(make()),
         dataclasses.make_dataclass(
