@@ -42,7 +42,6 @@ from .oracle import (
     OracleThresholds,
     VerificationReport,
     oracle_thresholds,
-    oracle_thresholds_batch,
     postwar_market_mean,
     verify_period1,
 )

@@ -37,7 +37,7 @@ parameters every row, and so every threshold, is solved exactly.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from . import engine
 from .engine import ProfileMode
@@ -317,11 +317,6 @@ def oracle_thresholds(params: ModelParams) -> OracleThresholds:
     return OracleThresholds(*brackets, anomalies)
 
 
-def oracle_thresholds_batch(points: Sequence[ModelParams]) -> list[OracleThresholds]:
-    """oracle_thresholds at every point, in order."""
-    return [oracle_thresholds(q) for q in points]
-
-
 AGREEMENT_CSV_HEADER = (
     "delta,p,p1,mu,h0,rho,theta,"
     "cbar_D_closed,cbar_D_oracle,clow_D_closed,clow_D_oracle,"
@@ -336,9 +331,9 @@ def agreement_rows(n_points: int, seed: Optional[int] = None) -> list[str]:
     # local import: the closed forms stay out of the verification machinery
     from .thresholds import compute_thresholds
 
-    points = sample_valid_points(seed, n_points)
     rows = []
-    for params, result in zip(points, oracle_thresholds_batch(points)):
+    for params in sample_valid_points(seed, n_points):
+        result = oracle_thresholds(params)
         ts = compute_thresholds(params)
         diffs = (abs(result.cbar_D.value - ts.cbar_D),
                  abs(result.clow_D.value - ts.clow_D),

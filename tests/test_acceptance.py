@@ -20,7 +20,6 @@ from barriergame.engine import (
 )
 from barriergame.oracle import (
     oracle_thresholds,
-    oracle_thresholds_batch,
     verify_period1,
 )
 from barriergame.params import BarrierDistribution, EliminationMode, ModelParams
@@ -53,7 +52,8 @@ def test_criterion_1_oracle_threshold_agreement():
     n_points = 1000
     points = [random_valid_params(rng) for _ in range(n_points)]
     worst = 0.0
-    for params, result in zip(points, oracle_thresholds_batch(points)):
+    for params in points:
+        result = oracle_thresholds(params)
         ts = compute_thresholds(params)
         worst = max(worst,
                     abs(result.cbar_D.value - ts.cbar_D),
@@ -388,7 +388,8 @@ def test_criterion_11_oracle_agreement_near_delta_one():
                   delta=1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.05)))
               for _ in range(n_points)]
     worst = 0.0
-    for params, result in zip(points, oracle_thresholds_batch(points)):
+    for params in points:
+        result = oracle_thresholds(params)
         assert result.anomalies == (), result.anomalies
         ts = compute_thresholds(params)
         for name in ("cbar_D", "clow_D", "Clow"):

@@ -20,7 +20,6 @@ from barriergame.oracle import (
     _solve,
     agreement_rows,
     oracle_thresholds,
-    oracle_thresholds_batch,
     postwar_market_mean,
     verify_period1,
 )
@@ -370,17 +369,15 @@ class TestAgreementSummary:
     def test_max_abs_diff_nan_when_a_bracket_has_no_value(self, monkeypatch,
                                                          key):
         # max alone keeps a finite diff over a nan that comes after it
-        batch = oracle.oracle_thresholds_batch
+        real = oracle.oracle_thresholds
 
-        def no_value(points):
-            out = []
-            for r in batch(points):
-                kw = {k: getattr(r, k) for k in ("cbar_D", "clow_D", "Clow")}
-                kw[key] = Bracket(math.nan, kw[key].lo, kw[key].hi)
-                out.append(OracleThresholds(**kw))
-            return out
+        def no_value(params):
+            r = real(params)
+            kw = {k: getattr(r, k) for k in ("cbar_D", "clow_D", "Clow")}
+            kw[key] = Bracket(math.nan, kw[key].lo, kw[key].hi)
+            return OracleThresholds(**kw)
 
-        monkeypatch.setattr(oracle, "oracle_thresholds_batch", no_value)
+        monkeypatch.setattr(oracle, "oracle_thresholds", no_value)
         col = AGREEMENT_CSV_HEADER.split(",").index(f"{key}_oracle")
         for row in agreement_rows(4, seed=11):
             fields = row.split(",")
@@ -436,8 +433,6 @@ class TestOracleThresholds:
         bad = make(**override)
         with pytest.raises(InvalidParamsError):
             oracle_thresholds(bad)
-        with pytest.raises(InvalidParamsError):
-            oracle_thresholds_batch([make(), bad])
 
     @pytest.mark.parametrize("params", EDGE_POINTS,
                              ids=["patient", "p-zero-p1-one", "theta-cap",
@@ -518,16 +513,6 @@ class TestSolver:
         text = AGREEMENT_CSV_HEADER + "\n" + "\n".join(
             agreement_rows(20, seed=11)) + "\n"
         assert text == golden
-
-    def test_batch_is_one_call_per_point(self):
-        # repr: a nan bracket is unequal to itself
-        points = [make(rho=0.0), make(rho=0.37), make(rho=1.0),
-                  make(theta=1.2), make(theta=0.9, rho=0.6),
-                  *EDGE_POINTS, SLOW_MEAN, UNRESOLVED]
-        points += sample_valid_points(np.random.default_rng(7), 200)
-        assert repr(oracle_thresholds_batch(points)) == repr(
-            [oracle_thresholds(q) for q in points])
-        assert oracle_thresholds_batch([]) == []
 
     def test_three_evaluations_per_row(self, monkeypatch):
         # everything but the cost is computed once per point: each of the
@@ -623,7 +608,7 @@ class TestReadsNoClosedForm:
         single = [[verify_period1(playable(q, mode), mode)
                    for mode in BUILT_IN_MODES]
                   + [oracle_thresholds(q)] for q in points]
-        return repr((single, oracle_thresholds_batch(points)))
+        return repr(single)
 
     def test_results_unchanged_without_thresholds(self, monkeypatch):
         # the oracle re-derives what the closed forms state: with every
