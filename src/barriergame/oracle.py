@@ -106,10 +106,12 @@ def _solve(f: Callable, scale, slack=0) -> tuple[Bracket, Optional[str]]:
 def _mean(params: ModelParams) -> tuple[Bracket, Optional[str]]:
     """_solve's bracket and note for the postwar market mean, the fixed
     point of the renormalization recursion
-    x = rho + (1-rho)*((1-delta)*mu + delta*x); its terms are at most
-    max(1, |x|)."""
+    x = rho + (1-rho)*((1-delta)*mu + delta*x).  Its row f(x) - x is
+    written as rho*(1-x) + (1-rho)*(1-delta)*(mu-x), whose terms vanish at
+    x = 1 and x = mu, so at rho = 0 the solved mean is mu exactly; its
+    terms are at most max(1, |x|)."""
     rho, delta, mu = params.rho, params.delta, params.mu
-    return _solve(lambda x: rho + (1 - rho) * ((1 - delta) * mu + delta * x) - x,
+    return _solve(lambda x: rho * (1 - x) + (1 - rho) * (1 - delta) * (mu - x),
                   1)
 
 

@@ -770,19 +770,19 @@ STDOUT_SHA256 = [
     ("presets",
      "2ff0517246fb65a171fff7585283ded54ac07efed3825ee8373baf242ee97b21"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 5",
-     "ce3d10b698f238e4e2ee14287f11f865b9867e36cc92edaf4d34e34fc0d5b36f"),
+     "05683252c25af232c61abbcc9877668009750a0cb419defbe4616377aad00cc1"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 25",
-     "97c836be109a334cffff314457bde302a9d4770518708ddcd21aefa15e1dc88a"),
+     "ba79cda7e1dc034818c2829e1eb08c84d0e3c060854825fef3b45524b9ba335e"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 5",
-     "24396ec81d125ff3f25515d73f1f99c97b69ecc2f3d702e528308f847859bcc5"),
+     "f400c8d24667259a60aaa295584143d846be0d9268b0e891b6d75442203bbfa1"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
-     "b602f5780668a12eda3f31538f3a3463d67c758894948dcb5c49eb52b7764a34"),
+     "a9a51076f07b2fcf3920bfc35856372e8d62b0abc80d44593fd3cfd58ae1e186"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 5 "
      "--elimination-mode Cooperative",
-     "895089c9e236a51d22ccb3bbed378a00145784a618240a9f96a0d8fd6cc9e02b"),
+     "c7cc29ef268dec03aac2a2100b99851b07dccd3176569f9825227facf6bf14b0"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 25 "
      "--elimination-mode Cooperative",
-     "1fd3555a9937ea7b2673368142a1be0bc19548ccb6ba26262455e5c231a1ff47"),
+     "d0e5ca7eef1b76213191783d0c1981f579fd36bb4d4a2d5ec8d03a160387465d"),
     ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
      "--horizon 50",
      "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),
