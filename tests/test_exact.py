@@ -3,17 +3,20 @@
 number computed without rounding.
 
 Criterion 12 holds the two to each other with no tolerance; the enclosure
-tests hold every float bracket of the oracle to the exact value.
+tests hold every float bracket of the oracle to the exact value, and the
+verdict test holds every float verdict to the exact one.
 """
 import math
 
 import numpy as np
 import pytest
 
-from barriergame.oracle import oracle_thresholds, postwar_market_mean
+from barriergame.oracle import (oracle_thresholds, postwar_market_mean,
+                               verify_period1)
 from barriergame.thresholds import compute_thresholds
 from conftest import exact, make, random_valid_params
 from test_acceptance import _report
+from test_oracle import BUILT_IN_MODES, playable
 
 NAMES = ("cbar_D", "clow_D", "Clow")
 
@@ -63,3 +66,17 @@ def test_float_brackets_enclose_exact_values(points):
                    if not getattr(result, name).lo <= getattr(ts, name)
                    <= getattr(result, name).hi]
     assert misses == []
+
+
+def test_float_verdicts_equal_exact_verdicts():
+    # verify_period1 on floats certifies what it certifies on the exact
+    # parameters, at criterion 1's points under every built-in profile
+    differ = []
+    for q in criterion_1_points():
+        for mode in BUILT_IN_MODES:
+            q_mode = playable(q, mode)
+            got = verify_period1(q_mode, mode)
+            truth = verify_period1(exact(q_mode), mode)
+            if (got.passed, got.feasible) != (truth.passed, truth.feasible):
+                differ.append((q_mode, mode))
+    assert differ == []
