@@ -6,6 +6,7 @@ written one raster row at a time, as its cells are classified.
 """
 from __future__ import annotations
 
+import contextlib
 from typing import Optional, Sequence, TextIO
 
 from .classifier import RegionGrid, RegionLabel
@@ -107,20 +108,21 @@ def _panel_marks(grid: RegionGrid, x0: float, y0: float,
     return parts
 
 
-def _write_panel(svg: TextIO, csv: Optional[TextIO], grid: RegionGrid,
+def _write_cells(svg: TextIO, csv: Optional[TextIO], grid: RegionGrid,
                  x0: float, y0: float) -> None:
     """Write a panel's cell rects to ``svg`` and, unless ``csv`` is None,
-    its CSV rows, one raster row at a time.
-
-    CSV rows run by increasing c_D then c_R, with 12 significant digits; a
-    Skipped cell's nan margins print as ``nan``.  Each c_R and each cell x
-    is formatted once per column, each c_D and each cell y once per row."""
+    its CSV twin, one raster row at a time.  CSV rows run by increasing c_D
+    then c_R with 12 significant digits; a Skipped cell's nan margins print
+    as ``nan``.  Each c_R and cell x is formatted once per column, each c_D
+    and cell y once per row."""
     n_cr = len(grid.cr_values)
     cw = _PLOT_W / n_cr
     ch = _PLOT_H / len(grid.cd_values)
     heads = [f'<rect x="{_px(x0 + j * cw)}" y="' for j in range(n_cr)]
     size = f'" width="{_px(cw)}" height="{_px(ch)}" fill="'
     cr_texts = [format(cr, ".12g") for cr in grid.cr_values]
+    if csv is not None:
+        csv.write(CSV_HEADER + "\n")
     for i, (cd, row) in enumerate(zip(grid.cd_values, grid.rows())):
         mid = _px(y0 + _PLOT_H - (i + 1) * ch) + size
         svg.write("".join([f'{head}{mid}{_FILL[label]}"/>\n'
@@ -133,50 +135,41 @@ def _write_panel(svg: TextIO, csv: Optional[TextIO], grid: RegionGrid,
 
 
 def emit_figure(panels: Sequence[tuple[str, RegionGrid]], title: str,
-                svg: str, csvs: Sequence[str] = ()) -> None:
-    """Write the figure of ``panels`` to the SVG file ``svg`` and, when
-    ``csvs`` names one file per panel, each panel's CSV twin.
-
-    Each grid's rows are read once, and each row is written to both files
-    before the next is read, so memory grows with the resolution, not with
-    the number of cells."""
+                svg: str, csvs: Sequence[str]) -> None:
+    """Write the figure of ``panels`` to the file ``svg`` and, when ``csvs``
+    names one file per panel, each panel's CSV twin.  Each grid's rows are
+    read once, and each row is written to both files before the next is
+    read, so memory grows with the resolution, not its square."""
     n = len(panels)
-    if n == 0:
-        raise ValueError("at least one panel required")
-    if csvs and len(csvs) != n:
-        raise ValueError(f"{len(csvs)} CSV paths for {n} panels")
+    if n == 0 or len(csvs) not in (0, n):
+        raise ValueError(f"{n} panels and {len(csvs)} CSV paths: a figure "
+                         f"needs a panel, and no CSV or one per panel")
     width = _MARGIN_L + n * _PLOT_W + (n - 1) * _PANEL_GAP + _MARGIN_L
     height = _MARGIN_T + _PLOT_H + _MARGIN_B + _LEGEND_H
-    head = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
-        f'height="{_px(height)}" viewBox="0 0 {_px(width)} {_px(height)}">',
-        f'<rect x="0" y="0" width="{_px(width)}" height="{_px(height)}" '
-        f'fill="#ffffff"/>',
-        f'<text x="{_px(width / 2)}" y="20" font-size="15" '
-        f'text-anchor="middle" fill="#111">{title}</text>',
-    ]
-    legend = []
-    lx = _MARGIN_L
-    ly = height - _LEGEND_H + 8
-    for label, text in _LEGEND:
-        legend.append(f'<rect x="{_px(lx)}" y="{_px(ly)}" width="14" '
-                      f'height="14" fill="{_FILL[label]}" stroke="#222" '
-                      f'stroke-width="0.5"/>')
-        legend.append(f'<text x="{_px(lx + 20)}" y="{_px(ly + 11)}" '
-                      f'font-size="12" fill="#111">{text}</text>')
-        lx += 20 + 8 * len(text) + 30
-    legend.append("</svg>")
     y0 = _MARGIN_T + 16
     with open(svg, "w") as out:
-        out.writelines(line + "\n" for line in head)
+        out.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
+            f'height="{_px(height)}" viewBox="0 0 {_px(width)} '
+            f'{_px(height)}">\n'
+            f'<rect x="0" y="0" width="{_px(width)}" height="{_px(height)}" '
+            f'fill="#ffffff"/>\n'
+            f'<text x="{_px(width / 2)}" y="20" font-size="15" '
+            f'text-anchor="middle" fill="#111">{title}</text>\n')
         for k, (subtitle, grid) in enumerate(panels):
             x0 = _MARGIN_L + k * (_PLOT_W + _PANEL_GAP)
-            if csvs:
-                with open(csvs[k], "w", newline="") as csv:
-                    csv.write(CSV_HEADER + "\n")
-                    _write_panel(out, csv, grid, x0, y0)
-            else:
-                _write_panel(out, None, grid, x0, y0)
-            out.writelines(line + "\n"
-                           for line in _panel_marks(grid, x0, y0, subtitle))
-        out.writelines(line + "\n" for line in legend)
+            with (open(csvs[k], "w", newline="") if csvs
+                  else contextlib.nullcontext()) as csv:
+                _write_cells(out, csv, grid, x0, y0)
+            out.write("\n".join(_panel_marks(grid, x0, y0, subtitle)) + "\n")
+        # legend
+        lx = _MARGIN_L
+        ly = height - _LEGEND_H + 8
+        for label, text in _LEGEND:
+            out.write(f'<rect x="{_px(lx)}" y="{_px(ly)}" width="14" '
+                      f'height="14" fill="{_FILL[label]}" stroke="#222" '
+                      f'stroke-width="0.5"/>\n'
+                      f'<text x="{_px(lx + 20)}" y="{_px(ly + 11)}" '
+                      f'font-size="12" fill="#111">{text}</text>\n')
+            lx += 20 + 8 * len(text) + 30
+        out.write("</svg>\n")
