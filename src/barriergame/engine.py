@@ -6,7 +6,7 @@ irrevocable), an ultimatum offer bounded by the current resource, and an
 accept/reject response where rejection triggers a terminal war lottery.
 Executable offers live in [0, y]; the equilibrium bookkeeping behind the
 built-in profiles uses the raw indifference transfers, which the profiles
-clamp at zero when negative.
+clamp into [0, y] when they play them.
 """
 from __future__ import annotations
 
@@ -245,19 +245,18 @@ def analytic_payoffs(params: ModelParams,
                      mode: ProfileMode) -> tuple[float, float]:
     """Present values (proposer, responder) of the on-path play.
 
-    The values price the offers an executable strategy makes, clamped into
-    [0, y], so they match the simulator exactly; the raw indifference
+    The values price the offers ``StrategyProfile.offer`` makes, the raw
+    indifference transfers clamped into [0, y], through the calls
+    ``simulate`` makes, so they match the simulator exactly; the raw
     transfers, which peg the responder at its war value even where that
     takes a negative offer, stay on the ``ThresholdSet``.  A profile that
     ``StrategyProfile(mode, params)`` refuses is refused here alike.
     """
-    ts = StrategyProfile(mode, params).thresholds
+    profile = StrategyProfile(mode, params)
     delta = params.delta
-    if mode is ProfileMode.EFFICIENT_PEACE:
-        y1, x1 = 1.0, ts.offer1_efficient_clamped
-    else:
-        y1, x1 = params.h0, ts.offer1_inefficient_clamped
-    xs = ts.offer_stationary_clamped
+    kept = profile.elim_period > 1
+    y1 = params.h0 if kept else 1.0
+    x1, xs = profile.offer(1, y1, kept), profile.offer(2, 1.0, False)
     v_d = x1 + delta * xs / (1.0 - delta)
     v_r = (y1 - x1) + delta * (1.0 - xs) / (1.0 - delta)
     return v_r, v_d

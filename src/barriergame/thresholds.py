@@ -40,10 +40,11 @@ class ThresholdSet(NamedTuple):
     The offer fields are the one record of the indifference offers: the
     smallest transfers making the responder weakly prefer acceptance in
     period 1 after elimination, in period 1 with the barrier kept, and in
-    the stationary phase (full resource, post-shift).  Raw values are the
-    exact accounting of the acceptance condition (offer + delta *
-    continuation = war value) and may be negative; the clamped values are
-    what an executable strategy can actually offer.
+    the stationary phase (full resource, post-shift).  They are the exact
+    accounting of the acceptance condition (offer + delta * continuation =
+    war value) and may lie outside [0, y]; the played offer is
+    ``StrategyProfile.offer``, which clamps them into it and which
+    ``simulate`` plays and ``analytic_payoffs`` prices.
     """
 
     cbar_D: float   # c_D above which barrier-free peace holds; reads no m
@@ -54,9 +55,6 @@ class ThresholdSet(NamedTuple):
     offer1_efficient: float
     offer1_inefficient: float
     offer_stationary: float
-    offer1_efficient_clamped: float
-    offer1_inefficient_clamped: float
-    offer_stationary_clamped: float
     extension: str
 
 
@@ -83,9 +81,6 @@ def compute_thresholds(params: ModelParams) -> ThresholdSet:
         m,
         theta_floor(params),
         x1_eff, x1_inef, x_stat,
-        min(max(x1_eff, 0.0), 1.0),
-        min(max(x1_inef, 0.0), h0),
-        min(max(x_stat, 0.0), 1.0),
         ("composed" if rho_on and theta_on else "rho" if rho_on
          else "theta" if theta_on else "baseline"),
     )

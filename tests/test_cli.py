@@ -760,11 +760,11 @@ def test_shared_output_path_refused(argv, path, capsys, tmp_path,
 # order, float repr or indentation shows here
 STDOUT_SHA256 = [
     ("thresholds --preset demo-b",
-     "3de56252756db50fdee06764088e27055cffb1368a42ec3217bc7e65f31715af"),
+     "e5e500d70b99ca892b6e75e7369a581b78a7caf1a2a0b36bc96a3d32264032d8"),
     ("thresholds --preset demo-b --intersection",
-     "057ccdc16d6f2a4a288317f1699179ab72b895e755c9101251a378620b954301"),
+     "a9d34ccd5c0349aa78a4fbb1bdf128c9b14c29a93538f20b6f9d4cfa2bd1f407"),
     ("classify --preset demo-b",
-     "a333b2f9880d2e10816c22047563fa4d191a756c1429bfaa4c1e0016d2503175"),
+     "da6c132a828eed4eac0fc35e708614b44d54b98ee384f16271cf50e2043c4976"),
     ("sweep --preset demo-b --knob mu --values 0.5,0.8,1",
      "8f64990eb5a61f96e0e55f0b9152c45105bbd968583b15205da149278e346e3a"),
     ("presets",

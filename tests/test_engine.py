@@ -351,8 +351,14 @@ def always_war(params):
 
 
 class TestSimulate:
-    def test_matches_analytic_degenerate(self):
-        params = make(c_D=25.0)
+    @pytest.mark.parametrize("params", [
+        # demo-b, where the stationary offer clamps to 0
+        make(c_D=25.0),
+        # c_D = clow_D, where the period-1 offer rounds above h0 and clamps
+        # to y
+        make(c_D=compute_thresholds(make()).clow_D),
+    ], ids=["demo-b", "clow-D"])
+    def test_matches_analytic_degenerate(self, params):
         profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         stats = simulate(profile, params, DIST, horizon=400, n_runs=10, seed=0)
         v_r, v_d = analytic_payoffs(params, ProfileMode.INEFFICIENT_PEACE)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barriergame.cli import _plain
+from barriergame.engine import ProfileMode, StrategyProfile
 from barriergame.params import ModelParams
 from barriergame.thresholds import (
     compute_thresholds,
@@ -14,6 +15,8 @@ from barriergame.thresholds import (
 )
 from conftest import (assert_close, inefficient_joint_threshold_compact,
                       make, random_valid_params)
+from test_engine import existing_point
+from test_oracle import BUILT_IN_MODES
 
 
 valid_point = st.builds(
@@ -152,10 +155,15 @@ class TestReduction:
 
 
 class TestOffers:
+    # the played offer is StrategyProfile.offer, the raw offer of the
+    # ThresholdSet clamped into [0, y]
+
     def test_inefficient_offer_demo(self):
-        offers = compute_thresholds(make(c_D=25.0))
+        params = make(c_D=25.0)
+        offers = compute_thresholds(params)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         assert_close(offers.offer1_inefficient, 0.26)
-        assert offers.offer1_inefficient_clamped == offers.offer1_inefficient
+        assert profile.offer(1, params.h0, True) == offers.offer1_inefficient
         assert offers.offer1_inefficient <= 0.6  # feasible at c_D = 25 >= 21.6
 
     def test_efficient_offer_demo(self):
@@ -163,9 +171,11 @@ class TestOffers:
         assert_close(offers.offer1_efficient, 0.8)
 
     def test_stationary_clamp(self):
-        offers = compute_thresholds(make(c_D=25.0))
+        params = make(c_D=25.0)
+        offers = compute_thresholds(params)
+        profile = StrategyProfile(ProfileMode.INEFFICIENT_PEACE, params)
         assert_close(offers.offer_stationary, -2.2)
-        assert offers.offer_stationary_clamped == 0.0
+        assert profile.offer(2, 1.0, False) == 0.0
 
     @given(valid_point, st.floats(0.0, 60.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -178,13 +188,17 @@ class TestOffers:
         if abs(margin) > 1e-9:
             assert (offers.offer1_inefficient <= point.h0) == (c_d >= clow)
 
-    @given(valid_point)
+    @given(st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(BUILT_IN_MODES))
     @settings(max_examples=100, deadline=None)
-    def test_clamps_in_bounds(self, params):
-        offers = compute_thresholds(params)
-        assert 0.0 <= offers.offer1_efficient_clamped <= 1.0
-        assert 0.0 <= offers.offer1_inefficient_clamped <= params.h0
-        assert 0.0 <= offers.offer_stationary_clamped <= 1.0
+    def test_clamps_in_bounds(self, seed, mode):
+        # drawn where the profile exists, since only there does it offer
+        params = existing_point(np.random.default_rng(seed), mode)
+        profile = StrategyProfile(mode, params)
+        kept = profile.elim_period > 1
+        y1 = params.h0 if kept else 1.0
+        assert 0.0 <= profile.offer(1, y1, kept) <= y1
+        assert 0.0 <= profile.offer(2, 1.0, False) <= 1.0
 
 
 class TestThetaFloor:
@@ -242,10 +256,10 @@ def _digest_points() -> list[ModelParams]:
 class TestThresholdDigest:
     # SHA-256 of the full-precision reprs of compute_thresholds over
     # _digest_points().  The goldens print at .12g, so this is what catches
-    # a one-ulp change in a closed form.  Adding a ThresholdSet field (such
-    # as C_keep and C_keep2 of ROADMAP items 3 and 7) changes the repr, so
-    # that change re-records the digest; nothing else should.
-    DIGEST = "1d40a97901ecf2e648cd14bff4d2ed80047cda586d26dd6c45324081072964cb"
+    # a one-ulp change in a closed form.  Adding or deleting a ThresholdSet
+    # field (such as C_keep and C_keep2 of ROADMAP items 3 and 7) changes
+    # the repr, so that change re-records the digest; nothing else should.
+    DIGEST = "6345ceac5810fafaf8b8f1443db6e0a9f1f44cf4c9b21a876856a209fb22ea3f"
 
     def test_threshold_records_pinned(self):
         text = "\n".join(repr(compute_thresholds(q)) for q in _digest_points())
