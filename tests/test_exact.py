@@ -3,8 +3,10 @@
 number computed without rounding.
 
 Criterion 12 holds the two to each other with no tolerance; the enclosure
-tests hold every float bracket of the oracle to the exact value, and the
-verdict test holds every float verdict to the exact one.
+tests hold every float bracket of the oracle to the exact value, the
+closed-form tests every float field of ``compute_thresholds`` to its exact
+value within a stated bound, and the verdict test every float verdict to
+the exact one.
 """
 import math
 
@@ -15,7 +17,8 @@ from barriergame.oracle import (oracle_thresholds, postwar_market_mean,
                                verify_period1)
 from barriergame.thresholds import compute_thresholds
 from conftest import exact, make, random_valid_params
-from test_acceptance import _report
+from test_acceptance import (CLOSED_FORM_BOUND_1, CLOSED_FORM_BOUND_11,
+                             _report)
 from test_oracle import BUILT_IN_MODES, playable
 
 NAMES = ("cbar_D", "clow_D", "Clow")
@@ -65,6 +68,26 @@ def test_float_brackets_enclose_exact_values(points):
         misses += [(q, name) for name in NAMES
                    if not getattr(result, name).lo <= getattr(ts, name)
                    <= getattr(result, name).hi]
+    assert misses == []
+
+
+@pytest.mark.parametrize("points,bound", [
+    (criterion_1_points, CLOSED_FORM_BOUND_1),
+    (criterion_11_points, CLOSED_FORM_BOUND_11),
+], ids=["criterion-1", "criterion-11"])
+def test_float_closed_forms_within_bound_of_exact(points, bound):
+    # every numeric field within bound * max(1, |v|) of its exact value; the
+    # extension label and a theta floor of -inf are equal
+    misses = []
+    for q in points():
+        got, truth = compute_thresholds(q), compute_thresholds(exact(q))
+        for name, g, v in zip(got._fields, got, truth):
+            if isinstance(v, str) or not math.isfinite(v):
+                ok = g == v
+            else:
+                ok = abs(g - v) <= bound * max(1, abs(v))
+            if not ok:
+                misses.append((q, name, g, float(v)))
     assert misses == []
 
 
