@@ -164,11 +164,14 @@ def _require_size(value: int, flag: str, cap: int) -> None:
 
 def _refuse_outputs(*paths: Optional[str]) -> None:
     """Refuse, before any work, an output file whose directory does not
-    exist and two output files that resolve to one path."""
+    exist, an output that names a directory and two output files that
+    resolve to one path."""
     real = [os.path.realpath(_out_path(p)) for p in paths if p]
     for i, path in enumerate(real):
         if not os.path.isdir(os.path.dirname(path)):
             raise CliError(f"no directory for output {path}")
+        if os.path.isdir(path):
+            raise CliError(f"output {path} is a directory")
         if path in real[:i]:
             raise CliError(f"two outputs would write to {path}")
 

@@ -756,6 +756,35 @@ def test_shared_output_path_refused(argv, path, capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+DIRECTORY_OUTPUTS = [
+    (["figure", "regions", "-o", "f.svg", "--csv", "sub.csv",
+      "--resolution", "20"], "sub.csv"),
+    (["simulate", "--runs", "10", "--horizon", "5", "--trace", "tr.jsonl",
+      "-o", "t.jsonl"], "t.jsonl"),
+    (["verify", "--agreement", "3", "-o", "r.json", "--agreement-csv",
+      "a.csv"], "a.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,path", DIRECTORY_OUTPUTS,
+                         ids=[" ".join(a) for a, _ in DIRECTORY_OUTPUTS])
+def test_directory_output_refused(argv, path, capsys, tmp_path, monkeypatch):
+    # an output that names a directory is refused before any work, where
+    # the command used to fail only after writing its other outputs
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    (tmp_path / path).mkdir()
+    assert_no_work(monkeypatch, ("region_grid", "emit_figure",
+                                 "simulate", "verify_period1",
+                                 "agreement_rows"))
+    code = run([*argv, "--preset", "demo-b"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"] == \
+        f"output {os.path.realpath(tmp_path / path)} is a directory"
+    assert list(tmp_path.iterdir()) == [tmp_path / path]
+
+
 # SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
 # order, float repr or indentation shows here
 STDOUT_SHA256 = [
