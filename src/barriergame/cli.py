@@ -8,6 +8,7 @@ The BARRIERGAME_OUTDIR environment variable prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import functools
 import json
@@ -41,6 +42,7 @@ from .params import (
     EliminationMode,
     InvalidParamsError,
     ModelParams,
+    require_mean_matches,
     require_valid,
 )
 from .presets import get_preset, list_presets
@@ -126,7 +128,7 @@ def _out_path(path: str) -> str:
 
 
 @functools.cache
-def _record_keys(record_type: type) -> tuple[str, ...]:
+def _json_keys(record_type: type) -> tuple[str, ...]:
     # a record's JSON keys: its fields, then the properties its class defines
     return record_type._fields + tuple(
         name for name, attr in vars(record_type).items()
@@ -145,7 +147,7 @@ def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {k: _plain(getattr(value, k)) for k in _record_keys(type(value))}
+        return {k: _plain(getattr(value, k)) for k in _json_keys(type(value))}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
@@ -216,13 +218,18 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistribution:
+    # the mean is checked here, before any output opens: subnormal beta
+    # shapes lose it
     kind = args.dist
     if kind == "degenerate":
-        return BarrierDistribution.degenerate(params.mu)
-    if kind == "uniform":
-        return BarrierDistribution.uniform_with_mean(params.mu, args.dist_width)
-    return BarrierDistribution.scaled_beta_with_mean(params.mu,
-                                                     args.dist_concentration)
+        dist = BarrierDistribution.degenerate(params.mu)
+    elif kind == "uniform":
+        dist = BarrierDistribution.uniform_with_mean(params.mu, args.dist_width)
+    else:
+        dist = BarrierDistribution.scaled_beta_with_mean(
+            params.mu, args.dist_concentration)
+    require_mean_matches(dist, params)
+    return dist
 
 
 def _cmd_thresholds(args) -> int:
@@ -317,13 +324,10 @@ def _cmd_simulate(args) -> int:
     mode = _MODES[args.mode]
     profile = StrategyProfile(mode, params)
     dist = _build_dist(args, params)
-    trace_fh = open(_out_path(args.trace), "w") if args.trace else None
-    try:
+    with (open(_out_path(args.trace), "w") if args.trace
+          else contextlib.nullcontext()) as trace_fh:
         stats = simulate(profile, params, dist, horizon=args.horizon,
                          n_runs=args.runs, seed=args.seed, trace=trace_fh)
-    finally:
-        if trace_fh:
-            trace_fh.close()
     payload = {"params": params, "mode": mode,
                "distribution": dist.describe(), "stats": stats}
     _emit_json(payload, args.out)

@@ -7,16 +7,15 @@ renormalization recursion, and continuation values come from the stationary
 indifference structure (the responder is held at its war value once the
 power shift has passed and the barrier is gone).
 
-The certification verdict checks each profile against the deviation set
-that supports it: period-1 offer feasibility, the proposer's best accepted
-offer and its war deviation at the prescribed barrier state (the one price
-of the war any rejected offer provokes), the eliminate-then-fight deviation
-for the barrier-keeping profile, the responder's acceptance rule, and the
-stationary phase via the one-shot deviation principle.  Cross-elimination
-deviations are reported as diagnostics (see the `diagnostics` field):
-`keep_trigger` prices keeping the barrier against the profile's war
-trigger, and only the `*_best_response` keys answer the deviation with a
-responder that accepts its cutoff.
+`verify_period1` certifies a profile from one table of rows (key,
+deviator, deviation value, equilibrium value).  The rows of a deviator,
+"R" or "D", are the deviation set that supports the profile: period-1
+offer feasibility, the proposer's best accepted offer and its war
+deviation at the prescribed barrier state, eliminate-then-fight for the
+barrier-keeping profiles, the responder's acceptance rule, and the
+stationary phase via one-shot checks.  Rows with deviator None are
+diagnostics that answer the cross-elimination deviation with the war
+trigger (`keep_trigger`) or a responder that accepts (`*_best_response`).
 
 Each threshold is the root of a period-1 gain, a row, that is affine in the
 cost: the feasibility gain for `cbar_D` (efficient path) and `clow_D`
@@ -124,6 +123,13 @@ def postwar_market_mean(params: ModelParams) -> float:
 
 
 class VerificationReport(NamedTuple):
+    """A profile's verdict.  `gains` maps each row with a deviator to its
+    gain, the deviation value less the equilibrium value, and `diagnostics`
+    the rows with none, which never enter the verdict.  `passed` holds when
+    neither side's largest gain, `max_gain_r` (proposer) or `max_gain_d`
+    (responder), exceeds `tol`, and `feasible` when the feasibility gain
+    does not; `best_deviation` names the largest gain."""
+
     mode: ProfileMode
     passed: bool
     feasible: bool
@@ -170,8 +176,10 @@ def _war_terms(q: ModelParams, m) -> _WarTerms:
 
 def verify_period1(params: ModelParams, mode: ProfileMode,
                    tol: float = 1e-9) -> VerificationReport:
-    """Deviation-check one built-in profile at period 1; the stationary phase
-    is certified by exact one-shot checks.
+    """Deviation-check one built-in profile at period 1, and its stationary
+    phase by exact one-shot checks, from one table of rows (key, deviator,
+    deviation value, equilibrium value) in the report's key order.  None as
+    a deviation value marks a deviation that cannot be made: a gain of -inf.
 
     Refuses (GameError) an elimination mode the profile is not played under.
     Works on raw cost values without consulting parameter validation, but
@@ -196,86 +204,64 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # own; a cross-elimination deviation reaches the other.
     free = (1, w.cutoff1(w.free[1], q.c_D), war_r_free, war_d_free)
     bar = (q.h0, w.cutoff1(w.bar[1], q.c_D), war_r_bar, war_d_bar)
-    path, crossing = (free, bar) if efficient else (bar, free)
-    y1, cutoff1, war_r_onpath, war_d_onpath = path
+    (y1, cutoff1, war_r_onpath, war_d_onpath), (y_x, cutoff_x, war_r_x, _) = (
+        (free, bar) if efficient else (bar, free))
     v_eq_r = w.v_eq_r(y1, cutoff1, q.c_D)
-    feasibility = cutoff1 - y1
-    feasible = feasibility <= tol
-
-    gains: dict[str, float] = {}
-    diagnostics: dict[str, float] = {}
-
-    gains["feasibility"] = feasibility
-    # responder's one-shot check at the indifference offer (zero up to
-    # rounding by construction)
-    gains["responder_period1"] = war_d_onpath - (cutoff1 + delta * v_d2)
-    # responder's stationary one-shot check, against the gross war
-    # lotteries once the barrier is gone and power has shifted
-    x_stat = v_d2 - delta * v_d2
+    # the gross war lotteries once the barrier is gone and power has shifted
     stat_r, stat_d = engine.war_lottery(q, 2, False, 1, m)
-    gains["responder_stationary"] = (stat_d - q.c_D) - (x_stat + delta * v_d2)
-
-    # proposer's offer deviations at the prescribed elimination state.  An
-    # accepted offer x is worth (y1 - x) plus a continuation that does not
-    # move with x, so its value falls one for one with x (in floats too:
-    # each operation rounds monotonically).  The best accepted offer is thus
-    # the least one the responder accepts, when it fits in [0, y1]; -inf
-    # when none does.  A rejected offer provokes the war war_period1 prices.
+    # An accepted offer x is worth (y1 - x) plus a continuation that does
+    # not move with x, so its value falls one for one with x (in floats
+    # too: each operation rounds monotonically).  The best accepted offer
+    # is thus the least one the responder accepts, when it fits in [0, y1].
     least = max(cutoff1, 0.0)
-    accepted = least <= y1
-    gains["offer_scan"] = ((y1 - least) + delta * v_r2 - v_eq_r if accepted
-                           else -math.inf)
-
-    # proposer's war deviation at the prescribed barrier state
-    gains["war_period1"] = war_r_onpath - v_eq_r
-    # proposer's stationary one-shot check
-    gains["proposer_stationary"] = (stat_r - q.c_R) - v_r2
-
-    # crossing to the other path (retaining the barrier, or eliminating it
-    # first), answered by the profile's war trigger or by a responder that
-    # accepts its cutoff
-    y_x, cutoff_x, war_r_x, _ = crossing
-    trigger = war_r_x - v_eq_r
-    best = war_r_x
-    if cutoff_x <= y_x:
-        best = max(best, (y_x - cutoff_x) + delta * v_r2)
-    if efficient:
-        diagnostics["keep_trigger"] = trigger
-    else:
-        gains["eliminate_then_war"] = trigger   # the joint-cost condition
-    best_key = "keep_best_response" if efficient else "eliminate_best_response"
-    diagnostics[best_key] = best - v_eq_r
-
+    rows = (
+        ("feasibility", "D", cutoff1, y1),
+        # the responder's one-shot checks at the indifference offer (zero
+        # up to rounding by construction) and in the stationary phase
+        ("responder_period1", "D", war_d_onpath, cutoff1 + delta * v_d2),
+        ("responder_stationary", "D", stat_d - q.c_D,
+         (v_d2 - delta * v_d2) + delta * v_d2),
+        # a rejected offer provokes the war war_period1 prices
+        ("offer_scan", "R",
+         (y1 - least) + delta * v_r2 if least <= y1 else None, v_eq_r),
+        ("war_period1", "R", war_r_onpath, v_eq_r),
+        ("proposer_stationary", "R", stat_r - q.c_R, v_r2),
+        # for the barrier-keeping profiles, their joint-cost condition
+        ("keep_trigger", None, war_r_x, v_eq_r) if efficient
+        else ("eliminate_then_war", "R", war_r_x, v_eq_r),
+        ("keep_best_response" if efficient else "eliminate_best_response",
+         None, max(war_r_x, (y_x - cutoff_x) + delta * v_r2)
+         if cutoff_x <= y_x else war_r_x, v_eq_r),
+    )
     terms = {"war_r_free": war_r_free, "war_d_free": war_d_free,
              "war_r_bar": war_r_bar, "war_d_bar": war_d_bar,
-             "v_d2": v_d2, "v_r2": v_r2, **gains, **diagnostics}
-    if not accepted:
-        del terms["offer_scan"]     # -inf by design: no offer is accepted
+             "v_d2": v_d2, "v_r2": v_r2}
+    gains, diagnostics, sides = {}, {}, {"R": [], "D": [], None: []}
+    for key, who, dev, eq in rows:
+        if dev is not None:     # None: a deviation that cannot be made
+            terms[key] = dev - eq
+        (gains if who else diagnostics)[key] = terms.get(key, -math.inf)
+        sides[who].append(key)
     nonfinite = [f"{k}={v}" for k, v in terms.items() if not math.isfinite(v)]
     if nonfinite:
         raise InvalidParamsError(
             [f"finite period-1 terms required, got {', '.join(nonfinite)}"])
-
-    d_keys = ("feasibility", "responder_period1", "responder_stationary")
-    max_gain_d = max(gains[k] for k in d_keys)
-    max_gain_r = max(v for k, v in gains.items() if k not in d_keys)
+    max_gain_d = max(map(gains.get, sides["D"]))
+    max_gain_r = max(map(gains.get, sides["R"]))
     passed = max_gain_r <= tol and max_gain_d <= tol
-
-    worst = max(gains, key=lambda k: gains[k])
+    worst = max(gains, key=gains.get)
     if passed:
         best_deviation = "none above tolerance"
-    elif worst in d_keys:
+    elif worst in sides["D"]:
         best_deviation = (f"responder rejects: war value exceeds the offer "
                           f"by {float(gains[worst]):.6g}")
     else:
         best_deviation = f"proposer {worst} gains {float(gains[worst]):.6g}"
-
     return VerificationReport(
-        mode=mode, passed=passed, feasible=feasible,
+        mode=mode, passed=passed, feasible=gains["feasibility"] <= tol,
         max_gain_r=max_gain_r, max_gain_d=max_gain_d,
-        best_deviation=best_deviation, tol=tol,
-        gains=gains, diagnostics=diagnostics,
-    )
+        best_deviation=best_deviation, tol=tol, gains=gains,
+        diagnostics=diagnostics)
 
 
 class OracleThresholds(NamedTuple):

@@ -689,6 +689,12 @@ REFUSALS = [
     (["verify", "--preset", "demo-b", "--agreement", "3", "--p1", "0.1"],
      "invalid parameters"),
     (["simulate", "--preset", "demo-b", "--p1", "0.1"], "invalid parameters"),
+    # subnormal beta shapes lose the mean; refused before the trace opens
+    (["simulate", "--preset", "demo-b", "--mode", "efficient", "--c-d", "35",
+      "--runs", "2", "--horizon", "3", "--dist", "scaled-beta",
+      "--dist-concentration", "1e-320"],
+     "distribution mean 0.799901185770751 does not match mu=0.8 within "
+     "1e-12"),
     (["verify", "--preset", "nope", "--agreement", "3"],
      "unknown preset 'nope'; available: ['demo-b', 'post-wto', 'pre-wto']"),
     (["verify", "--preset", "demo-b"], "--agreement-csv requires --agreement"),

@@ -1124,19 +1124,20 @@ class TestCooperativeEquivalence:
                 assert a[key] == b[key]
 
 
-def replayed(builtin, flip_period=None, offer1=None):
+def replayed(builtin, flip_period=None, offers=None):
     """Custom profile that plays the built-in profile's votes, offers and
     acceptance rule; its proposer flips the prescribed vote in
-    ``flip_period``, and offers ``offer1`` in period 1 when one is given."""
+    ``flip_period``, and offers ``offers[t]`` in each period t that
+    ``offers`` names."""
     votes = builtin.prescribed_votes
     eliminate_d = None
     if builtin.mode is ProfileMode.COOPERATIVE_INEFFICIENT:
         def eliminate_d(t, y, b):
             return votes(t, b)[1]
     offer = builtin.offer
-    if offer1 is not None:
+    if offers:
         def offer(t, y, b):
-            return offer1 if t == 1 else builtin.offer(t, y, b)
+            return offers[t] if t in offers else builtin.offer(t, y, b)
     return StrategyProfile(
         mode=ProfileMode.CUSTOM, params=builtin.params,
         custom_eliminate=lambda t, y, b: votes(t, b)[0] != (t == flip_period),
@@ -1192,11 +1193,30 @@ class TestOffPathRule:
         builtin = StrategyProfile(mode, params)
         barrier_after = not builtin.prescribed_votes(1, True)[0]
         assert builtin.acceptance_cutoff(1, barrier_after) > 0.0
-        stats = simulate(replayed(builtin, offer1=0.0), params, self.DIST,
-                         self.HORIZON, n_runs=4000, seed=16)
+        stats = simulate(replayed(builtin, offers={1: 0.0}), params,
+                         self.DIST, self.HORIZON, n_runs=4000, seed=16)
         assert stats.war_frequency == 1.0
         war_r = (verify_period1(params, mode).gains["war_period1"]
                  + raw_payoffs(params, mode)[0])
+        assert abs(stats.payoff_r_mean - war_r) <= \
+            4.0 * stats.payoff_r_se + stats.tail_bound
+
+    @pytest.mark.parametrize("name", ["interior-efficient",
+                                      "interior-inefficient",
+                                      "interior-cooperative"])
+    def test_stationary_offer_meets_priced_war(self, name):
+        # an offer of 0 in period 2 falls below the stationary cutoff
+        # p - (1 - delta) c_D = 0.1, so war follows in period 2; verify
+        # prices that war as proposer_stationary, one period on.  The raw
+        # offers lie inside (0, y) here, so the played game is the priced one
+        params, mode = TestOnPathStreams.CASES[name]
+        builtin = StrategyProfile(mode, params)
+        assert_close(builtin.acceptance_cutoff(2, False), 0.1)
+        stats = simulate(replayed(builtin, offers={2: 0.0}), params,
+                         self.DIST, self.HORIZON, n_runs=4000, seed=16)
+        assert stats.war_frequency == 1.0
+        war_r = raw_payoffs(params, mode)[0] + params.delta * \
+            verify_period1(params, mode).gains["proposer_stationary"]
         assert abs(stats.payoff_r_mean - war_r) <= \
             4.0 * stats.payoff_r_se + stats.tail_bound
 
