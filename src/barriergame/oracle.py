@@ -19,16 +19,16 @@ trigger (`keep_trigger`) or a responder that accepts (`*_best_response`).
 
 Each threshold is the root of a period-1 gain, a row, that is affine in the
 cost: the feasibility gain for `cbar_D` (efficient path) and `clow_D`
-(barrier-keeping path), then the eliminate-then-war gain for `Clow` at a
-feasible `c_D`.  The postwar mean is the fixed point of an affine map
-x = f(x), the root of the row f(x) - x.  `_solve` finds each root from
-three evaluations and checks on the way that the row is affine and falls;
-a row that is not is reported as an anomaly and never solved.
-Everything that does not move with the cost -- the gross war lotteries with
-the barrier gone and standing, the stationary flows, the profile's period-1
-path, and for `Clow` the proposer's equilibrium value -- is computed once,
-from the same cost-free terms `verify_period1` reads.  Each bracket is the
-root plus and minus its rounding band.
+(barrier-keeping path), and for `Clow` the eliminate-then-war gain, which
+moves only with c_R + c_D and is solved in c_R at c_D = 0.  The postwar
+mean is the fixed point of an affine map x = f(x), the root of the row
+f(x) - x.  `_solve` finds each root from three evaluations and checks on
+the way that the row is affine and falls; a row that is not is reported as
+an anomaly and never solved.  Everything that does not move with the cost
+-- the gross war lotteries with the barrier gone and standing, the
+stationary flows, the profile's period-1 path -- is computed once, from
+the same cost-free terms `verify_period1` reads; no row reads the point's
+own costs.  Each bracket is the root plus and minus its rounding band.
 
 The arithmetic is written with int literals, so on `fractions.Fraction`
 parameters every row, and so every threshold, is solved exactly.
@@ -74,8 +74,9 @@ def _solve(f: Callable, scale, slack=0) -> tuple[Bracket, Optional[str]]:
     when the two slopes agree within what rounding may move both by.  A row
     that does not fall, or is not affine, gets a nan bracket and a note
     saying why.  The bracket is the root plus and minus its band: the
-    allowance at r0 plus slack, how far the row's inputs may be off, over
-    |s|, plus one ulp of the root.
+    allowance at r0, plus slack, how far the row's inputs may be off, plus
+    |root - r0| times the wide slope's rounding, which the extrapolation
+    from r0 carries to the root, all over |s|; plus one ulp of the root.
     """
     f0, f1 = f(0), f(1)
     slope = f1 - f0
@@ -98,7 +99,7 @@ def _solve(f: Callable, scale, slack=0) -> tuple[Bracket, Optional[str]]:
         return _UNSOLVED, (f"row not affine: slope {slope} on [0, 1], {s} "
                            f"on [{a}, {r0}]")
     root = r0 - fr / s
-    band = (at_r0 + slack) / -s + ulp(root)
+    band = (at_r0 + slack + abs(root - r0) * wide) / -s + ulp(root)
     return Bracket(root, root - band, root + band), None
 
 
@@ -213,7 +214,7 @@ def verify_period1(params: ModelParams, mode: ProfileMode,
     # not move with x, so its value falls one for one with x (in floats
     # too: each operation rounds monotonically).  The best accepted offer
     # is thus the least one the responder accepts, when it fits in [0, y1].
-    least = max(cutoff1, 0.0)
+    least = max(cutoff1, 0)
     rows = (
         ("feasibility", "D", cutoff1, y1),
         # the responder's one-shot checks at the indifference offer (zero
@@ -279,8 +280,8 @@ def oracle_thresholds(params: ModelParams) -> OracleThresholds:
     the period-1 offer: the offer that holds the responder at its war value
     less the path's resource (1 on the efficient path, h0 with the barrier
     kept).  The joint threshold is the root of the eliminate-then-fight
-    gain at a fixed feasible c_D, clow_D + 1.  Raises InvalidParamsError on
-    an invalid point; a row that is not solved is reported as an anomaly.
+    gain at c_D = 0, solved in c_R.  Raises InvalidParamsError on an invalid
+    point; a row that is not solved is reported as an anomaly.
     """
     require_valid(params)
     mean, mean_note = _mean(params)
@@ -292,11 +293,9 @@ def oracle_thresholds(params: ModelParams) -> OracleThresholds:
     slack = engine.war_lottery(params, 1, True, 0, mean.hi - mean.value)[1]
     cbar = _solve(lambda c: w.cutoff1(w.free[1], c) - 1, scale)
     clow = _solve(lambda c: w.cutoff1(w.bar[1], c) - w.h0, scale, slack)
-    # the proposer's equilibrium value does not move with c_R = s - cd_star
-    cd_star = clow[0].value + 1 if math.isfinite(clow[0].value) else params.c_D
-    v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], cd_star), cd_star)
-    joint = _solve(lambda s: (w.free[0] - (s - cd_star)) - v_eq_r,
-                   max(scale, abs(cd_star)), slack)
+    # the eliminate-then-war gain at c_D = 0, falling one for one in c_R
+    v_eq_r = w.v_eq_r(w.h0, w.cutoff1(w.bar[1], 0), 0)
+    joint = _solve(lambda c: (w.free[0] - c) - v_eq_r, scale, slack)
     brackets, notes = zip(cbar, clow, joint)
     anomalies = tuple(
         f"{name}: {note}" for name, note

@@ -792,7 +792,8 @@ def test_directory_output_refused(argv, path, capsys, tmp_path, monkeypatch):
 
 
 # SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
-# order, float repr or indentation shows here
+# order, float repr or indentation shows here.  Print an argv's digest with
+#     PYTHONPATH=src python -m barriergame.cli <argv> | sha256sum
 STDOUT_SHA256 = [
     ("thresholds --preset demo-b",
      "e5e500d70b99ca892b6e75e7369a581b78a7caf1a2a0b36bc96a3d32264032d8"),
@@ -805,19 +806,19 @@ STDOUT_SHA256 = [
     ("presets",
      "2ff0517246fb65a171fff7585283ded54ac07efed3825ee8373baf242ee97b21"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 5",
-     "05683252c25af232c61abbcc9877668009750a0cb419defbe4616377aad00cc1"),
+     "95cad0ada89fd666dab4330371ebdaf09590a9163f46c7b515fd4149138ee8ee"),
     ("verify --preset demo-b --thresholds --mode efficient --c-d 25",
-     "ba79cda7e1dc034818c2829e1eb08c84d0e3c060854825fef3b45524b9ba335e"),
+     "e5669eeacbda2a330388649a0a2fd4cfa6626b1c994b1576e6d1617cdf40a146"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 5",
-     "f400c8d24667259a60aaa295584143d846be0d9268b0e891b6d75442203bbfa1"),
+     "104042d46ed0527e4176db174f13d6944d7026a8b60b250bfbd72f922315a994"),
     ("verify --preset demo-b --thresholds --mode inefficient --c-d 25",
-     "a9a51076f07b2fcf3920bfc35856372e8d62b0abc80d44593fd3cfd58ae1e186"),
+     "aab11ff67ef118386151adc2323703431bd17ac0774ca062f76da83a7b5077b2"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 5 "
      "--elimination-mode Cooperative",
-     "c7cc29ef268dec03aac2a2100b99851b07dccd3176569f9825227facf6bf14b0"),
+     "dfba71b8a86b46531cdc5e570e300beba759249dd1b3873e7be260619e99af5a"),
     ("verify --preset demo-b --thresholds --mode cooperative --c-d 25 "
      "--elimination-mode Cooperative",
-     "d0e5ca7eef1b76213191783d0c1981f579fd36bb4d4a2d5ec8d03a160387465d"),
+     "d024568f16f0b872371fc8fb2b331f1d41321621320f4cdf7b5ec3166ce6ce95"),
     ("simulate --preset demo-b --mode efficient --c-d 35 --runs 10 "
      "--horizon 50",
      "e98294b539b6c6800327e4612aafb72f2567ff81ee00c1d4c18ef80f2d7d95e0"),

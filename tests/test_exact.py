@@ -3,18 +3,21 @@
 number computed without rounding.
 
 Criterion 12 holds the two to each other with no tolerance; the enclosure
-tests hold every float bracket of the oracle to the exact value, the
-closed-form tests every float field of ``compute_thresholds`` to its exact
-value within a stated bound, and the verdict test every float verdict to
-the exact one.
+tests hold every float bracket of the oracle to the exact value, also
+within 1e-4 of delta = 1, the closed-form tests every float field of
+``compute_thresholds`` to its exact value within a stated bound, and the
+verdict test every float verdict to the exact one.  An exact report holds
+no float.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from barriergame.oracle import (oracle_thresholds, postwar_market_mean,
                                verify_period1)
+from barriergame.params import ModelParams
 from barriergame.thresholds import compute_thresholds
 from conftest import exact, make, random_valid_params
 from test_acceptance import (CLOSED_FORM_BOUND_1, CLOSED_FORM_BOUND_11,
@@ -34,6 +37,15 @@ def criterion_11_points():
     return [random_valid_params(rng).with_overrides(
                 delta=1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.05)))
             for _ in range(1000)]
+
+
+def near_one_points():
+    # 1 - delta log-uniform in [1e-10, 1e-4], where the rows' terms grow
+    # like 1/(1 - delta) and rounding can hide a row's slope
+    rng = np.random.default_rng(6)
+    return [random_valid_params(rng).with_overrides(
+                delta=1.0 - 10.0 ** rng.uniform(-10.0, -4.0))
+            for _ in range(300)]
 
 
 def test_criterion_12_exact_oracle_equals_closed_forms():
@@ -57,8 +69,14 @@ def test_criterion_12_exact_oracle_equals_closed_forms():
 @pytest.mark.parametrize("points", [
     criterion_1_points,
     criterion_11_points,
-    # near delta = 1, where an iterated postwar mean used to drift
-    lambda: [make(delta=0.9999, rho=1e-3), make(delta=0.99999, rho=1e-6)],
+    # near delta = 1, where an iterated postwar mean used to drift; the
+    # last point's exact cbar_D lies 2.6 half-bands outside a bracket
+    # whose band omits the wide slope's rounding carried to the root
+    lambda: [make(delta=0.9999, rho=1e-3), make(delta=0.99999, rho=1e-6),
+             ModelParams(delta=0.999999997796971, p=0.0698005913972905,
+                         p1=0.9346705324124464, mu=0.40320568067571905,
+                         h0=0.47414269320920827, c_R=8.001838917431808,
+                         c_D=8.403622329511693, theta=0.1689612086482122)],
 ], ids=["criterion-1", "criterion-11", "patient"])
 def test_float_brackets_enclose_exact_values(points):
     misses = []
@@ -69,6 +87,33 @@ def test_float_brackets_enclose_exact_values(points):
                    if not getattr(result, name).lo <= getattr(ts, name)
                    <= getattr(result, name).hi]
     assert misses == []
+
+
+def test_near_one_brackets_enclose_exact_values():
+    # the cbar_D and clow_D rows may be unsolvable within about 1e-8 of
+    # delta = 1; Clow's row falls one for one and never is
+    misses, anomalies = [], []
+    for q in near_one_points():
+        result, ts = oracle_thresholds(q), compute_thresholds(exact(q))
+        if any(a.startswith("Clow") for a in result.anomalies) or (
+                result.anomalies and 1 - q.delta >= 1e-7):
+            anomalies.append((q, result.anomalies))
+        misses += [(q, name) for name in NAMES
+                   if not math.isnan(getattr(result, name).value)
+                   and not getattr(result, name).lo <= getattr(ts, name)
+                   <= getattr(result, name).hi]
+    assert anomalies == []
+    assert misses == []
+
+
+def test_oracle_does_not_read_the_costs():
+    # each row is solved on cost-free terms, so the point's own costs move
+    # no bit of the result
+    for q in near_one_points():
+        want = repr(oracle_thresholds(q))
+        for c_R, c_D in ((0.0, 0.0), (2 * q.c_R + 1, q.c_D / 3), (1e6, 1e-6)):
+            assert repr(oracle_thresholds(
+                q.with_overrides(c_R=c_R, c_D=c_D))) == want, q
 
 
 @pytest.mark.parametrize("points,bound", [
@@ -103,3 +148,16 @@ def test_float_verdicts_equal_exact_verdicts():
             if (got.passed, got.feasible) != (truth.passed, truth.feasible):
                 differ.append((q_mode, mode))
     assert differ == []
+
+
+def test_exact_reports_are_exact():
+    # on Fraction parameters every gain and diagnostic is a Fraction, or
+    # -inf for a deviation that cannot be made: no float enters the path
+    leaks = []
+    for q in criterion_1_points()[:300]:
+        for mode in BUILT_IN_MODES:
+            report = verify_period1(exact(playable(q, mode)), mode)
+            leaks += [(q, mode, key) for key, v in
+                      (*report.gains.items(), *report.diagnostics.items())
+                      if not (isinstance(v, Fraction) or v == -math.inf)]
+    assert leaks == []
