@@ -96,17 +96,18 @@ class RegionGrid(NamedTuple):
     thresholds: ThresholdSet
 
     def rows(self) -> Iterator[list[tuple[RegionLabel, Margins]]]:
-        """One list of (label, margins) per c_D, by increasing c_D, each in
-        increasing c_R.  Every cell is one classify call; a cell classify
-        refuses (e.g. a negative cost) is Skipped with nan margins."""
-        base = self.base
+        """Per c_D, increasing, a list of (label, margins) by increasing c_R.
+        Each cell is one classify call on the base with its costs in place; a
+        refused cell (e.g. a negative cost) is Skipped with nan margins."""
+        i = ModelParams._fields.index("c_R")   # c_D follows c_R
+        head, tail, make = self.base[:i], self.base[i + 2:], ModelParams._make
         nan = float("nan")
         skipped = (RegionLabel.SKIPPED, Margins(nan, nan, nan))
         for cd in self.cd_values:
             row = []
             for cr in self.cr_values:
                 try:
-                    rep = classify(base.with_overrides(c_D=cd, c_R=cr))
+                    rep = classify(make((*head, cr, cd, *tail)))
                 except InvalidParamsError:
                     row.append(skipped)
                     continue
@@ -143,10 +144,13 @@ SWEEPABLE_KNOBS = ("mu", "p", "h0", "c_D", "c_R", "rho", "theta")
 
 def comparative_static(base: ModelParams, knob: str,
                        values: Iterable[float]) -> list[EquilibriumReport]:
-    """Classify ``base`` at each value of one parameter knob, in order."""
+    """Classify ``base`` at each value of one parameter knob, in order: one
+    classify call per value, on the base's fields with that value put in."""
     if knob not in SWEEPABLE_KNOBS:
         raise ValueError(f"unknown knob {knob!r}; expected one of {SWEEPABLE_KNOBS}")
-    return [classify(base.with_overrides(**{knob: float(value)}))
+    k = ModelParams._fields.index(knob)
+    head, tail = base[:k], base[k + 1:]
+    return [classify(ModelParams._make((*head, float(value), *tail)))
             for value in values]
 
 

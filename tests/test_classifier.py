@@ -18,7 +18,8 @@ from barriergame.classifier import (
     region_grid,
 )
 from barriergame.cli import _plain
-from barriergame.params import sample_valid_params, validate
+from barriergame.params import (EliminationMode, ModelParams,
+                                sample_valid_params, validate)
 from barriergame.presets import get_preset
 from barriergame.thresholds import ThresholdSet, compute_thresholds
 from barriergame.output import emit_figure
@@ -235,6 +236,57 @@ class TestOneClassifyPerPoint:
         values = [0.3, 0.5, 0.7, 0.9, 1.0]
         comparative_static(make(), "mu", values)
         assert [q.mu for q in calls] == values
+
+
+# a base whose trailing fields are all off their defaults, so a cell or sweep
+# point built from the wrong slice of it differs from the override
+FIELD_BASE = make(rho=0.3, theta=1.2,
+                  elimination_mode=EliminationMode.COOPERATIVE)
+# valid values of each sweepable knob at FIELD_BASE, ints and numpy floats
+# among them
+KNOB_VALUES = {"mu": [0.4, 1, np.float64(0.9)], "p": [0.2, np.float64(0.35)],
+               "h0": [0.1, 0.9], "c_D": [0, 30.5], "c_R": [2, 0.5],
+               "rho": [0, 1.0], "theta": [0.9, 1]}
+
+
+class TestPointsAreTheOverrides:
+    """The raster and the sweep build each point from the base's fields;
+    every point classify sees is the one with_overrides would build."""
+
+    def test_raster_cells(self, monkeypatch):
+        calls = count_classify(monkeypatch)
+        # unequal ranges, so swapping c_R and c_D moves every cell; the
+        # negative parts are Skipped cells, which are classified too
+        grid = region_grid(FIELD_BASE, (-1.0, 4.0), (-10.0, 40.0), 9)
+        labels = grid_labels(grid)
+        assert any(RegionLabel.SKIPPED in row for row in labels)
+        expected = [FIELD_BASE.with_overrides(c_R=cr, c_D=cd)
+                    for cd in grid.cd_values for cr in grid.cr_values]
+        assert calls == expected
+        assert all(type(q) is ModelParams for q in calls)
+
+    @pytest.mark.parametrize("knob", classifier_mod.SWEEPABLE_KNOBS)
+    def test_sweep_points(self, monkeypatch, knob):
+        assert KNOB_VALUES.keys() == set(classifier_mod.SWEEPABLE_KNOBS)
+        calls = count_classify(monkeypatch)
+        comparative_static(FIELD_BASE, knob, KNOB_VALUES[knob])
+        expected = [FIELD_BASE.with_overrides(**{knob: float(v)})
+                    for v in KNOB_VALUES[knob]]
+        assert calls == expected
+        assert all(type(q) is ModelParams for q in calls)
+        assert [list(map(type, q)) for q in calls] == \
+            [list(map(type, q)) for q in expected]
+
+    def test_no_point_goes_through_replace(self, monkeypatch):
+        def refuse(self, **kwargs):
+            raise AssertionError("_replace called")
+
+        grid = region_grid(FIELD_BASE, (-1.0, 4.0), (-10.0, 40.0), 5)
+        monkeypatch.setattr(ModelParams, "_replace", refuse)
+        assert sum(map(len, grid.rows())) == 25
+        for knob, values in KNOB_VALUES.items():
+            assert len(comparative_static(FIELD_BASE, knob, values)) == \
+                len(values)
 
 
 class TestComparativeStatic:

@@ -7,14 +7,17 @@ tests hold every float bracket of the oracle to the exact value, also
 within 1e-4 of delta = 1, the closed-form tests every float field of
 ``compute_thresholds`` to its exact value within a stated bound, and the
 verdict test every float verdict to the exact one.  An exact report holds
-no float.
+no float, and every cell of the golden figures has its exact label.
 """
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import barriergame.cli as cli
+from barriergame.classifier import classify
 from barriergame.oracle import (oracle_thresholds, postwar_market_mean,
                                verify_period1)
 from barriergame.params import ModelParams
@@ -161,3 +164,32 @@ def test_exact_reports_are_exact():
                       (*report.gains.items(), *report.diagnostics.items())
                       if not (isinstance(v, Fraction) or v == -math.inf)]
     assert leaks == []
+
+
+def test_golden_figure_cells_have_their_exact_labels(tmp_path, monkeypatch):
+    # the panels of the three demo-b golden figures (5 panels at 32^2),
+    # captured as the figure command writes them
+    grids, real_emit = [], cli.emit_figure
+
+    def emit(panels, *args):
+        grids.extend(grid for _, grid in panels)
+        return real_emit(panels, *args)
+
+    monkeypatch.setattr(cli, "emit_figure", emit)
+    golden = pathlib.Path(__file__).parent / "golden"
+    for figure_id in ("regions", "mu-shift", "p-shift"):
+        svg = tmp_path / f"{figure_id}.svg"
+        assert cli.run(["figure", figure_id, "--preset", "demo-b",
+                        "-o", str(svg), "--resolution", "32"]) == 0
+        assert svg.read_bytes() == (golden / f"{figure_id}.svg").read_bytes()
+    cells, differ = 0, []
+    for grid in grids:
+        for cd, row in zip(grid.cd_values, grid.rows()):
+            for cr, (label, _) in zip(grid.cr_values, row):
+                cells += 1
+                truth = classify(exact(grid.base.with_overrides(c_R=cr,
+                                                                c_D=cd)))
+                if truth.label is not label:
+                    differ.append((grid.base, cr, cd, label, truth.label))
+    assert (len(grids), cells) == (5, 5120)
+    assert differ == []
