@@ -11,9 +11,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from barriergame.cli import run  # noqa: E402
-
-FIGURES = ("regions", "mu-shift", "p-shift")
+from barriergame.cli import _FIGURES, run  # noqa: E402
 
 
 def main() -> int:
@@ -31,7 +29,7 @@ def main() -> int:
         targets.append((golden, 32, False))
     for outdir, resolution, with_csv in targets:
         os.makedirs(outdir, exist_ok=True)
-        for figure_id in FIGURES:
+        for figure_id in _FIGURES:
             svg = os.path.join(outdir, f"{figure_id}.svg")
             csv = os.path.join(outdir, f"{figure_id}.csv")
             code = run(["figure", figure_id, "--preset", "demo-b", "-o", svg,

@@ -59,6 +59,15 @@ _MODES = {
     "cooperative": ProfileMode.COOPERATIVE_INEFFICIENT,
 }
 
+# --dist name -> the distribution of that kind with mean mu
+_DISTS = {
+    "degenerate": lambda mu, args: BarrierDistribution.degenerate(mu),
+    "uniform": lambda mu, args: BarrierDistribution.uniform_with_mean(
+        mu, args.dist_width),
+    "scaled-beta": lambda mu, args: BarrierDistribution.scaled_beta_with_mean(
+        mu, args.dist_concentration),
+}
+
 # upper bounds on the sizes that set allocations
 _MAX_AGREEMENT = 100_000
 _MAX_RESOLUTION = 4_000
@@ -77,20 +86,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--preset", help="named parameter preset")
-    sp.add_argument("--config", help="JSON file with parameter fields")
-    for name, flag in _PARAM_FLAGS.items():
-        sp.add_argument(flag, dest=f"param_{name}", type=float, default=None)
-    sp.add_argument("--elimination-mode", dest="param_elimination_mode",
-                    choices=[m.value for m in EliminationMode], default=None)
-
-
 def _collect_params(args: argparse.Namespace) -> ModelParams:
     layered: dict = {}
     if args.preset:
         try:
-            layered.update(get_preset(args.preset).params.to_dict())
+            layered.update(get_preset(args.preset).params._asdict())
         except KeyError as e:
             raise CliError(e.args[0])
     if args.config:
@@ -220,16 +220,16 @@ def _parse_values(text: str) -> list[float]:
 def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistribution:
     # the mean is checked here, before any output opens: subnormal beta
     # shapes lose it
-    kind = args.dist
-    if kind == "degenerate":
-        dist = BarrierDistribution.degenerate(params.mu)
-    elif kind == "uniform":
-        dist = BarrierDistribution.uniform_with_mean(params.mu, args.dist_width)
-    else:
-        dist = BarrierDistribution.scaled_beta_with_mean(
-            params.mu, args.dist_concentration)
+    dist = _DISTS[args.dist](params.mu, args)
     require_mean_matches(dist, params)
     return dist
+
+
+def _played_point(args) -> tuple[ModelParams, ProfileMode]:
+    """Check --seed, then read the point and the profile mode to play."""
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    return _collect_params(args), _MODES[args.mode]
 
 
 def _cmd_thresholds(args) -> int:
@@ -318,10 +318,7 @@ def _cmd_figure(args) -> int:
 def _cmd_simulate(args) -> int:
     _require_size(args.runs, "--runs", _MAX_RUNS)
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
-    params = _collect_params(args)
-    mode = _MODES[args.mode]
+    params, mode = _played_point(args)
     profile = StrategyProfile(mode, params)
     dist = _build_dist(args, params)
     with (open(_out_path(args.trace), "w") if args.trace
@@ -341,10 +338,9 @@ def _cmd_verify(args) -> int:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
-    params = _collect_params(args)
-    mode = _MODES[args.mode]
+    params, mode = _played_point(args)
+    if args.agreement and not (args.out or args.agreement_csv):
+        raise CliError("two outputs would write to stdout")
     report = verify_period1(params, mode, tol=args.tol)
     payload = {"params": params, "report": report}
     if args.thresholds:
@@ -370,29 +366,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=_Parser)
 
-    sp = sub.add_parser("thresholds", help="closed-form thresholds as JSON")
-    _add_param_flags(sp)
+    # the flags several subcommands share, each declared once
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--preset", help="named parameter preset")
+    params.add_argument("--config", help="JSON file with parameter fields")
+    for name, flag in _PARAM_FLAGS.items():
+        params.add_argument(flag, dest=f"param_{name}", type=float)
+    params.add_argument("--elimination-mode", dest="param_elimination_mode",
+                        choices=[m.value for m in EliminationMode])
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--out")
+    played = argparse.ArgumentParser(add_help=False)
+    played.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
+    played.add_argument("--seed", type=int, default=0)
+
+    sp = sub.add_parser("thresholds", parents=[params, out],
+                        help="closed-form thresholds as JSON")
     sp.add_argument("--intersection", action="store_true",
                     help="also report the exact inefficient-only cost band")
-    sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_thresholds)
 
-    sp = sub.add_parser("classify", help="equilibrium taxonomy at one point")
-    _add_param_flags(sp)
-    sp.add_argument("-o", "--out")
+    sp = sub.add_parser("classify", parents=[params, out],
+                        help="equilibrium taxonomy at one point")
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("sweep", help="comparative statics along one knob")
-    _add_param_flags(sp)
-    sp.add_argument("--knob", required=True,
-                    choices=SWEEPABLE_KNOBS)
+    sp = sub.add_parser("sweep", parents=[params, out],
+                        help="comparative statics along one knob")
+    sp.add_argument("--knob", required=True, choices=SWEEPABLE_KNOBS)
     sp.add_argument("--values", required=True, help="comma-separated values")
-    sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("figure", help="region figures as SVG (+ CSV twin)")
+    sp = sub.add_parser("figure", parents=[params],
+                        help="region figures as SVG (+ CSV twin)")
     sp.add_argument("figure_id", choices=sorted(_FIGURES))
-    _add_param_flags(sp)
     sp.add_argument("-o", "--out", required=True, help="SVG output path")
     sp.add_argument("--csv", help="CSV twin output path")
     sp.add_argument("--resolution", type=int, default=40,
@@ -402,25 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--values", help="override knob values for shift figures")
     sp.set_defaults(func=_cmd_figure)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo payoffs under a profile")
-    _add_param_flags(sp)
-    sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
+    sp = sub.add_parser("simulate", parents=[params, out, played],
+                        help="Monte Carlo payoffs under a profile")
     sp.add_argument("--runs", type=int, default=10_000,
                     help=f"Monte Carlo runs (1..{_MAX_RUNS})")
     sp.add_argument("--horizon", type=int, default=400,
                     help=f"periods per run (1..{_MAX_HORIZON})")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dist", choices=["degenerate", "uniform", "scaled-beta"],
-                    default="degenerate")
+    sp.add_argument("--dist", choices=list(_DISTS), default="degenerate")
     sp.add_argument("--dist-width", type=float, default=0.2)
     sp.add_argument("--dist-concentration", type=float, default=8.0)
     sp.add_argument("--trace", help="write per-period JSONL trajectory records")
-    sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("verify", help="deviation-check a built-in profile")
-    _add_param_flags(sp)
-    sp.add_argument("--mode", choices=sorted(_MODES), default="inefficient")
+    sp = sub.add_parser("verify", parents=[params, out, played],
+                        help="deviation-check a built-in profile")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--thresholds", action="store_true",
                     help="also re-derive thresholds by the oracle's solve")
@@ -428,12 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit an oracle-vs-formula agreement summary over "
                          f"N random points (1..{_MAX_AGREEMENT})")
     sp.add_argument("--agreement-csv", help="agreement summary output path")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("presets", help="list shipped parameter presets")
-    sp.add_argument("-o", "--out")
+    sp = sub.add_parser("presets", parents=[out],
+                        help="list shipped parameter presets")
     sp.set_defaults(func=_cmd_presets)
 
     return ap

@@ -284,10 +284,16 @@ def _split_flows(y: float, offer: float) -> tuple[float, float]:
 
 def _trace_record(run: int, state_t: int, y: float, actions: ActionRecord,
                   flow_r: float, flow_d: float, war: bool) -> dict:
-    return {"run": run, "period": state_t, "y": y, "elim_r": actions.elim_r,
-            "elim_d": actions.elim_d, "offer": actions.offer,
-            "response": actions.response.value, "flow_r": flow_r,
-            "flow_d": flow_d, "war": war}
+    # a custom callback may return numpy scalars, which json cannot write:
+    # each vote is written as a bool (or null), and the offer and the flows
+    # it sets as floats
+    elim_d = actions.elim_d
+    return {"run": run, "period": state_t, "y": y,
+            "elim_r": bool(actions.elim_r),
+            "elim_d": None if elim_d is None else bool(elim_d),
+            "offer": float(actions.offer),
+            "response": actions.response.value, "flow_r": float(flow_r),
+            "flow_d": float(flow_d), "war": war}
 
 
 def _simulate_onpath(profile: StrategyProfile, horizon: int, n_runs: int,
@@ -380,13 +386,14 @@ def _simulate_general(profile: StrategyProfile, dist: BarrierDistribution,
         v_d = 0.0
         elim_at = None
         for t in range(1, horizon + 1):
-            # votes while the barrier stands; a side without a callback keeps it
+            # votes while the barrier stands; a side without a callback keeps
+            # it, and the responder votes only under joint consent
             standing = state.barrier_present
             vote_r = (eliminate(t, state.y, standing) if standing and eliminate
                       else False)
             vote_d = (eliminate_d(t, state.y, standing)
                       if standing and eliminate_d
-                      else False if cooperative else None)
+                      else False if cooperative and standing else None)
             y_eff, barrier_after = resolve_elimination(state, vote_r, vote_d,
                                                        params)
             if standing and not barrier_after:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -548,17 +549,32 @@ class TestVerifyCommand:
         for line in lines[1:]:
             assert float(line.split(",")[-2]) <= 1e-6
 
-    def test_agreement_csv_to_stdout(self, capsys, tmp_path):
-        # without --agreement-csv the summary follows the report on stdout
+    def test_agreement_csv_to_stdout(self, capsys, tmp_path,
+                                    monkeypatch):
+        # the report and the agreement CSV cannot share stdout, so with
+        # neither -o nor --agreement-csv the command is refused before any
+        # work; with either, stdout holds the other document alone
         argv = ["verify", "--preset", "demo-b", "--agreement", "3",
                 "--seed", "2"]
         csv_path = tmp_path / "agree.csv"
         report = tmp_path / "report.json"
         assert run([*argv, "--agreement-csv", str(csv_path),
                     "-o", str(report)]) == 0
-        assert run(argv) == 0
+        assert run([*argv, "-o", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out == csv_path.read_text()
+        assert run([*argv, "--agreement-csv", str(tmp_path / "a.csv")]) == 0
+        assert capsys.readouterr().out == report.read_text()
+        assert_no_work(monkeypatch, ("verify_period1", "agreement_rows"))
+        assert run(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == report.read_text() + csv_path.read_text()
+        assert captured.out == ""
+        assert strict_json(captured.err) == {
+            "error": "two outputs would write to stdout"}
+        # it follows the flag and parameter checks, which keep their texts
+        for refused, error in REFUSALS:
+            if "--agreement" in refused and "-o" not in refused:
+                assert run(refused) == 2
+                assert strict_json(capsys.readouterr().err)["error"] == error
 
     @pytest.mark.parametrize("flags", [
         ["--mode", "cooperative"],
@@ -908,17 +924,22 @@ print(json.dumps(["dataclasses" in sys.modules, "inspect" in sys.modules]))
     assert json.loads(out) == [False, False]
 
 
-def test_array_paths_import_numpy(capsys):
+def test_array_paths_import_numpy(capsys, tmp_path):
     # the agreement points are drawn from a numpy Generator: numpy loads
     # when the command runs, and the fresh run prints what an in-process
     # run prints
-    argv = "verify --preset demo-b --agreement 3 --seed 5"
+    csv_path = tmp_path / "agree.csv"
+    argv = f"verify --preset demo-b --agreement 3 --seed 5 " \
+           f"--agreement-csv {csv_path}"
     _, (_, loaded, code, digest) = numpy_probe(argv)
     assert (loaded, code) == (True, 0)
+    fresh_csv = csv_path.read_text()
     assert run(argv.split()) == 0
     out = capsys.readouterr().out
-    assert out.split(AGREEMENT_CSV_HEADER + "\n")[1].count("\n") == 3
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert csv_path.read_text() == fresh_csv
+    assert fresh_csv.startswith(AGREEMENT_CSV_HEADER + "\n")
+    assert fresh_csv.count("\n") == 4
     # so does a custom profile's run, which draws from a numpy Generator
     out = fresh_python("-c", """
 import json, sys
@@ -1080,6 +1101,92 @@ class TestParserReuse:
                      ["--help"]]:
             outputs(argv)
         assert len(built) == 1
+
+
+def _option(strings, dest, default=None, type=None, choices=None,
+            required=False, nargs=None, metavar=None):
+    return dest, (tuple(strings), default, type, choices, required, nargs,
+                  metavar)
+
+
+# every option each subcommand takes, keyed by dest: option strings,
+# default, type, choices, required, nargs and metavar
+_HELP = [_option(["-h", "--help"], "help", "==SUPPRESS==", nargs=0)]
+_PARAM_OPTIONS = [
+    _option(["--preset"], "preset"), _option(["--config"], "config"),
+    *(_option([flag], f"param_{name}", type="float") for name, flag in [
+        ("delta", "--delta"), ("p", "--p"), ("p1", "--p1"), ("mu", "--mu"),
+        ("h0", "--h0"), ("c_R", "--c-r"), ("c_D", "--c-d"),
+        ("rho", "--rho"), ("theta", "--theta")]),
+    _option(["--elimination-mode"], "param_elimination_mode",
+            choices=["Unilateral", "Cooperative"]),
+]
+_OUT = [_option(["-o", "--out"], "out")]
+_MODE_SEED = [
+    _option(["--mode"], "mode", "inefficient",
+            choices=["cooperative", "efficient", "inefficient"]),
+    _option(["--seed"], "seed", 0, type="int"),
+]
+PARSER_SURFACE = {
+    "thresholds": dict(_HELP + _PARAM_OPTIONS + _OUT + [
+        _option(["--intersection"], "intersection", False, nargs=0)]),
+    "classify": dict(_HELP + _PARAM_OPTIONS + _OUT),
+    "sweep": dict(_HELP + _PARAM_OPTIONS + _OUT + [
+        _option(["--knob"], "knob", required=True,
+                choices=["mu", "p", "h0", "c_D", "c_R", "rho", "theta"]),
+        _option(["--values"], "values", required=True)]),
+    "figure": dict(_HELP + _PARAM_OPTIONS + [
+        _option([], "figure_id", required=True,
+                choices=["mu-shift", "p-shift", "regions"]),
+        _option(["-o", "--out"], "out", required=True),
+        _option(["--csv"], "csv"),
+        _option(["--resolution"], "resolution", 40, type="int"),
+        _option(["--cr-range"], "cr_range", "0:10"),
+        _option(["--cd-range"], "cd_range", "0:40"),
+        _option(["--values"], "values")]),
+    "simulate": dict(_HELP + _PARAM_OPTIONS + _OUT + _MODE_SEED + [
+        _option(["--runs"], "runs", 10_000, type="int"),
+        _option(["--horizon"], "horizon", 400, type="int"),
+        _option(["--dist"], "dist", "degenerate",
+                choices=["degenerate", "uniform", "scaled-beta"]),
+        _option(["--dist-width"], "dist_width", 0.2, type="float"),
+        _option(["--dist-concentration"], "dist_concentration", 8.0,
+                type="float"),
+        _option(["--trace"], "trace")]),
+    "verify": dict(_HELP + _PARAM_OPTIONS + _OUT + _MODE_SEED + [
+        _option(["--tol"], "tol", 1e-9, type="float"),
+        _option(["--thresholds"], "thresholds", False, nargs=0),
+        _option(["--agreement"], "agreement", type="int", metavar="N"),
+        _option(["--agreement-csv"], "agreement_csv")]),
+    "presets": dict(_HELP + _OUT),
+}
+
+
+def parser_surface(parser):
+    """Each subcommand's handler name and options, in PARSER_SURFACE's
+    form."""
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return {name: (sp.get_default("func").__name__, {
+        a.dest: (tuple(a.option_strings), a.default,
+                 getattr(a.type, "__name__", a.type),
+                 None if a.choices is None else list(a.choices),
+                 a.required, a.nargs, a.metavar)
+        for a in sp._actions}) for name, sp in commands.items()}
+
+
+class TestParserSurface:
+    def test_surface_pinned(self):
+        # every parse, default and refusal follows from this table, so a
+        # refactor of the declarations holds it fixed
+        assert parser_surface(cli.build_parser()) == {
+            name: (f"_cmd_{name}", options)
+            for name, options in PARSER_SURFACE.items()}
+
+    def test_simulate_and_verify_share_mode_and_seed(self):
+        surface = parser_surface(cli.build_parser())
+        for dest in ("mode", "seed"):
+            assert surface["simulate"][1][dest] == surface["verify"][1][dest]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -491,8 +491,9 @@ class TestSimulate:
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert [(r["run"], r["period"]) for r in records] == [
             (run, t) for run in (0, 1) for t in range(1, 7)]
+        # the responder votes only while the barrier stands
         assert [r["elim_d"] for r in records] == 2 * [False, False, False,
-                                                      True, False, False]
+                                                      True, None, None]
         assert [r["y"] for r in records] == 2 * [0.6, 0.8, 0.8, 1.0, 1.0, 1.0]
         alone = StrategyProfile(mode=ProfileMode.CUSTOM, params=params, **votes)
         stats = simulate(alone, params, DIST, horizon=6, n_runs=2, seed=3)
@@ -742,6 +743,42 @@ class TestWarStreams:
                 == self.TRACE_SHA)
 
 
+class TestTraceTypes:
+    """Callbacks may return numpy scalars: the trace writes each vote as a
+    bool or null and the offer and flows as floats, so every line is JSON,
+    and tracing a run does not change its play."""
+
+    @pytest.mark.parametrize("cooperative,callbacks", [
+        (False, dict(custom_eliminate=lambda t, y, b: np.int64(t) >= 2,
+                     custom_offer=lambda t, y, b: 0.4 * y)),
+        (False, dict(custom_offer=lambda t, y, b: np.float32(0.4 * y))),
+        (True, dict(custom_eliminate=lambda t, y, b: np.int64(t) >= 2,
+                    custom_eliminate_d=lambda t, y, b: np.int64(t) >= 3,
+                    custom_offer=lambda t, y, b: np.float32(0.4 * y))),
+    ], ids=["numpy-bool-vote", "float32-offer", "joint-numpy"])
+    def test_numpy_scalars_traced(self, cooperative, callbacks):
+        mode = (EliminationMode.COOPERATIVE if cooperative
+                else EliminationMode.UNILATERAL)
+        params = make(c_D=25.0, elimination_mode=mode)
+        profile = StrategyProfile(
+            mode=ProfileMode.CUSTOM, params=params,
+            custom_accept=lambda t, y, b, o: True, **callbacks)
+        dist = BarrierDistribution.uniform_with_mean(0.8, 0.3)
+        buf = io.StringIO()
+        traced = simulate(profile, params, dist, horizon=6, n_runs=3, seed=4,
+                          trace=buf)
+        assert traced == simulate(profile, params, dist, horizon=6,
+                                  n_runs=3, seed=4)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 18
+        for line in lines:
+            rec = json.loads(line)
+            assert type(rec["elim_r"]) is bool
+            assert rec["elim_d"] is None or type(rec["elim_d"]) is bool
+            for key in ("y", "offer", "flow_r", "flow_d"):
+                assert type(rec[key]) is float, key
+
+
 class TestCustomStreams:
     """Two more custom paths, pinned: joint consent with a responder
     elimination callback, and war after the barrier has fallen (so the war
@@ -756,7 +793,7 @@ class TestCustomStreams:
             "payoff_d_se": 0.009031372569369504,
             "war_frequency": 0.0, "elimination_periods": {"4": 1.0},
             "tail_bound": 0.42391158275216245,
-        }, "caf4c0cbf0b2c629ae1c335c4e0f116436697e3eee553d433e3c713b01fe547f"),
+        }, "cb17397859b49d091310634a133cdabc8646850d590f1b99505ae2bded3e6564"),
         ("joint", "ScaledBeta"): ({
             "n_runs": 25, "horizon": 30,
             "payoff_r_mean": 4.856468348235251,
@@ -765,7 +802,7 @@ class TestCustomStreams:
             "payoff_d_se": 0.011575729300296735,
             "war_frequency": 0.0, "elimination_periods": {"4": 1.0},
             "tail_bound": 0.42391158275216245,
-        }, "62bc3eaed7a41a1f511ebdca5205d4d3c82ddbb3a99bb0507ae7d508046fbe02"),
+        }, "fe23bcc9968343ec980a27501e1a8a1bdaef5705e9dfd0f19b81d9ea1852aef4"),
         ("late_war", "Uniform"): ({
             "n_runs": 25, "horizon": 30,
             "payoff_r_mean": 4.650905204602656,
@@ -1219,6 +1256,19 @@ class TestOffPathRule:
             verify_period1(params, mode).gains["proposer_stationary"]
         assert abs(stats.payoff_r_mean - war_r) <= \
             4.0 * stats.payoff_r_se + stats.tail_bound
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_replay_traces_the_builtin_trajectory(self, name):
+        # votes included: once the barrier is gone neither path records a
+        # responder vote
+        params, mode = self.CASES[name]
+        builtin = StrategyProfile(mode, params)
+        got, want = io.StringIO(), io.StringIO()
+        stats = simulate(replayed(builtin), params, self.DIST, horizon=6,
+                         n_runs=1, seed=16, trace=got)
+        assert stats == simulate(builtin, params, self.DIST, horizon=6,
+                                 n_runs=1, trace=want)
+        assert got.getvalue() == want.getvalue()
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_replayed_profile_stays_at_peace(self, name):
