@@ -11,7 +11,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from barriergame.cli import _FIGURES, run  # noqa: E402
+from barriergame.cli import _FIGURES, _panel_csvs, run  # noqa: E402
 
 
 def main() -> int:
@@ -37,7 +37,12 @@ def main() -> int:
                         "--resolution", str(resolution)])
             if code != 0:
                 return code
-            print(f"wrote {svg} and {csv}" if with_csv else f"wrote {svg}")
+            written = [svg]
+            if with_csv:
+                knob, values, _ = _FIGURES[figure_id]
+                written += _panel_csvs(csv, knob, values)
+            for path in written:
+                print(f"wrote {path}")
     return 0
 
 

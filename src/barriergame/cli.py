@@ -68,7 +68,12 @@ _DISTS = {
         mu, args.dist_concentration),
 }
 
-# upper bounds on the sizes that set allocations
+# upper bounds on the sizes a command accepts.  --agreement sets the points
+# and rows held in memory; --resolution the cells of one raster row, the
+# most a figure holds, since it streams row by row; a figure's total cells
+# (panels x resolution^2, at most _MAX_RESOLUTION ** 2) bound its work, not
+# its memory.  On the built-in path the CLI plays, --runs sets no
+# allocation, and --horizon the periods walked and traced.
 _MAX_AGREEMENT = 100_000
 _MAX_RESOLUTION = 4_000
 _MAX_RUNS = 10_000_000
@@ -159,7 +164,7 @@ def _json_text(payload: dict, **fmt) -> str:
 
 
 def _require_size(value: int, flag: str, cap: int) -> None:
-    # called before any work starts, since these sizes set allocations
+    # called before any work starts, since these sizes set work or memory
     if not 1 <= value <= cap:
         raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
 
@@ -274,19 +279,31 @@ _FIGURES = {
 }
 
 
+def _panel_csvs(csv: str, knob: Optional[str],
+                values: Sequence[float]) -> list[str]:
+    """The CSV twins of a figure whose panels set ``knob`` to ``values``:
+    ``csv`` itself for one panel, else one per panel, named
+    ``<stem>-<knob>-<value><ext>`` with the value as its panel label prints
+    it (``mu-shift.csv`` -> ``mu-shift-mu-0.5.csv``)."""
+    if len(values) < 2:
+        return [csv]
+    stem, ext = os.path.splitext(csv)
+    return [f"{stem}-{knob}-{format(v, '.6g')}{ext or '.csv'}" for v in values]
+
+
 def _cmd_figure(args) -> int:
     _require_size(args.resolution, "--resolution", _MAX_RESOLUTION)
     cr_range = _parse_range(args.cr_range, "--cr-range")
     cd_range = _parse_range(args.cd_range, "--cd-range")
     params = _collect_params(args)
-    knob, default_values, title = _FIGURES[args.figure_id]
+    knob, values, title = _FIGURES[args.figure_id]
     if knob is None:
         if args.values is not None:
             raise CliError("--values applies to the shift figures, not regions")
         points = [("base", params)]
     else:
-        values = (default_values if args.values is None
-                  else _parse_values(args.values))
+        if args.values is not None:
+            values = _parse_values(args.values)
         points = [(f"{knob} = {format(v, '.6g')}",
                    params.with_overrides(**{knob: v})) for v in values]
     # every panel is sized and checked before the first raster
@@ -299,11 +316,7 @@ def _cmd_figure(args) -> int:
             raise CliError(f"--values gives two panels labeled {subtitle!r}")
         labels.add(subtitle)
         require_valid(point)
-    csvs = [args.csv] if args.csv else []
-    if csvs and len(points) > 1:
-        stem, ext = os.path.splitext(args.csv)
-        csvs = [f"{stem}-{s.replace(' ', '').replace('=', '-')}{ext or '.csv'}"
-                for s, _ in points]
+    csvs = _panel_csvs(args.csv, knob, values) if args.csv else []
     # run() checked --csv itself; the per-panel names derived from it are
     # checked here
     _refuse_outputs(args.out, *csvs)
@@ -400,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="region figures as SVG (+ CSV twin)")
     sp.add_argument("figure_id", choices=sorted(_FIGURES))
     sp.add_argument("-o", "--out", required=True, help="SVG output path")
-    sp.add_argument("--csv", help="CSV twin output path")
+    sp.add_argument("--csv", help="CSV twin output path; a figure of "
+                    "several panels writes one twin per panel, "
+                    "<stem>-<knob>-<value><ext>")
     sp.add_argument("--resolution", type=int, default=40,
                     help=f"cells per axis (1..{_MAX_RESOLUTION})")
     sp.add_argument("--cr-range", default="0:10")

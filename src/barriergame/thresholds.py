@@ -18,13 +18,13 @@ def effective_mu(params: ModelParams) -> float:
     """Mean value of the postwar market under per-period renormalization.
 
     Solves x = rho + (1 - rho) * ((1 - delta) * mu + delta * x).
-    The endpoints are returned exactly, in the parameters' number type: mu
-    at rho=0 and rho itself at rho=1.
+    The endpoints are exact, in the parameters' number type.  At rho=1 the
+    formula is 1 exactly, in floats as on Fractions; at rho=0 it is
+    (1-delta)*mu / (1-delta), which rounding can move off mu in floats, so
+    mu itself is returned there.
     """
     if params.rho == 0.0:
         return params.mu
-    if params.rho == 1.0:
-        return params.rho
     rho, delta, mu = params.rho, params.delta, params.mu
     return ((1 - rho) * (1 - delta) * mu + rho) / (1 - (1 - rho) * delta)
 

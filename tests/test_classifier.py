@@ -10,7 +10,6 @@ from barriergame.classifier import (
     EquilibriumReport,
     IntersectionResult,
     InvalidParamsError,
-    Margins,
     RegionLabel,
     classify,
     comparative_static,
@@ -21,7 +20,7 @@ from barriergame.cli import _plain
 from barriergame.params import (EliminationMode, ModelParams,
                                 sample_valid_params, validate)
 from barriergame.presets import get_preset
-from barriergame.thresholds import ThresholdSet, compute_thresholds
+from barriergame.thresholds import compute_thresholds
 from barriergame.output import emit_figure
 from conftest import grid_labels, make, random_valid_params
 
@@ -95,48 +94,6 @@ class TestClassify:
         # each boolean flips at most once, false -> true
         assert eff == sorted(eff)
         assert inef == sorted(inef)
-
-
-class TestRecords:
-    """``ThresholdSet``, ``Margins`` and ``EquilibriumReport`` are immutable
-    named tuples: built by keyword, read by attribute, and written as JSON
-    by their fields plus the derived keys the README lists."""
-
-    FLAGS = {"efficient_peace_exists", "inefficient_peace_exists",
-             "war_inevitable", "assumption_holds", "label"}
-
-    def test_keyword_construction(self):
-        rep = classify(make(c_D=25.0, c_R=1.0))
-        ts, m = rep.thresholds, rep.margins
-        assert ThresholdSet(**ts._asdict()) == ts
-        built = Margins(efficient=m.efficient, cd=m.cd, joint=m.joint)
-        assert (built.efficient, built.cd, built.joint) == tuple(m)
-        twin = EquilibriumReport(margins=built, thresholds=ts)
-        assert twin.margins is built and twin.thresholds is ts
-        assert twin.label is rep.label is RegionLabel.INEFFICIENT_PEACE
-
-    @pytest.mark.parametrize("pick, field", [
-        (lambda rep: rep.thresholds, "Clow"),
-        (lambda rep: rep.margins, "joint"),
-        (lambda rep: rep, "margins"),
-        (lambda rep: rep, "label"),
-    ], ids=["ThresholdSet", "Margins", "EquilibriumReport",
-            "EquilibriumReport-property"])
-    def test_fields_cannot_be_assigned(self, pick, field):
-        record = pick(classify(make()))
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0.0)
-        with pytest.raises(AttributeError):
-            record.unknown = 0.0
-
-    @pytest.mark.parametrize("kw", [{}, {"p": 0.0}, {"rho": 0.3, "theta": 1.1}])
-    def test_to_dict_keys(self, kw):
-        rep = classify(make(**kw))
-        d = _plain(rep)
-        assert set(d) == set(EquilibriumReport._fields) | self.FLAGS
-        assert list(d["margins"]) == list(Margins._fields)
-        assert list(d["thresholds"]) == list(ThresholdSet._fields)
-        assert list(_plain(rep.thresholds)) == list(ThresholdSet._fields)
 
 
 class TestRegionGrid:

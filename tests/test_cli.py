@@ -12,11 +12,9 @@ from pathlib import Path
 import pytest
 
 from barriergame import cli, oracle
-from barriergame.classifier import classify, intersection_nonempty
+from barriergame.classifier import classify
 from barriergame.cli import run
-from barriergame.engine import ProfileMode, StrategyProfile, simulate
-from barriergame.oracle import (AGREEMENT_CSV_HEADER, oracle_thresholds,
-                               verify_period1)
+from barriergame.oracle import AGREEMENT_CSV_HEADER, oracle_thresholds
 from barriergame.params import BarrierDistribution, ModelParams, validate
 from barriergame.presets import get_preset, list_presets
 from barriergame.thresholds import compute_thresholds, effective_mu
@@ -266,6 +264,13 @@ class TestFigureCommand:
         assert "mu = 0.5" in text and "mu = 0.8" in text
         assert (tmp_path / "mu-mu-0.5.csv").exists()
         assert (tmp_path / "mu-mu-0.8.csv").exists()
+
+    def test_make_figures_prints_every_file_it_writes(self, tmp_path):
+        script = Path(__file__).parents[1] / "scripts" / "make_figures.py"
+        out = fresh_python(str(script), "--outdir", str(tmp_path),
+                           "--resolution", "4").decode()
+        printed = [line.removeprefix("wrote ") for line in out.splitlines()]
+        assert sorted(printed) == sorted(map(str, tmp_path.iterdir()))
 
     @pytest.mark.parametrize("value", ["4001", "1000000000000", "0", "-3"])
     def test_resolution_cap(self, capsys, monkeypatch, value):
@@ -959,29 +964,10 @@ print(json.dumps([before, "numpy" in sys.modules, stats.war_frequency]))
 
 
 def test_json_keys_are_fields_and_properties():
-    """Each record's JSON object is its own fields plus the properties
-    the README lists, and nothing else; a nested record is an object."""
+    """A nested record is an object of its own keys; test_records.py holds
+    every record's keys to its fields then its properties."""
     q = get_preset("demo-b").params
-    stats = simulate(StrategyProfile(ProfileMode.INEFFICIENT_PEACE, q),
-                     q, BarrierDistribution.degenerate(q.mu), horizon=3,
-                     n_runs=2)
-    report = classify(q)
-    oracle = oracle_thresholds(q)
-    flags = {"efficient_peace_exists", "inefficient_peace_exists",
-             "war_inevitable", "assumption_holds", "label"}
-    records = [
-        (q, set()),
-        (report.thresholds, set()),
-        (stats, set()),
-        (verify_period1(q, ProfileMode.INEFFICIENT_PEACE), set()),
-        (get_preset("demo-b"), set()),
-        (report, flags),
-        (intersection_nonempty(q), {"found"}),
-        (oracle, set()),
-    ]
-    for record, derived in records:
-        assert set(cli._plain(record)) == set(record._fields) | derived, \
-            type(record)
+    report, oracle = classify(q), oracle_thresholds(q)
     # demo-b's values are all finite, so each nested object is _asdict()
     plain_report, plain_oracle = cli._plain(report), cli._plain(oracle)
     assert plain_report["margins"] == report.margins._asdict()

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -903,43 +902,6 @@ class TestCallContract:
         assert calls == {"step": runs, "offer": runs, "accept": runs}
 
 
-class TestRecords:
-    """``GameState`` and ``ActionRecord`` are immutable value records:
-    built by keyword with their defaults, compared and hashed by value."""
-
-    def test_keyword_construction_defaults(self):
-        state = GameState(t=1, barrier_present=True, y=0.6)
-        assert (state.war_occurred, state.winner) == (False, None)
-        actions = ActionRecord(elim_r=False, offer=0.2,
-                               response=Response.ACCEPT)
-        assert actions.elim_d is None
-
-    @pytest.mark.parametrize("cls, names", [
-        (GameState, ("t", "barrier_present", "y", "war_occurred", "winner")),
-        (ActionRecord, ("elim_r", "offer", "response", "elim_d"))],
-        ids=["GameState", "ActionRecord"])
-    def test_field_names_in_order(self, cls, names):
-        assert tuple(inspect.signature(cls).parameters) == names
-
-    @pytest.mark.parametrize("make_record", [
-        lambda: GameState(t=2, barrier_present=False, y=1.0),
-        lambda: ActionRecord(elim_r=True, offer=0.5,
-                             response=Response.REJECT, elim_d=False)],
-        ids=["GameState", "ActionRecord"])
-    def test_equal_and_hashable_by_value(self, make_record):
-        a, b = make_record(), make_record()
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    @pytest.mark.parametrize("record, field", [
-        (GameState(t=1, barrier_present=True, y=0.6), "y"),
-        (ActionRecord(elim_r=False, offer=0.2, response=Response.ACCEPT),
-         "offer")], ids=["GameState", "ActionRecord"])
-    def test_fields_cannot_be_assigned(self, record, field):
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0.0)
-
-
 class TestOnPathStreams:
     """Built-in profiles play their own prescribed votes and offers on the
     deterministic on-path run; its stats and trace bytes are pinned, at
@@ -1189,12 +1151,18 @@ class TestOffPathRule:
     is met with war at once, and its payoff is the oracle's war value for
     that deviation."""
 
+    # demo-b, and the interior point: at c_D = 25 a war replay's 4 SE +
+    # tail_bound exceeds 0.1, so three of demo-b's six war replays miss a
+    # gain mispriced by 0.1; each interior one catches it
+    INTERIOR = ("interior-efficient", "interior-inefficient",
+                "interior-cooperative")
     CASES = {
         "efficient": (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
         "inefficient": (make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE),
         "cooperative": (
             make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE),
             ProfileMode.COOPERATIVE_INEFFICIENT),
+        **{name: TestOnPathStreams.CASES[name] for name in INTERIOR},
     }
     DIST = BarrierDistribution.uniform_with_mean(0.8, 0.2)
     HORIZON = 200
@@ -1238,15 +1206,13 @@ class TestOffPathRule:
         assert abs(stats.payoff_r_mean - war_r) <= \
             4.0 * stats.payoff_r_se + stats.tail_bound
 
-    @pytest.mark.parametrize("name", ["interior-efficient",
-                                      "interior-inefficient",
-                                      "interior-cooperative"])
+    @pytest.mark.parametrize("name", INTERIOR)
     def test_stationary_offer_meets_priced_war(self, name):
         # an offer of 0 in period 2 falls below the stationary cutoff
         # p - (1 - delta) c_D = 0.1, so war follows in period 2; verify
         # prices that war as proposer_stationary, one period on.  The raw
         # offers lie inside (0, y) here, so the played game is the priced one
-        params, mode = TestOnPathStreams.CASES[name]
+        params, mode = self.CASES[name]
         builtin = StrategyProfile(mode, params)
         assert_close(builtin.acceptance_cutoff(2, False), 0.1)
         stats = simulate(replayed(builtin, offers={2: 0.0}), params,

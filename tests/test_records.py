@@ -1,31 +1,52 @@
-"""The value records that were frozen dataclasses are named tuples with the
-same fields, order, defaults and ``repr``: built by keyword and immutable.
-``test_cli.py::test_json_keys_are_fields_and_properties`` holds their JSON
-keys to their fields and properties."""
+"""The one statement of the value-record contract.  Every public named
+tuple of ``barriergame`` has a row in ``RECORDS``, and each row holds its
+record to the frozen dataclass it replaces: the same fields, order,
+defaults and ``repr``, built by keyword and immutable, equal to the plain
+tuple of its values, and written as JSON by its fields then its
+properties."""
 import copy
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import barriergame
 from barriergame.classifier import (
+    EquilibriumReport,
     IntersectionResult,
+    Margins,
     RegionGrid,
+    classify,
     intersection_nonempty,
     region_grid,
 )
+from barriergame.cli import _plain
 from barriergame.engine import (
+    ActionRecord,
     GameError,
+    GameState,
     ProfileExistenceError,
     ProfileMode,
+    Response,
     SimStats,
     StrategyProfile,
     simulate,
 )
-from barriergame.oracle import VerificationReport, verify_period1
+from barriergame.oracle import (Bracket, OracleThresholds, VerificationReport,
+                                oracle_thresholds, verify_period1)
 from barriergame.params import (BarrierDistribution, EliminationMode,
                                 InvalidParamsError, ModelParams)
 from barriergame.presets import Preset, get_preset
+from barriergame.thresholds import ThresholdSet
 from conftest import make
+
+
+def _twin(name, *fields, **defaults):
+    """A frozen dataclass with these fields, then these defaulted ones."""
+    return dataclasses.make_dataclass(name, [*fields, *(
+        (key, object, dataclasses.field(default=value))
+        for key, value in defaults.items())], frozen=True)
 
 
 def _demo_stats():
@@ -34,94 +55,138 @@ def _demo_stats():
                     BarrierDistribution.degenerate(q.mu), horizon=3, n_runs=2)
 
 
-# record -> (a built instance, the frozen dataclass it replaces)
+_REPORT = classify(make(c_R=1.0, c_D=25.0))
+_ORACLE = oracle_thresholds(make())
+
+# record -> (a built instance, the frozen dataclass it replaces, the
+# properties its class defines, which its JSON object holds after its fields)
 RECORDS = {
     ModelParams: (
         make(rho=0.25, theta=1.1),
-        dataclasses.make_dataclass("ModelParams", [
-            "delta", "p", "p1", "mu", "h0", "c_R", "c_D",
-            ("rho", float, dataclasses.field(default=0.0)),
-            ("theta", float, dataclasses.field(default=1.0)),
-            ("elimination_mode", EliminationMode, dataclasses.field(
-                default=EliminationMode.UNILATERAL))], frozen=True)),
+        _twin("ModelParams", "delta", "p", "p1", "mu", "h0", "c_R", "c_D",
+              rho=0.0, theta=1.0,
+              elimination_mode=EliminationMode.UNILATERAL), ()),
     BarrierDistribution: (
         BarrierDistribution.uniform(0.2, 0.6),
-        dataclasses.make_dataclass("BarrierDistribution", [
-            "kind", ("a", float, dataclasses.field(default=0.0)),
-            ("b", float, dataclasses.field(default=0.0))], frozen=True)),
+        _twin("BarrierDistribution", "kind", a=0.0, b=0.0), ("mean",)),
     Preset: (
         get_preset("demo-b"),
-        dataclasses.make_dataclass(
-            "Preset", ["name", "params", "annotation"], frozen=True)),
+        _twin("Preset", "name", "params", "annotation"), ()),
+    ThresholdSet: (
+        _REPORT.thresholds,
+        _twin("ThresholdSet", "cbar_D", "clow_D", "Clow", "postwar_mean",
+              "theta_floor", "offer1_efficient", "offer1_inefficient",
+              "offer_stationary", "extension"), ()),
+    Margins: (_REPORT.margins,
+              _twin("Margins", "efficient", "cd", "joint"), ()),
+    EquilibriumReport: (
+        _REPORT, _twin("EquilibriumReport", "margins", "thresholds"),
+        ("efficient_peace_exists", "inefficient_peace_exists",
+         "war_inevitable", "assumption_holds", "label")),
     RegionGrid: (
         region_grid(make(), (-1.0, 10.0), (0.0, 40.0), 2),
-        dataclasses.make_dataclass("RegionGrid", [
-            "base", "cr_values", "cd_values", "cr_range", "cd_range",
-            "thresholds"], frozen=True)),
+        _twin("RegionGrid", "base", "cr_values", "cd_values", "cr_range",
+              "cd_range", "thresholds"), ()),
     IntersectionResult: (
         intersection_nonempty(make()),
-        dataclasses.make_dataclass(
-            "IntersectionResult", ["cd_lo", "cd_hi", "Clow"], frozen=True)),
-    VerificationReport: (
-        verify_period1(make(), ProfileMode.INEFFICIENT_PEACE),
-        dataclasses.make_dataclass("VerificationReport", [
-            "mode", "passed", "feasible", "max_gain_r", "max_gain_d",
-            "best_deviation", "tol",
-            ("gains", dict, dataclasses.field(default_factory=dict)),
-            ("diagnostics", dict, dataclasses.field(default_factory=dict))],
-            frozen=True)),
+        _twin("IntersectionResult", "cd_lo", "cd_hi", "Clow"), ("found",)),
+    GameState: (
+        GameState(t=2, barrier_present=False, y=1.0, war_occurred=True,
+                  winner="D"),
+        _twin("GameState", "t", "barrier_present", "y", war_occurred=False,
+              winner=None), ()),
+    ActionRecord: (
+        ActionRecord(elim_r=True, offer=0.5, response=Response.REJECT,
+                     elim_d=False),
+        _twin("ActionRecord", "elim_r", "offer", "response", elim_d=None),
+        ()),
     SimStats: (
         _demo_stats(),
-        dataclasses.make_dataclass("SimStats", [
-            "n_runs", "horizon", "payoff_r_mean", "payoff_r_se",
-            "payoff_d_mean", "payoff_d_se", "war_frequency",
-            "elimination_periods", "tail_bound"], frozen=True)),
+        _twin("SimStats", "n_runs", "horizon", "payoff_r_mean",
+              "payoff_r_se", "payoff_d_mean", "payoff_d_se", "war_frequency",
+              "elimination_periods", "tail_bound"), ()),
+    # its dataclass's two dict factories are gone: its one constructor
+    # passes both dicts
+    VerificationReport: (
+        verify_period1(make(), ProfileMode.INEFFICIENT_PEACE),
+        _twin("VerificationReport", "mode", "passed", "feasible",
+              "max_gain_r", "max_gain_d", "best_deviation", "tol", "gains",
+              "diagnostics"), ()),
+    Bracket: (_ORACLE.Clow, _twin("Bracket", "value", "lo", "hi"), ()),
+    OracleThresholds: (
+        _ORACLE,
+        _twin("OracleThresholds", "cbar_D", "clow_D", "Clow", anomalies=()),
+        ()),
     StrategyProfile: (
         StrategyProfile(ProfileMode.INEFFICIENT_PEACE, make()),
-        dataclasses.make_dataclass("StrategyProfile", ["mode", "params"] + [
-            (name, object, dataclasses.field(default=None)) for name in (
-                "custom_eliminate", "custom_eliminate_d", "custom_offer",
-                "custom_accept")], frozen=True)),
+        _twin("StrategyProfile", "mode", "params", custom_eliminate=None,
+              custom_eliminate_d=None, custom_offer=None, custom_accept=None),
+        ("elim_period",)),
 }
 IDS = [cls.__name__ for cls in RECORDS]
+
+
+def test_every_public_record_is_in_the_table():
+    # a named tuple class of a module, public, and defined there
+    found = set()
+    for module in pkgutil.iter_modules(barriergame.__path__):
+        namespace = vars(importlib.import_module(f"barriergame.{module.name}"))
+        found.update(
+            value for name, value in namespace.items()
+            if not name.startswith("_") and isinstance(value, type)
+            and issubclass(value, tuple) and hasattr(value, "_fields")
+            and value.__module__ == namespace["__name__"])
+    assert found == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
 class TestRecordContract:
     def test_fields_and_defaults_are_the_dataclass_ones(self, cls):
-        _, old = RECORDS[cls]
+        _, old, _ = RECORDS[cls]
         old_fields = dataclasses.fields(old)
         assert cls._fields == tuple(f.name for f in old_fields)
-        # VerificationReport's default factories are dropped: its one
-        # constructor passes both dicts
         assert cls._field_defaults == {
             f.name: f.default for f in old_fields
             if f.default is not dataclasses.MISSING}
 
     def test_keyword_construction(self, cls):
-        record, _ = RECORDS[cls]
+        record, _, properties = RECORDS[cls]
         built = cls(**dict(zip(cls._fields, record)))
         assert built == record and built is not record
         for name, value in zip(cls._fields, record):
             assert getattr(built, name) is value
+        for name in properties:
+            assert getattr(built, name) == getattr(record, name)
+        # the fields left out take their defaults
+        required = len(cls._fields) - len(cls._field_defaults)
+        short = cls(**dict(zip(cls._fields[:required], record)))
+        assert short[required:] == tuple(cls._field_defaults.values())
 
     def test_fields_cannot_be_assigned(self, cls):
-        record, _ = RECORDS[cls]
-        with pytest.raises(AttributeError):
-            setattr(record, cls._fields[-1], 0.0)
-        with pytest.raises(AttributeError):
-            record.unknown = 0.0
+        record, _, properties = RECORDS[cls]
+        for name in (*cls._fields, *properties, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
 
     def test_repr_is_the_dataclass_repr(self, cls):
-        record, old = RECORDS[cls]
+        record, old, _ = RECORDS[cls]
         assert repr(record) == repr(old(*record))
 
     def test_equal_to_the_plain_tuple(self, cls):
         # a named tuple compares and hashes as the tuple of its values
-        record, _ = RECORDS[cls]
+        record, _, _ = RECORDS[cls]
         assert record == tuple(record) and tuple(record) == record
-        if cls not in (SimStats, VerificationReport):   # these hold dicts
-            assert hash(record) == hash(tuple(record))
+        try:
+            expected = hash(tuple(record))
+        except TypeError:   # SimStats and VerificationReport hold dicts
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    def test_json_keys_are_fields_then_properties(self, cls):
+        record, _, properties = RECORDS[cls]
+        assert tuple(_plain(record)) == cls._fields + properties
 
 
 def _offer(t, y, b):
