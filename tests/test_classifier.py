@@ -10,6 +10,7 @@ from barriergame.classifier import (
     EquilibriumReport,
     IntersectionResult,
     InvalidParamsError,
+    Margins,
     RegionLabel,
     classify,
     comparative_static,
@@ -20,7 +21,7 @@ from barriergame.cli import _plain
 from barriergame.params import (EliminationMode, ModelParams,
                                 sample_valid_params, validate)
 from barriergame.presets import get_preset
-from barriergame.thresholds import compute_thresholds
+from barriergame.thresholds import ThresholdSet, compute_thresholds
 from barriergame.output import emit_figure
 from conftest import grid_labels, make, random_valid_params
 
@@ -94,6 +95,34 @@ class TestClassify:
         # each boolean flips at most once, false -> true
         assert eff == sorted(eff)
         assert inef == sorted(inef)
+
+
+class TestRecords:
+    """The records as ``classify`` builds them at several points: the
+    contract itself is ``RECORDS`` in ``test_records.py``."""
+
+    @pytest.mark.parametrize("pick, field", [
+        (lambda rep: rep.thresholds, "Clow"),
+        (lambda rep: rep.margins, "joint"),
+        (lambda rep: rep, "margins"),
+        (lambda rep: rep, "label"),
+    ], ids=["ThresholdSet", "Margins", "EquilibriumReport",
+            "EquilibriumReport-property"])
+    def test_fields_cannot_be_assigned(self, pick, field):
+        record = pick(classify(make()))
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.unknown = 0.0
+
+    @pytest.mark.parametrize("kw", [{}, {"p": 0.0}, {"rho": 0.3, "theta": 1.1}])
+    def test_to_dict_keys(self, kw):
+        # a report's keys, and its nested records' keys, do not depend on
+        # the point
+        d = _plain(classify(make(**kw)))
+        assert list(d) == list(_plain(classify(make())))
+        assert list(d["margins"]) == list(Margins._fields)
+        assert list(d["thresholds"]) == list(ThresholdSet._fields)
 
 
 class TestRegionGrid:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -444,10 +445,45 @@ class TestOracleThresholds:
         assert_close(result.clow_D.value, ts.clow_D, 1e-6)
         assert_close(result.Clow.value, ts.Clow, 1e-6)
 
-    def test_unsolved_point_writes_null_brackets(self):
-        result = oracle_thresholds(UNRESOLVED)
-        assert repr(result.Clow) == "Bracket(value=nan, lo=nan, hi=nan)"
-        d = _plain(result)
+
+class TestRecords:
+    """The records as ``oracle_thresholds`` builds them, at a solved and an
+    unsolved point: the contract itself is ``RECORDS`` in
+    ``test_records.py``."""
+
+    OLD = {"Bracket": dataclasses.make_dataclass(
+               "Bracket", ["value", "lo", "hi"], frozen=True),
+           "OracleThresholds": dataclasses.make_dataclass(
+               "OracleThresholds", ["cbar_D", "clow_D", "Clow",
+                                    ("anomalies", tuple, dataclasses.field(
+                                        default=()))], frozen=True)}
+
+    @pytest.mark.parametrize("record, field", [
+        (Bracket(1.0, 0.5, 2.0), "value"),
+        (oracle_thresholds(make()), "clow_D"),
+        (oracle_thresholds(make()), "anomalies")],
+        ids=["Bracket", "OracleThresholds", "OracleThresholds-default"])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.unknown = 0.0
+
+    @pytest.mark.parametrize("params", [make(), UNRESOLVED],
+                             ids=["finite", "nan"])
+    def test_repr_is_the_dataclass_repr(self, params):
+        result = oracle_thresholds(params)
+        brackets = [self.OLD["Bracket"](*b) for b in result[:3]]
+        old = self.OLD["OracleThresholds"](*brackets, *result[3:])
+        assert repr(result) == repr(old)
+        assert repr(result.Clow).startswith(
+            "Bracket(value=nan, " if params is UNRESOLVED
+            else "Bracket(value=-1.1")
+
+    def test_to_dict_keys_are_fields(self):
+        # an unsolved point writes null brackets
+        d = _plain(oracle_thresholds(UNRESOLVED))
+        assert list(d) == list(OracleThresholds._fields)
         for key in ("cbar_D", "clow_D", "Clow"):
             assert d[key] == {"value": None, "lo": None, "hi": None}
         # the mean's anomaly comes first: the clow_D and Clow rows read it
