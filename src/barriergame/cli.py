@@ -317,8 +317,8 @@ def _cmd_figure(args) -> int:
         labels.add(subtitle)
         require_valid(point)
     csvs = _panel_csvs(args.csv, knob, values) if args.csv else []
-    # run() checked --csv itself; the per-panel names derived from it are
-    # checked here
+    # a figure of several panels writes no file named --csv itself, so its
+    # outputs are checked here, under the names it writes
     _refuse_outputs(args.out, *csvs)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
@@ -465,7 +465,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _parser().parse_args(argv)
         _refuse_outputs(*(getattr(args, dest, None) for dest
-                          in ("out", "csv", "trace", "agreement_csv")))
+                          in ("out", "trace", "agreement_csv")))
         return args.func(args)
     except SystemExit as e:
         # --help and friends

@@ -296,13 +296,13 @@ def _trace_record(run: int, state_t: int, y: float, actions: ActionRecord,
             "flow_d": float(flow_d), "war": war}
 
 
-def _simulate_onpath(profile: StrategyProfile, horizon: int, n_runs: int,
-                     trace: Optional[IO[str]]) -> SimStats:
+def _simulate_onpath(profile: StrategyProfile, horizon: int,
+                     trace: Optional[IO[str]]) -> tuple:
     """Built-in profiles never reach the war lottery and their on-path flows
     are deterministic, so one trajectory prices every run exactly.  From the
     period after elimination on, play is stationary: each later period
     repeats that period's votes, resource, offer and flows and only adds its
-    discounted flow."""
+    discounted flow.  ``simulate`` builds the ``SimStats`` it returns."""
     params = profile.params
     delta = params.delta
     v_r = 0.0
@@ -323,17 +323,9 @@ def _simulate_onpath(profile: StrategyProfile, horizon: int, n_runs: int,
                                    response=Response.ACCEPT, elim_d=vote_d)
             trace.write(json.dumps(_trace_record(0, t, y, actions,
                                                  flow_r, flow_d, False)) + "\n")
-    tail = delta ** horizon * 1.0 / (1.0 - delta)
     # a horizon shorter than elim_period ends with the barrier standing
     elim_at = elim_period if horizon >= elim_period else None
-    return SimStats(
-        n_runs=n_runs, horizon=horizon,
-        payoff_r_mean=v_r, payoff_r_se=0.0,
-        payoff_d_mean=v_d, payoff_d_se=0.0,
-        war_frequency=0.0,
-        elimination_periods={elim_at: 1.0},
-        tail_bound=tail,
-    )
+    return v_r, 0.0, v_d, 0.0, 0.0, {elim_at: 1.0}
 
 
 def _war_continuation(params: ModelParams, dist: BarrierDistribution,
@@ -349,10 +341,8 @@ def _war_continuation(params: ModelParams, dist: BarrierDistribution,
     values, then (when rho > 0) ``periods_left`` renormalization coins whose
     running OR sets the flow to 1 from the first landed coin on.
     ``discounts[k]`` is ``delta ** (k + 1)``, for at least ``periods_left``
-    entries."""
+    entries.  With no period left both ways give 0.0 and draw nothing."""
     delta = params.delta
-    if periods_left <= 0:
-        return 0.0
     if not barrier_at_war:
         # full resource every remaining period
         return delta * (1.0 - delta ** periods_left) / (1.0 - delta)
@@ -366,7 +356,8 @@ def _war_continuation(params: ModelParams, dist: BarrierDistribution,
 
 def _simulate_general(profile: StrategyProfile, dist: BarrierDistribution,
                       horizon: int, n_runs: int, seed: Optional[int],
-                      trace: Optional[IO[str]]) -> SimStats:
+                      trace: Optional[IO[str]]) -> tuple:
+    """Play every custom run, period by period; ``simulate`` builds SimStats."""
     params = profile.params
     cooperative = params.elimination_mode is EliminationMode.COOPERATIVE
     eliminate, eliminate_d = profile.custom_eliminate, profile.custom_eliminate_d
@@ -414,12 +405,10 @@ def _simulate_general(profile: StrategyProfile, dist: BarrierDistribution,
                 spoils = outcome.y + _war_continuation(
                     params, dist, outcome.barrier_present, horizon - t, rng,
                     discounts)
-                if outcome.winner == "D":
-                    v_d += disc * (spoils - params.c_D)
-                    v_r += disc * (-params.c_R)
-                else:
-                    v_r += disc * (spoils - params.c_R)
-                    v_d += disc * (-params.c_D)
+                win_r, win_d = ((0.0, spoils) if outcome.winner == "D"
+                                else (spoils, 0.0))
+                v_r += disc * (win_r - params.c_R)
+                v_d += disc * (win_d - params.c_D)
                 wars += 1
                 break
             v_r += disc * flow_r
@@ -428,18 +417,12 @@ def _simulate_general(profile: StrategyProfile, dist: BarrierDistribution,
         payoff_r[i] = v_r
         payoff_d[i] = v_d
         elim_counts[elim_at] = elim_counts.get(elim_at, 0) + 1
-    tail = delta ** horizon * 1.0 / (1.0 - delta)
     se_r = float(payoff_r.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
     se_d = float(payoff_d.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-    return SimStats(
-        n_runs=n_runs, horizon=horizon,
-        payoff_r_mean=float(payoff_r.mean()), payoff_r_se=se_r,
-        payoff_d_mean=float(payoff_d.mean()), payoff_d_se=se_d,
-        war_frequency=wars / n_runs,
-        elimination_periods={k: v / n_runs for k, v in sorted(
-            elim_counts.items(), key=lambda kv: (kv[0] is None, kv[0]))},
-        tail_bound=tail,
-    )
+    return (float(payoff_r.mean()), se_r, float(payoff_d.mean()), se_d,
+            wars / n_runs,
+            {k: v / n_runs for k, v in sorted(
+                elim_counts.items(), key=lambda kv: (kv[0] is None, kv[0]))})
 
 
 def simulate(profile: StrategyProfile, params: ModelParams,
@@ -458,7 +441,8 @@ def simulate(profile: StrategyProfile, params: ModelParams,
     so after the war draw its stream holds every postwar barrier value
     first, then the renormalization coins.  A custom offer outside [0, y]
     raises GameError.  ``trace`` receives one JSON line per period of every
-    custom run, runs in order, or of the one built-in trajectory.
+    custom run, runs in order, or of the one built-in trajectory.  Both
+    paths return the six statistics they measure; ``SimStats`` is built here.
     """
     if horizon < 1 or n_runs < 1:
         raise ValueError("horizon and n_runs must be at least 1")
@@ -466,6 +450,9 @@ def simulate(profile: StrategyProfile, params: ModelParams,
         raise GameError("a profile must be simulated under the parameters "
                         "it was built for")
     require_mean_matches(dist, params)
-    if profile.mode is ProfileMode.CUSTOM:
-        return _simulate_general(profile, dist, horizon, n_runs, seed, trace)
-    return _simulate_onpath(profile, horizon, n_runs, trace)
+    measured = (_simulate_general(profile, dist, horizon, n_runs, seed, trace)
+                if profile.mode is ProfileMode.CUSTOM
+                else _simulate_onpath(profile, horizon, trace))
+    delta = params.delta
+    return SimStats(n_runs, horizon, *measured,
+                    tail_bound=delta ** horizon * 1.0 / (1.0 - delta))

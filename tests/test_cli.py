@@ -812,6 +812,39 @@ def test_directory_output_refused(argv, path, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [tmp_path / path]
 
 
+PANEL_OUTPUTS = [
+    # --csv names the SVG output itself
+    (["-o", "f.csv", "--csv", "f.csv"], None,
+     ["f-mu-0.5.csv", "f-mu-0.8.csv", "f.csv"]),
+    # --csv names a directory
+    (["-o", "f.svg", "--csv", "twin"], "twin",
+     ["f.svg", "twin-mu-0.5.csv", "twin-mu-0.8.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv,subdir,written", PANEL_OUTPUTS,
+                         ids=[" ".join(a) for a, _, _ in PANEL_OUTPUTS])
+def test_panel_outputs_checked_under_their_names(argv, subdir, written,
+                                                 capsys, tmp_path,
+                                                 monkeypatch):
+    # a figure of several panels writes no file named --csv, only one CSV
+    # per panel, so --csv itself may name the SVG output or a directory
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", str(tmp_path))
+    if subdir:
+        (tmp_path / subdir).mkdir()
+    code = run(["figure", "mu-shift", "--preset", "demo-b", *argv,
+                "--resolution", "2"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == \
+        written
+    svg = argv[1]
+    assert (tmp_path / svg).read_text().startswith("<svg")
+    for name in written:
+        if name != svg:
+            assert (tmp_path / name).read_text().startswith("c_R,c_D,label,")
+
+
 # SHA-256 of the stdout of a fixed demo-b matrix: a changed key, key
 # order, float repr or indentation shows here.  Print an argv's digest with
 #     PYTHONPATH=src python -m barriergame.cli <argv> | sha256sum

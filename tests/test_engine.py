@@ -901,6 +901,27 @@ class TestCallContract:
         assert stats.war_frequency == 1.0
         assert calls == {"step": runs, "offer": runs, "accept": runs}
 
+    @pytest.mark.parametrize("params,mode", [
+        (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
+        (make(), ProfileMode.INEFFICIENT_PEACE),
+        (make(elimination_mode=EliminationMode.COOPERATIVE),
+         ProfileMode.COOPERATIVE_INEFFICIENT),
+    ], ids=["efficient", "inefficient", "cooperative"])
+    def test_builtin_profile_steps_nothing(self, monkeypatch, params, mode):
+        # the benchmark counts no run-periods for a built-in run, so the
+        # check above holds only if it steps no period, prices no war and
+        # draws no barrier value
+        calls = dict.fromkeys(["step", "_war_continuation", "sample"], 0)
+        for owner, name in ((engine, "step"), (engine, "_war_continuation"),
+                            (BarrierDistribution, "sample")):
+            monkeypatch.setattr(owner, name, self.counted(
+                calls, name, getattr(owner, name)))
+        stats = simulate(StrategyProfile(mode, params), params,
+                         BarrierDistribution.uniform_with_mean(0.8, 0.3),
+                         horizon=400, n_runs=7, seed=7)
+        assert (stats.n_runs, stats.horizon) == (7, 400)
+        assert calls == {"step": 0, "_war_continuation": 0, "sample": 0}
+
 
 class TestOnPathStreams:
     """Built-in profiles play their own prescribed votes and offers on the
@@ -1248,3 +1269,49 @@ class TestOffPathRule:
         for a, b in ((got.payoff_r_mean, want.payoff_r_mean),
                      (got.payoff_d_mean, want.payoff_d_mean)):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+class TestFeasibilityByPlay:
+    """verify's feasibility gain, war_d - (y1 + delta v_d2), is what the
+    responder gets by rejecting the whole period-1 resource y1 and fighting,
+    less what it gets by accepting it and then the stationary offer.  It is
+    held to play 0.1 below and above each threshold, where the gain is
+    +0.07 and -0.07, on both built-in paths."""
+
+    POINT = dict(delta=0.3, p=0.3, p1=0.9, mu=0.9, h0=0.2, c_R=1.0)
+    DIST = BarrierDistribution.degenerate(0.9)
+    HORIZON = 60
+
+    @pytest.mark.parametrize("shift", [-0.1, 0.1])
+    @pytest.mark.parametrize("mode", [ProfileMode.EFFICIENT_PEACE,
+                                      ProfileMode.INEFFICIENT_PEACE],
+                             ids=["eliminate-at-once", "keep-then-eliminate"])
+    def test_feasibility_gain_is_played(self, mode, shift):
+        efficient = mode is ProfileMode.EFFICIENT_PEACE
+        ts = compute_thresholds(make(**self.POINT))
+        params = make(**self.POINT,
+                      c_D=(ts.cbar_D if efficient else ts.clow_D) + shift)
+        # the stationary offer p - (1 - delta) c_D fits inside (0, 1) for
+        # c_D < 0.43, so the played continuation is the priced v_d2
+        stationary = compute_thresholds(params).offer_stationary
+        assert 0.0 < stationary < 1.0
+        elim_period = 1 if efficient else 2
+
+        def played(reject_first):
+            return StrategyProfile(
+                mode=ProfileMode.CUSTOM, params=params,
+                custom_eliminate=lambda t, y, b: t >= elim_period,
+                custom_offer=lambda t, y, b: y if t == 1 else stationary,
+                custom_accept=lambda t, y, b, o: not (reject_first and t == 1))
+
+        peace = simulate(played(False), params, self.DIST, self.HORIZON,
+                         n_runs=2, seed=40)
+        # 8000 runs hold the SE under 0.005, so a gain mispriced by 0.1
+        # misses by over 20 SE
+        war = simulate(played(True), params, self.DIST, self.HORIZON,
+                       n_runs=8000, seed=40)
+        assert (peace.war_frequency, war.war_frequency) == (0.0, 1.0)
+        gain = verify_period1(params, mode).gains["feasibility"]
+        assert abs(war.payoff_d_mean - peace.payoff_d_mean - gain) <= \
+            4.0 * math.hypot(war.payoff_d_se, peace.payoff_d_se) + \
+            war.tail_bound
