@@ -42,7 +42,6 @@ from .params import (
     EliminationMode,
     InvalidParamsError,
     ModelParams,
-    require_mean_matches,
     require_valid,
 )
 from .presets import get_preset, list_presets
@@ -57,15 +56,6 @@ _MODES = {
     "efficient": ProfileMode.EFFICIENT_PEACE,
     "inefficient": ProfileMode.INEFFICIENT_PEACE,
     "cooperative": ProfileMode.COOPERATIVE_INEFFICIENT,
-}
-
-# --dist name -> the distribution of that kind with mean mu
-_DISTS = {
-    "degenerate": lambda mu, args: BarrierDistribution.degenerate(mu),
-    "uniform": lambda mu, args: BarrierDistribution.uniform_with_mean(
-        mu, args.dist_width),
-    "scaled-beta": lambda mu, args: BarrierDistribution.scaled_beta_with_mean(
-        mu, args.dist_concentration),
 }
 
 # upper bounds on the sizes a command accepts.  --agreement sets the points
@@ -222,14 +212,6 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
-def _build_dist(args: argparse.Namespace, params: ModelParams) -> BarrierDistribution:
-    # the mean is checked here, before any output opens: subnormal beta
-    # shapes lose it
-    dist = _DISTS[args.dist](params.mu, args)
-    require_mean_matches(dist, params)
-    return dist
-
-
 def _played_point(args) -> tuple[ModelParams, ProfileMode]:
     """Check --seed, then read the point and the profile mode to play."""
     if args.seed < 0:
@@ -333,7 +315,9 @@ def _cmd_simulate(args) -> int:
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     params, mode = _played_point(args)
     profile = StrategyProfile(mode, params)
-    dist = _build_dist(args, params)
+    # built-in play draws no barrier value, so the point mass at mu prices
+    # it as every distribution with that mean would
+    dist = BarrierDistribution.degenerate(params.mu)
     with (open(_out_path(args.trace), "w") if args.trace
           else contextlib.nullcontext()) as trace_fh:
         stats = simulate(profile, params, dist, horizon=args.horizon,
@@ -429,9 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"Monte Carlo runs (1..{_MAX_RUNS})")
     sp.add_argument("--horizon", type=int, default=400,
                     help=f"periods per run (1..{_MAX_HORIZON})")
-    sp.add_argument("--dist", choices=list(_DISTS), default="degenerate")
-    sp.add_argument("--dist-width", type=float, default=0.2)
-    sp.add_argument("--dist-concentration", type=float, default=8.0)
     sp.add_argument("--trace", help="write per-period JSONL trajectory records")
     sp.set_defaults(func=_cmd_simulate)
 

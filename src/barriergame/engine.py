@@ -235,7 +235,7 @@ class StrategyProfile(_ProfileFields):
     def offer(self, t: int, y: float, barrier_after: bool) -> float:
         """The cutoff clamped into [0, y].  Off path that is y, which the
         responder rejects all the same."""
-        return min(max(self.acceptance_cutoff(t, barrier_after), 0.0), y)
+        return min(max(self.acceptance_cutoff(t, barrier_after), 0 * y), y)
 
     def accepts(self, t: int, y: float, barrier_after: bool, offer: float) -> bool:
         return offer >= self.acceptance_cutoff(t, barrier_after)
@@ -251,14 +251,15 @@ def analytic_payoffs(params: ModelParams,
     transfers, which peg the responder at its war value even where that
     takes a negative offer, stay on the ``ThresholdSet``.  A profile that
     ``StrategyProfile(mode, params)`` refuses is refused here alike.
+    On ``Fraction`` parameters the values are exact.
     """
     profile = StrategyProfile(mode, params)
-    delta = params.delta
+    delta, one = params.delta, params.delta ** 0
     kept = profile.elim_period > 1
-    y1 = params.h0 if kept else 1.0
-    x1, xs = profile.offer(1, y1, kept), profile.offer(2, 1.0, False)
-    v_d = x1 + delta * xs / (1.0 - delta)
-    v_r = (y1 - x1) + delta * (1.0 - xs) / (1.0 - delta)
+    y1 = params.h0 if kept else one
+    x1, xs = profile.offer(1, y1, kept), profile.offer(2, one, False)
+    v_d = x1 + delta * xs / (one - delta)
+    v_r = (y1 - x1) + delta * (one - xs) / (one - delta)
     return v_r, v_d
 
 
@@ -304,15 +305,15 @@ def _simulate_onpath(profile: StrategyProfile, horizon: int,
     repeats that period's votes, resource, offer and flows and only adds its
     discounted flow.  ``simulate`` builds the ``SimStats`` it returns."""
     params = profile.params
-    delta = params.delta
-    v_r = 0.0
-    v_d = 0.0
+    # 1 and 0 in the parameters' type: exact on Fractions; traces keep 1.0
+    delta, one = params.delta, params.delta ** 0
+    v_r = v_d = 0 * delta
     elim_period = profile.elim_period
     for t in range(1, horizon + 1):
         if t <= elim_period + 1:
             vote_r, vote_d = profile.prescribed_votes(t, t <= elim_period)
             barrier_after = t < elim_period
-            y = params.h0 if barrier_after else 1.0
+            y = params.h0 if barrier_after else one
             offer = profile.offer(t, y, barrier_after)
             flow_r, flow_d = _split_flows(y, offer)
         disc = delta ** (t - 1)
@@ -453,6 +454,5 @@ def simulate(profile: StrategyProfile, params: ModelParams,
     measured = (_simulate_general(profile, dist, horizon, n_runs, seed, trace)
                 if profile.mode is ProfileMode.CUSTOM
                 else _simulate_onpath(profile, horizon, trace))
-    delta = params.delta
     return SimStats(n_runs, horizon, *measured,
-                    tail_bound=delta ** horizon * 1.0 / (1.0 - delta))
+                    tail_bound=params.delta ** horizon / (1 - params.delta))

@@ -15,7 +15,7 @@ from barriergame import cli, oracle
 from barriergame.classifier import classify
 from barriergame.cli import run
 from barriergame.oracle import AGREEMENT_CSV_HEADER, oracle_thresholds
-from barriergame.params import BarrierDistribution, ModelParams, validate
+from barriergame.params import ModelParams, validate
 from barriergame.presets import get_preset, list_presets
 from barriergame.thresholds import compute_thresholds, effective_mu
 from conftest import exact
@@ -457,32 +457,6 @@ class TestSimulateCommand:
         assert code == 2
         assert "clow_D" in json.loads(captured.err)["error"]
 
-    def test_uniform_dist(self, capsys):
-        payload = run_json(capsys, [
-            "simulate", "--preset", "demo-b", "--dist", "uniform",
-            "--dist-width", "0.2", "--runs", "5", "--horizon", "200"])
-        assert payload["distribution"].startswith("Uniform")
-
-    def test_scaled_beta_dist(self, capsys):
-        payload = run_json(capsys, [
-            "simulate", "--preset", "demo-b", "--dist", "scaled-beta",
-            "--dist-concentration", "4", "--runs", "5", "--horizon", "200"])
-        assert payload["distribution"] == \
-            BarrierDistribution.scaled_beta_with_mean(0.8, 4.0).describe()
-        assert payload["distribution"].startswith("ScaledBeta(3.2, ")
-
-    @pytest.mark.parametrize("concentration", ["nan", "inf", "-1"])
-    def test_bad_concentration_refused(self, capsys, concentration):
-        code = run(["simulate", "--preset", "demo-b", "--c-d", "35",
-                    "--mode", "efficient", "--runs", "2", "--horizon", "3",
-                    "--dist", "scaled-beta",
-                    f"--dist-concentration={concentration}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert strict_json(captured.err)["error"].startswith(
-            "beta shape parameters must be positive and finite")
-
     def test_cooperative_mode(self, capsys, tmp_path):
         trace = tmp_path / "coop.jsonl"
         payload = run_json(capsys, [
@@ -710,12 +684,6 @@ REFUSALS = [
     (["verify", "--preset", "demo-b", "--agreement", "3", "--p1", "0.1"],
      "invalid parameters"),
     (["simulate", "--preset", "demo-b", "--p1", "0.1"], "invalid parameters"),
-    # subnormal beta shapes lose the mean; refused before the trace opens
-    (["simulate", "--preset", "demo-b", "--mode", "efficient", "--c-d", "35",
-      "--runs", "2", "--horizon", "3", "--dist", "scaled-beta",
-      "--dist-concentration", "1e-320"],
-     "distribution mean 0.799901185770751 does not match mu=0.8 within "
-     "1e-12"),
     (["verify", "--preset", "nope", "--agreement", "3"],
      "unknown preset 'nope'; available: ['demo-b', 'post-wto', 'pre-wto']"),
     (["verify", "--preset", "demo-b"], "--agreement-csv requires --agreement"),
@@ -1038,9 +1006,8 @@ REUSE_COMMANDS = {
               "--values", "0.5,0.7"],
     "figure": ["figure", "mu-shift", "--preset", "demo-b", "-o", "f.svg",
                "--csv", "f.csv", "--resolution", "6"],
-    "simulate": ["simulate", "--preset", "demo-b", "--dist", "uniform",
-                 "--runs", "5", "--horizon", "40", "--seed", "3",
-                 "--trace", "s.jsonl"],
+    "simulate": ["simulate", "--preset", "demo-b", "--runs", "5",
+                 "--horizon", "40", "--seed", "3", "--trace", "s.jsonl"],
     "verify": ["verify", "--preset", "demo-b", "--thresholds",
                "--agreement", "2", "--agreement-csv", "a.csv"],
     "presets": ["presets"],
@@ -1166,11 +1133,6 @@ PARSER_SURFACE = {
     "simulate": dict(_HELP + _PARAM_OPTIONS + _OUT + _MODE_SEED + [
         _option(["--runs"], "runs", 10_000, type="int"),
         _option(["--horizon"], "horizon", 400, type="int"),
-        _option(["--dist"], "dist", "degenerate",
-                choices=["degenerate", "uniform", "scaled-beta"]),
-        _option(["--dist-width"], "dist_width", 0.2, type="float"),
-        _option(["--dist-concentration"], "dist_concentration", 8.0,
-                type="float"),
         _option(["--trace"], "trace")]),
     "verify": dict(_HELP + _PARAM_OPTIONS + _OUT + _MODE_SEED + [
         _option(["--tol"], "tol", 1e-9, type="float"),

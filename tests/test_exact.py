@@ -2,7 +2,8 @@
 ``fractions.Fraction`` parameters, where every threshold is a rational
 number computed without rounding.
 
-Criterion 12 holds the two to each other with no tolerance; the enclosure
+Criterion 12 holds the two to each other with no tolerance, and criterion
+13 holds the built-in simulator to the exact flows it plays; the enclosure
 tests hold every float bracket of the oracle to the exact value, also
 within 1e-4 of delta = 1, the closed-form tests every float field of
 ``compute_thresholds`` to its exact value within a stated bound, and the
@@ -18,9 +19,11 @@ import pytest
 
 import barriergame.cli as cli
 from barriergame.classifier import classify
+from barriergame.engine import (ProfileExistenceError, ProfileMode,
+                                StrategyProfile, analytic_payoffs, simulate)
 from barriergame.oracle import (oracle_thresholds, postwar_market_mean,
                                verify_period1)
-from barriergame.params import ModelParams
+from barriergame.params import BarrierDistribution, ModelParams
 from barriergame.thresholds import compute_thresholds
 from conftest import exact, make, random_valid_params
 from test_acceptance import (CLOSED_FORM_BOUND_1, CLOSED_FORM_BOUND_11,
@@ -67,6 +70,62 @@ def test_criterion_12_exact_oracle_equals_closed_forms():
     _report(12, "exact oracle equals exact closed forms", not mismatches,
             f"n={len(points)}, {len(mismatches)} points differ, "
             f"no tolerance")
+
+
+def played_flows(profile, horizon):
+    """(proposer, responder) flows of each period a built-in profile plays,
+    read from its thresholds: the period-1 offer, then the stationary one
+    from period 2 on, each clamped into [0, y]."""
+    q, ts = profile.params, profile.thresholds
+    kept = profile.mode is not ProfileMode.EFFICIENT_PEACE
+    for t in range(1, horizon + 1):
+        y = q.h0 if kept and t == 1 else 1
+        cutoff = (ts.offer_stationary if t > 1 else ts.offer1_inefficient
+                  if kept else ts.offer1_efficient)
+        offer = min(max(cutoff, 0), y)
+        yield y - offer, offer
+
+
+HORIZONS = (1, 2, 3, 4, 40)
+
+
+def test_criterion_13_exact_simulator_equals_played_flows():
+    # on the Fraction values of 300 of criterion 1's points, under every
+    # built-in profile that exists there, each horizon's payoffs are the
+    # exact discounted sum of the played flows, and analytic_payoffs less
+    # the exact tail of the stationary flows
+    cases, mismatches = 0, []
+    for q in map(exact, criterion_1_points()[:300]):
+        for mode in BUILT_IN_MODES:
+            q_mode = playable(q, mode)
+            try:
+                profile = StrategyProfile(mode, q_mode)
+            except ProfileExistenceError:
+                continue
+            dist = BarrierDistribution.degenerate(q_mode.mu)
+            v_r, v_d = analytic_payoffs(q_mode, mode)
+            delta = q_mode.delta
+            flows = list(played_flows(profile, HORIZONS[-1]))
+            stationary_r, stationary_d = flows[1]
+            sum_r = sum_d = Fraction(0)
+            disc = Fraction(1)
+            for t, (flow_r, flow_d) in enumerate(flows, 1):
+                sum_r += disc * flow_r
+                sum_d += disc * flow_d
+                disc *= delta
+                if t not in HORIZONS:
+                    continue
+                cases += 1
+                stats = simulate(profile, q_mode, dist, horizon=t, n_runs=1)
+                got = (stats.payoff_r_mean, stats.payoff_d_mean)
+                tail = disc / (1 - delta)
+                if not (all(isinstance(v, Fraction) for v in got)
+                        and got == (sum_r, sum_d)
+                        == (v_r - tail * stationary_r,
+                            v_d - tail * stationary_d)):
+                    mismatches.append((q_mode, mode, t))
+    _report(13, "exact simulator equals the played flows", not mismatches,
+            f"{cases} cases, {len(mismatches)} differ, no tolerance")
 
 
 @pytest.mark.parametrize("points", [

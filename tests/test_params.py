@@ -213,6 +213,13 @@ class TestDistributions:
         params = make(mu=0.5)
         with pytest.raises(ValueError, match="does not match mu"):
             require_mean_matches(BarrierDistribution.degenerate(0.6), params)
+        # a subnormal beta shape loses the mean it was built with
+        with pytest.raises(ValueError) as refused:
+            require_mean_matches(
+                BarrierDistribution.scaled_beta_with_mean(0.8, 1e-320),
+                make(mu=0.8))
+        assert str(refused.value) == ("distribution mean 0.799901185770751 "
+                                      "does not match mu=0.8 within 1e-12")
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):
