@@ -6,12 +6,18 @@ Each side's directory holds copies of the run records that
 one file per run, under any name ending in `.json`.  Untraced runs
 (`--trace 0`) are paired by workload and seed: every seed must have run once
 on each side.  Traced runs (`--trace 1`), if any, are copied per workload as
-their per-layer values.
+their per-layer values.  Each ``--env NAME`` adds that environment
+variable's value, as set where the record is written, to the machine block,
+so write the record in the runs' environment (PYTHONDONTWRITEBYTECODE decides
+whether each fresh interpreter of ``setup_s`` compiles a source checkout).
+``--in-process`` copies a JSON object of in-process timings into the record
+as its ``in_process`` block.
 
 Usage:
     python scripts/bench_record.py --parent DIR --change DIR --pr N \\
         --change-text "what the change does" [--seeds-note TEXT] \\
-        [--benchmark BENCHMARK.json] [--out PATH]
+        [--env NAME ...] [--in-process FILE] [--benchmark BENCHMARK.json] \\
+        [--out PATH]
 """
 import argparse
 import glob
@@ -162,6 +168,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change-text", required=True,
                     help="one line saying what the change does")
     ap.add_argument("--seeds-note", default="")
+    ap.add_argument("--env", action="append", default=[], metavar="NAME",
+                    help="environment variable to record in the machine "
+                         "block ('unset' if it is not set)")
+    ap.add_argument("--in-process",
+                    help="JSON file of in-process timings to copy in")
     ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     ap.add_argument("--out", help="default: BENCH_<pr>.json at the repo root")
     args = ap.parse_args(argv)
@@ -175,6 +186,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"bench_record: {e}", file=sys.stderr)
         return 2
+    for name in args.env:
+        record["machine"][name] = os.environ.get(name, "unset")
+    if args.in_process:
+        with open(args.in_process) as fh:
+            record["in_process"] = json.load(fh)
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1, allow_nan=False)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .classifier import (
@@ -58,12 +59,13 @@ _MODES = {
     "cooperative": ProfileMode.COOPERATIVE_INEFFICIENT,
 }
 
-# upper bounds on the sizes a command accepts.  --agreement sets the points
-# and rows held in memory; --resolution the cells of one raster row, the
-# most a figure holds, since it streams row by row; a figure's total cells
-# (panels x resolution^2, at most _MAX_RESOLUTION ** 2) bound its work, not
-# its memory.  On the built-in path the CLI plays, --runs sets no
-# allocation, and --horizon the periods walked and traced.
+# upper bounds on the sizes a command accepts.  --agreement bounds the
+# census's work, not its memory: its rows stream a chunk of points at a
+# time; --resolution the cells of one raster row, the most a figure holds,
+# since it streams row by row; a figure's total cells (panels x
+# resolution^2, at most _MAX_RESOLUTION ** 2) bound its work, not its
+# memory.  On the built-in path the CLI plays, --runs sets no allocation,
+# and --horizon the periods walked and traced.
 _MAX_AGREEMENT = 100_000
 _MAX_RESOLUTION = 4_000
 _MAX_RUNS = 10_000_000
@@ -75,6 +77,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # an option is taken only as declared: a unique prefix of it (--run for
+    # --runs) is an unrecognized argument, not a silent match
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # route usage errors (unknown flags, bad choices) through the
     # machine-readable error path instead of bare usage text
     def error(self, message):
@@ -148,9 +155,45 @@ def _plain(value):
     return value
 
 
-def _json_text(payload: dict, **fmt) -> str:
-    """Serialize a stdout, --out or stderr payload as strict JSON."""
-    return json.dumps(_plain(payload), allow_nan=False, **fmt) + "\n"
+def _indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of a
+    ``_plain`` tree in one walk, without the pure-Python encoder that
+    ``indent`` selects; ``indent`` is the newline and indentation the
+    value's closing bracket starts on."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(value))
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _json_str(k) + ": " + _indented(v, inner)
+            for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _indented(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _error_text(payload: dict) -> str:
+    """A stderr error payload as one line of strict JSON."""
+    return json.dumps(_plain(payload), allow_nan=False) + "\n"
 
 
 def _require_size(value: int, flag: str, cap: int) -> None:
@@ -173,17 +216,23 @@ def _refuse_outputs(*paths: Optional[str]) -> None:
             raise CliError(f"two outputs would write to {path}")
 
 
-def _write(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _opened(out: Optional[str]):
     # the file named on the command line, else stdout
     if out:
         with open(_out_path(out), "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _write(_json_text(payload, indent=2, sort_keys=True), out)
+    _write(_indented(_plain(payload)) + "\n", out)
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -344,9 +393,11 @@ def _cmd_verify(args) -> int:
         payload["oracle_thresholds"] = oracle_thresholds(params)
     _emit_json(payload, args.out)
     if args.agreement:
-        rows = agreement_rows(args.agreement, seed=args.seed)
-        _write(AGREEMENT_CSV_HEADER + "\n" + "\n".join(rows) + "\n",
-               args.agreement_csv)
+        # each row is written as it is made, so the census is never all held
+        with _opened(args.agreement_csv) as fh:
+            fh.write(AGREEMENT_CSV_HEADER + "\n")
+            fh.writelines(row + "\n" for row
+                          in agreement_rows(args.agreement, seed=args.seed))
     return 0
 
 
@@ -442,9 +493,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv with one parser: the named subcommand's own, or the
+    top-level one for an argv that names none (no arguments, --help or an
+    unknown command)."""
+    top = _parser()
+    commands, = (action.choices for action in top._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return top.parse_args(argv)
+
+
 def run(argv: Sequence[str]) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         _refuse_outputs(*(getattr(args, dest, None) for dest
                           in ("out", "trace", "agreement_csv")))
         return args.func(args)
@@ -452,11 +515,11 @@ def run(argv: Sequence[str]) -> int:
         # --help and friends
         return int(e.code or 0)
     except InvalidParamsError as e:
-        sys.stderr.write(_json_text({"error": "invalid parameters",
-                                     "detail": list(e.violations)}))
+        sys.stderr.write(_error_text({"error": "invalid parameters",
+                                      "detail": list(e.violations)}))
         return 2
     except (CliError, GameError, OSError, ValueError) as e:
-        sys.stderr.write(_json_text({"error": str(e)}))
+        sys.stderr.write(_error_text({"error": str(e)}))
         return 2
 
 

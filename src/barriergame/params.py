@@ -6,8 +6,9 @@ numpy Generator so there is no hidden global state.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 
 class EliminationMode(enum.Enum):
@@ -223,6 +224,9 @@ def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None
 # upper end of the uniform draw of each war cost in sample_valid_params
 SAMPLE_COST_SCALE = 10.0
 SAMPLE_MAX_DRAWS = 11   # the most doubles one sampled point reads
+# the points whose doubles sample_valid_points unpacks at once, and the
+# points agreement_rows holds: the census's memory beyond its block of draws
+SAMPLE_CHUNK = 512
 
 
 def _sample_point(u: Callable[[], float], theta_spread: bool,
@@ -257,11 +261,15 @@ def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
     return _sample_point(rng.random, theta_spread, rho_spread)
 
 
-def sample_valid_points(rng, n: int) -> list[ModelParams]:
-    """n calls of sample_valid_params bit for bit, from one block of draws;
-    the generator's state afterwards differs from that after the calls.
+def sample_valid_points(rng, n: int) -> Iterator[ModelParams]:
+    """n calls of sample_valid_params bit for bit, yielded one by one from
+    one block of draws taken now; the block becomes Python floats
+    SAMPLE_CHUNK points' worth at a time, so the points are never all held.
+    The generator's state afterwards differs from that after the calls.
     rng is a numpy Generator, or a seed for numpy.random.default_rng."""
     import numpy as np
-    u = iter(np.random.default_rng(rng).random(SAMPLE_MAX_DRAWS * n)
-             .tolist()).__next__
-    return [_sample_point(u, True, True) for _ in range(n)]
+    block = np.random.default_rng(rng).random(SAMPLE_MAX_DRAWS * n)
+    step = SAMPLE_MAX_DRAWS * SAMPLE_CHUNK
+    u = itertools.chain.from_iterable(
+        block[i:i + step].tolist() for i in range(0, block.size, step)).__next__
+    return (_sample_point(u, True, True) for _ in range(n))

@@ -112,6 +112,27 @@ class TestMain:
         assert written == want
         assert written["harness"]["seeds_note"] == "fresh"
 
+    def test_machine_environment_and_in_process_block(self, tmp_path,
+                                                      monkeypatch):
+        spec_path = tmp_path / "BENCHMARK.json"
+        spec_path.write_text(json.dumps(SPEC))
+        timings = tmp_path / "stages.json"
+        timings.write_text(json.dumps({"parse_us": {"parent": 2.0}}))
+        out = tmp_path / "BENCH_8.json"
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.delenv("BENCH_RECORD_UNSET", raising=False)
+        assert bench_record.main([
+            "--parent", write_runs(tmp_path / "parent", PARENT),
+            "--change", write_runs(tmp_path / "change", CHANGE),
+            "--pr", "8", "--change-text", "c", "--in-process", str(timings),
+            "--env", "PYTHONDONTWRITEBYTECODE", "--env", "BENCH_RECORD_UNSET",
+            "--benchmark", str(spec_path), "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written["machine"] == {**MACHINE,
+                                      "PYTHONDONTWRITEBYTECODE": "1",
+                                      "BENCH_RECORD_UNSET": "unset"}
+        assert written["in_process"] == {"parse_us": {"parent": 2.0}}
+
     def test_empty_directory_refused(self, tmp_path, capsys):
         (tmp_path / "parent").mkdir()
         code = bench_record.main([

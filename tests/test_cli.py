@@ -2,14 +2,19 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barriergame import cli, oracle
 from barriergame.classifier import classify
@@ -528,6 +533,23 @@ class TestVerifyCommand:
         for line in lines[1:]:
             assert float(line.split(",")[-2]) <= 1e-6
 
+    def test_agreement_rows_written_as_made(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the CSV goes out row by row: the rows made before a failure are
+        # written, where a census held whole would have written none
+        def two_rows_then_fail(n_points, seed):
+            yield "row 1"
+            yield "row 2"
+            raise ValueError("census stopped")
+
+        monkeypatch.setattr(cli, "agreement_rows", two_rows_then_fail)
+        code = run(["verify", "--preset", "demo-b", "--agreement", "3",
+                    "-o", str(tmp_path / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == AGREEMENT_CSV_HEADER + "\nrow 1\nrow 2\n"
+        assert strict_json(captured.err) == {"error": "census stopped"}
+
     def test_agreement_csv_to_stdout(self, capsys, tmp_path,
                                     monkeypatch):
         # the report and the agreement CSV cannot share stdout, so with
@@ -673,6 +695,9 @@ _OUTPUT_FLAGS = {
 }
 
 REFUSALS = [
+    # an option is taken only as declared, never by a unique prefix of it
+    (["simulate", "--preset", "demo-b", "--run", "5", "--hor", "3", "--se",
+      "2"], "unrecognized arguments: --run 5 --hor 3 --se 2"),
     (["verify", "--preset", "demo-b", "--agreement", "3", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     (["simulate", "--preset", "demo-b", "--seed", "-5"],
@@ -1168,6 +1193,94 @@ class TestParserSurface:
         surface = parser_surface(cli.build_parser())
         for dest in ("mode", "seed"):
             assert surface["simulate"][1][dest] == surface["verify"][1][dest]
+
+
+def full_argv(command):
+    """An argv of ``command`` passing every option PARSER_SURFACE lists but
+    --help, each with a value its type and choices accept."""
+    argv = [command]
+    for dest, (strings, _, type_, choices, _, nargs, _) in \
+            PARSER_SURFACE[command].items():
+        if dest == "help":
+            continue
+        value = (choices[-1] if choices
+                 else {"float": "0.25", "int": "7"}.get(type_, f"{dest}.out"))
+        argv += ([value] if not strings else [strings[-1]] if nargs == 0
+                 else [strings[-1], value])
+    return argv
+
+
+class TestOneParserPerArgv:
+    """An argv that names a subcommand is parsed by that subcommand's
+    parser alone, to the namespace the top-level parser gives less its
+    ``command``; any other argv goes to the top-level parser."""
+
+    @pytest.mark.parametrize("argv", [
+        *REUSE_COMMANDS.values(), *map(full_argv, PARSER_SURFACE),
+        ["classify", "--c-d=3", "--preset", "demo-b", "--c-d", "4"]],
+        ids=" ".join)
+    def test_subcommand_namespace(self, argv, monkeypatch):
+        expected = vars(cli.build_parser().parse_args(argv))
+        assert expected.pop("command") == argv[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand")
+
+        monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+        assert vars(cli._parse(argv)) == expected
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["figure"], ["classify", "--bogus"],
+        ["classify", "--help"]], ids=repr)
+    def test_same_bytes_as_top_level_parser(self, argv, monkeypatch, capsys):
+        # help exits 0 with text on stdout, a usage error 2 with JSON on
+        # stderr, through either parse path alike
+        code = run(argv)
+        direct = (code, *capsys.readouterr())
+        monkeypatch.setattr(cli, "_parse", cli._parser().parse_args)
+        code = run(argv)
+        assert (code, *capsys.readouterr()) == direct
+        code, out, err = direct
+        assert (code, bool(out), bool(err)) in ((0, True, False),
+                                                 (2, False, True))
+
+
+# _plain trees: nested lists and str-keyed dicts of strings (non-ASCII and
+# control characters included), finite floats (-0.0, subnormals and 1e308
+# among them), ints, bools and None
+_PLAIN_LEAVES = st.one_of(
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f", "é\u2028\U0001f600"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e-7]),
+    st.integers(), st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.booleans(), st.none())
+_PLAIN_TREES = st.recursive(
+    _PLAIN_LEAVES, lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30)
+
+
+class TestIndentedWriter:
+    """``cli._indented`` writes a ``_plain`` tree as the bytes of
+    ``json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)`` and
+    refuses what json.dumps refuses, with the same exception type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAIN_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert cli._indented(tree) == json.dumps(
+            tree, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("value,error", [
+        (math.nan, ValueError), (math.inf, ValueError),
+        (-math.inf, ValueError), (Fraction(1, 3), TypeError),
+        (np.int64(3), TypeError), ({1, 2}, TypeError)], ids=repr)
+    def test_refuses_as_json_dumps(self, value, error):
+        for tree in (value, [1.0, value], {"a": {"b": [value]}}):
+            with pytest.raises(error):
+                json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+            with pytest.raises(error):
+                cli._indented(tree)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -4,12 +4,13 @@ import inspect
 import math
 import os
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from barriergame import engine, oracle, thresholds
+from barriergame import engine, oracle, params, thresholds
 from barriergame.cli import _plain
 from barriergame.engine import GameError, ProfileMode, StrategyProfile
 from barriergame.oracle import (
@@ -23,8 +24,9 @@ from barriergame.oracle import (
     postwar_market_mean,
     verify_period1,
 )
-from barriergame.params import (EliminationMode, InvalidParamsError, ModelParams,
-                                sample_valid_points)
+from barriergame.params import (SAMPLE_CHUNK, SAMPLE_MAX_DRAWS,
+                                EliminationMode, InvalidParamsError,
+                                ModelParams, sample_valid_points)
 from barriergame.thresholds import (
     compute_thresholds,
     effective_mu,
@@ -61,7 +63,7 @@ def playable(q, mode):
 
 # 6000 random points, 50 of them with overflowing costs and 50 with a
 # negative c_D
-REPORT_POINTS = sample_valid_points(np.random.default_rng(5), 6000)
+REPORT_POINTS = list(sample_valid_points(np.random.default_rng(5), 6000))
 REPORT_POINTS += ([q._replace(c_R=1e308, c_D=1e308) for q in REPORT_POINTS[:50]]
                   + [q._replace(c_D=-3.0) for q in REPORT_POINTS[:50]])
 BUILT_IN_MODES = (ProfileMode.EFFICIENT_PEACE, ProfileMode.INEFFICIENT_PEACE,
@@ -108,7 +110,7 @@ class TestPostwarMean:
         # the map contracts at every valid point, so its row falls; only a
         # fall within rounding of zero, (1 - rho) * delta within about
         # 1e-14 of 1, is left unsolved
-        points = sample_valid_points(np.random.default_rng(4), 2000)
+        points = list(sample_valid_points(np.random.default_rng(4), 2000))
         points += [q._replace(delta=1.0 - 10.0 ** -k, rho=r)
                    for q in points[:50] for k in range(1, 14)
                    for r in (0.0, 1e-9, 0.5)]
@@ -356,7 +358,7 @@ class TestDiagnostics:
 
 class TestAgreementSummary:
     def test_rows_pair_with_header(self):
-        rows = agreement_rows(4, seed=11)
+        rows = list(agreement_rows(4, seed=11))
         assert len(rows) == 4
         n_cols = len(AGREEMENT_CSV_HEADER.split(","))
         for row in rows:
@@ -382,6 +384,46 @@ class TestAgreementSummary:
         for row in agreement_rows(4, seed=11):
             fields = row.split(",")
             assert (fields[col], fields[-2], fields[-1]) == ("nan", "nan", "0")
+
+
+    def test_rows_stream_a_chunk_at_a_time(self, monkeypatch):
+        # in each chunk the oracle runs over every point before the closed
+        # forms do, and the chunk's rows are out before the next chunk's
+        # oracle runs; chunking moves no byte
+        whole = list(agreement_rows(7, seed=11))
+        log = []
+        for module, name, tag in ((oracle, "oracle_thresholds", "O"),
+                                  (thresholds, "compute_thresholds", "C")):
+            def logged(q, real=getattr(module, name), tag=tag):
+                log.append(tag)
+                return real(q)
+            monkeypatch.setattr(module, name, logged)
+        monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 3)
+        monkeypatch.setattr(params, "SAMPLE_CHUNK", 2)
+        rows = []
+        for row in agreement_rows(7, seed=11):
+            rows.append(row)
+            log.append("r")
+        assert rows == whole
+        assert "".join(log) == ("OOO" + "Cr" * 3) * 2 + "OCr"
+
+    def test_memory_does_not_grow_with_points(self):
+        # beyond its block of draws, SAMPLE_MAX_DRAWS doubles a point, the
+        # census holds one chunk however many points it covers: the chunk's
+        # points, oracle records and unpacked doubles, about 1.2 kB a point
+        # (Python 3.11); holding two chunks at once reads about 1.7 kB
+        def held(n_points):
+            tracemalloc.start()
+            for _ in agreement_rows(n_points, seed=3):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak - 8 * SAMPLE_MAX_DRAWS * n_points
+
+        list(agreement_rows(1, seed=3))  # imports and caches, held apart
+        small, large = held(2 * SAMPLE_CHUNK), held(4 * SAMPLE_CHUNK)
+        assert large - small < 100_000
+        assert large < 1450 * SAMPLE_CHUNK
 
 
 class TestOracleThresholds:

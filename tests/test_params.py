@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barriergame import params
 from barriergame.params import (
     SAMPLE_COST_SCALE,
     SAMPLE_MAX_DRAWS,
@@ -287,11 +288,24 @@ class TestSampling:
     def test_block_equals_scalar_calls(self, seed):
         rng = np.random.default_rng(seed)
         scalar = [sample_valid_params(rng) for _ in range(2000)]
-        block = sample_valid_points(np.random.default_rng(seed), 2000)
+        block = list(sample_valid_points(np.random.default_rng(seed), 2000))
         assert repr(block) == repr(scalar)
         # a seed stands for the generator numpy.random.default_rng makes
-        assert repr(sample_valid_points(seed, 2000)) == repr(scalar)
-        assert sample_valid_points(np.random.default_rng(seed), 0) == []
+        assert repr(list(sample_valid_points(seed, 2000))) == repr(scalar)
+        assert list(sample_valid_points(np.random.default_rng(seed), 0)) == []
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunks_keep_every_point(self, monkeypatch, chunk):
+        # the block becomes floats chunk by chunk, so a point's draws may
+        # straddle two chunks; the block is drawn at the call, so later use
+        # of the generator moves no point
+        monkeypatch.setattr(params, "SAMPLE_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        scalar = [sample_valid_params(rng) for _ in range(300)]
+        rng = np.random.default_rng(11)
+        points = sample_valid_points(rng, 300)
+        rng.random(5)
+        assert repr(list(points)) == repr(scalar)
 
     @pytest.mark.parametrize("kw", SPREADS, ids=SPREAD_IDS)
     @pytest.mark.parametrize("seed", [3, 7])

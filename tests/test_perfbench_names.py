@@ -190,6 +190,8 @@ def test_workloads_pass_declared_options():
 @pytest.mark.parametrize("source,problem", [
     ('ctx.cli(["simulate", *param_argv(q), "--runs", "10", '
      '"--dist", "uniform"])', "simulate: no option --dist"),
+    # the CLI refuses a prefix of a declared option (--run for --runs) as
+    # an unrecognized argument; this check names it before the benchmark runs
     ('ctx.cli(["simulate", "--preset", "demo-b", "--run", "10"])',
      "simulate: no option --run"),
     ('def go(argv):\n    ctx.cli(argv)\n'
