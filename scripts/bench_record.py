@@ -6,18 +6,18 @@ Each side's directory holds copies of the run records that
 one file per run, under any name ending in `.json`.  Untraced runs
 (`--trace 0`) are paired by workload and seed: every seed must have run once
 on each side.  Traced runs (`--trace 1`), if any, are copied per workload as
-their per-layer values.  Each ``--env NAME`` adds that environment
-variable's value, as set where the record is written, to the machine block,
-so write the record in the runs' environment (PYTHONDONTWRITEBYTECODE decides
-whether each fresh interpreter of ``setup_s`` compiles a source checkout).
-``--in-process`` copies a JSON object of in-process timings into the record
-as its ``in_process`` block.
+their per-layer values.  The machine block, copied from the run records,
+gains PYTHONDONTWRITEBYTECODE ('unset' if it is not set), which decides
+whether each fresh interpreter of ``setup_s`` compiles a source checkout;
+it is read where the record is written, so write the record in the runs'
+environment.  ``--in-process`` copies the JSON that
+``scripts/stage_split.py`` writes into the record as its ``in_process``
+block.
 
 Usage:
     python scripts/bench_record.py --parent DIR --change DIR --pr N \\
         --change-text "what the change does" [--seeds-note TEXT] \\
-        [--env NAME ...] [--in-process FILE] [--benchmark BENCHMARK.json] \\
-        [--out PATH]
+        [--in-process FILE] [--benchmark BENCHMARK.json] [--out PATH]
 """
 import argparse
 import glob
@@ -168,11 +168,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change-text", required=True,
                     help="one line saying what the change does")
     ap.add_argument("--seeds-note", default="")
-    ap.add_argument("--env", action="append", default=[], metavar="NAME",
-                    help="environment variable to record in the machine "
-                         "block ('unset' if it is not set)")
     ap.add_argument("--in-process",
-                    help="JSON file of in-process timings to copy in")
+                    help="stage timings written by scripts/stage_split.py")
     ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     ap.add_argument("--out", help="default: BENCH_<pr>.json at the repo root")
     args = ap.parse_args(argv)
@@ -186,8 +183,8 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"bench_record: {e}", file=sys.stderr)
         return 2
-    for name in args.env:
-        record["machine"][name] = os.environ.get(name, "unset")
+    record["machine"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get(
+        "PYTHONDONTWRITEBYTECODE", "unset")
     if args.in_process:
         with open(args.in_process) as fh:
             record["in_process"] = json.load(fh)

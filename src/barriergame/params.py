@@ -224,8 +224,8 @@ def require_mean_matches(dist: BarrierDistribution, params: ModelParams) -> None
 # upper end of the uniform draw of each war cost in sample_valid_params
 SAMPLE_COST_SCALE = 10.0
 SAMPLE_MAX_DRAWS = 11   # the most doubles one sampled point reads
-# the points whose doubles sample_valid_points unpacks at once, and the
-# points agreement_rows holds: the census's memory beyond its block of draws
+# the points sample_valid_chunks makes at once, doubles unpacked with them:
+# the agreement census's memory beyond its block of draws
 SAMPLE_CHUNK = 512
 
 
@@ -261,15 +261,22 @@ def sample_valid_params(rng: np.random.Generator, *, theta_spread: bool = True,
     return _sample_point(rng.random, theta_spread, rho_spread)
 
 
-def sample_valid_points(rng, n: int) -> Iterator[ModelParams]:
-    """n calls of sample_valid_params bit for bit, yielded one by one from
-    one block of draws taken now; the block becomes Python floats
-    SAMPLE_CHUNK points' worth at a time, so the points are never all held.
-    The generator's state afterwards differs from that after the calls.
-    rng is a numpy Generator, or a seed for numpy.random.default_rng."""
+def sample_valid_chunks(rng, n: int) -> Iterator[list[ModelParams]]:
+    """n calls of sample_valid_params bit for bit, from one block of draws
+    taken now, in lists of up to SAMPLE_CHUNK points: the block becomes
+    Python floats one chunk's worth at a time, so the points are never all
+    held.  The generator's state afterwards differs from that after the
+    calls.  rng is a numpy Generator, or a seed for numpy.random.default_rng."""
     import numpy as np
     block = np.random.default_rng(rng).random(SAMPLE_MAX_DRAWS * n)
     step = SAMPLE_MAX_DRAWS * SAMPLE_CHUNK
     u = itertools.chain.from_iterable(
         block[i:i + step].tolist() for i in range(0, block.size, step)).__next__
-    return (_sample_point(u, True, True) for _ in range(n))
+    return ([_sample_point(u, True, True)
+             for _ in range(min(SAMPLE_CHUNK, n - start))]
+            for start in range(0, n, SAMPLE_CHUNK))
+
+
+def sample_valid_points(rng, n: int) -> Iterator[ModelParams]:
+    """The points of sample_valid_chunks(rng, n), one by one."""
+    return itertools.chain.from_iterable(sample_valid_chunks(rng, n))

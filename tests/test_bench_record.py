@@ -109,28 +109,33 @@ class TestMain:
         written = json.loads(out.read_text())
         want = bench_record.build_record(PARENT, CHANGE, SPEC, 8, "a change",
                                          "fresh")
+        assert written.pop("machine").keys() == {*MACHINE,
+                                                 "PYTHONDONTWRITEBYTECODE"}
+        del want["machine"]
         assert written == want
         assert written["harness"]["seeds_note"] == "fresh"
 
+    @pytest.mark.parametrize("value", ["1", None])
     def test_machine_environment_and_in_process_block(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, value):
         spec_path = tmp_path / "BENCHMARK.json"
         spec_path.write_text(json.dumps(SPEC))
         timings = tmp_path / "stages.json"
         timings.write_text(json.dumps({"parse_us": {"parent": 2.0}}))
         out = tmp_path / "BENCH_8.json"
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-        monkeypatch.delenv("BENCH_RECORD_UNSET", raising=False)
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
         assert bench_record.main([
             "--parent", write_runs(tmp_path / "parent", PARENT),
             "--change", write_runs(tmp_path / "change", CHANGE),
             "--pr", "8", "--change-text", "c", "--in-process", str(timings),
-            "--env", "PYTHONDONTWRITEBYTECODE", "--env", "BENCH_RECORD_UNSET",
             "--benchmark", str(spec_path), "--out", str(out)]) == 0
         written = json.loads(out.read_text())
         assert written["machine"] == {**MACHINE,
-                                      "PYTHONDONTWRITEBYTECODE": "1",
-                                      "BENCH_RECORD_UNSET": "unset"}
+                                      "PYTHONDONTWRITEBYTECODE":
+                                      value or "unset"}
         assert written["in_process"] == {"parse_us": {"parent": 2.0}}
 
     def test_empty_directory_refused(self, tmp_path, capsys):

@@ -398,8 +398,7 @@ class TestAgreementSummary:
                 log.append(tag)
                 return real(q)
             monkeypatch.setattr(module, name, logged)
-        monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 3)
-        monkeypatch.setattr(params, "SAMPLE_CHUNK", 2)
+        monkeypatch.setattr(params, "SAMPLE_CHUNK", 3)
         rows = []
         for row in agreement_rows(7, seed=11):
             rows.append(row)

@@ -17,6 +17,7 @@ from barriergame.params import (
     _power_floor,
     _sample_point,
     require_mean_matches,
+    sample_valid_chunks,
     sample_valid_params,
     sample_valid_points,
     validate,
@@ -306,6 +307,9 @@ class TestSampling:
         points = sample_valid_points(rng, 300)
         rng.random(5)
         assert repr(list(points)) == repr(scalar)
+        full, rest = divmod(300, chunk)
+        sizes = [len(c) for c in sample_valid_chunks(11, 300)]
+        assert sizes == [chunk] * full + [rest] * (rest > 0)
 
     @pytest.mark.parametrize("kw", SPREADS, ids=SPREAD_IDS)
     @pytest.mark.parametrize("seed", [3, 7])
