@@ -5,15 +5,12 @@ For `classify`, `verify --thresholds` and `simulate` at demo-b's point,
 written as ``--flag=value`` the way perfbench's ``param_argv`` writes it,
 each stage of one call is timed on its own:
 
-    parse    the argv parsed as ``cli.run`` parses it (``cli._parse`` where
-             the checkout has it, else the top-level parser's parse_args)
+    parse    the argv parsed as ``cli.run`` parses it, by ``cli._parse``
     collect  ``cli._collect_params``
     compute  classify; verify_period1 + oracle_thresholds;
              StrategyProfile + simulate
     plain    ``cli._plain`` of the report
-    encode   the report's text (``cli._indented`` where the checkout has
-             it, else ``json.dumps(tree, indent=2, sort_keys=True,
-             allow_nan=False)``)
+    encode   the report's text, by ``cli._indented``
     run      the whole ``cli.run`` into a StringIO
 
 Each round times every checkout in a fresh interpreter that imports the
@@ -23,6 +20,11 @@ microseconds, ``min`` is the best repeat over all rounds and ``median`` the
 median over rounds of each round's median repeat.  The JSON printed (or
 written to --out) is what ``scripts/bench_record.py --in-process`` copies
 into a BENCH record.
+
+Each checkout must have ``cli._parse`` and ``cli._indented``.  The parent
+that ``BENCH_42.json`` compares against has neither; that record's
+``in_process`` block reproduces with this script as of commit 9035784,
+which fell back to the top-level parser and ``json.dumps``.
 
 Usage:
     python scripts/stage_split.py --parent DIR --change DIR [--rounds 5] \\
@@ -46,11 +48,12 @@ SIMULATE_ARGS = ["--mode", "inefficient", "--runs", "20", "--horizon", "30",
 
 
 def _argv(command: str) -> list[str]:
+    from barriergame import cli
     from barriergame.presets import get_preset
 
     q = get_preset("demo-b").params
-    point = [f"--{name.lower().replace('_', '-')}={getattr(q, name)!r}"
-             for name in q._fields if name != "elimination_mode"]
+    point = [f"{flag}={getattr(q, name)!r}"
+             for name, flag in cli._PARAM_FLAGS.items()]
     point.append(f"--elimination-mode={q.elimination_mode.value}")
     words = command.split()
     extra = SIMULATE_ARGS if words[0] == "simulate" else []
@@ -66,8 +69,7 @@ def _stages(command: str) -> dict:
     from barriergame.params import BarrierDistribution
 
     argv = _argv(command)
-    parse = getattr(cli, "_parse", None) or cli._parser().parse_args
-    args = parse(argv)
+    args = cli._parse(argv)
     params = cli._collect_params(args)
 
     name = command.split()[0]
@@ -91,18 +93,16 @@ def _stages(command: str) -> dict:
                     "distribution": dist.describe(), "stats": stats}
     report = compute()
     tree = cli._plain(report)
-    encode = getattr(cli, "_indented", None) or (
-        lambda t: json.dumps(t, indent=2, sort_keys=True, allow_nan=False))
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(argv) == 0
 
-    return {"parse": lambda: parse(argv),
+    return {"parse": lambda: cli._parse(argv),
             "collect": lambda: cli._collect_params(args),
             "compute": compute,
             "plain": lambda: cli._plain(report),
-            "encode": lambda: encode(tree),
+            "encode": lambda: cli._indented(tree),
             "run": run}
 
 

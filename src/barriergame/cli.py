@@ -72,10 +72,6 @@ _MAX_RUNS = 10_000_000
 _MAX_HORIZON = 1_000_000
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # an option is taken only as declared: a unique prefix of it (--run for
     # --runs) is an unrecognized argument, not a silent match
@@ -85,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
     # route usage errors (unknown flags, bad choices) through the
     # machine-readable error path instead of bare usage text
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _collect_params(args: argparse.Namespace) -> ModelParams:
@@ -94,17 +90,17 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
         try:
             layered.update(get_preset(args.preset).params._asdict())
         except KeyError as e:
-            raise CliError(e.args[0])
+            raise ValueError(e.args[0])
     if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except OSError as e:
-            raise CliError(f"unreadable config: {e}")
+            raise ValueError(f"unreadable config: {e}")
         except json.JSONDecodeError as e:
-            raise CliError(f"config is not valid JSON: {e}")
+            raise ValueError(f"config is not valid JSON: {e}")
         if not isinstance(cfg, dict):
-            raise CliError("config must be a JSON object of parameter fields")
+            raise ValueError("config must be a JSON object of parameter fields")
         layered.update(cfg)
     for name in ModelParams._fields:
         value = getattr(args, f"param_{name}")
@@ -113,12 +109,12 @@ def _collect_params(args: argparse.Namespace) -> ModelParams:
     missing = [name for name in ModelParams._fields if name not in layered
                and name not in ModelParams._field_defaults]
     if missing:
-        raise CliError(f"missing parameters {missing}; supply a preset, a "
-                       f"config file, or flags")
+        raise ValueError(f"missing parameters {missing}; supply a preset, a "
+                         f"config file, or flags")
     try:
         params = ModelParams.from_dict(layered)
-    except (ValueError, TypeError) as e:
-        raise CliError(str(e))
+    except TypeError as e:
+        raise ValueError(str(e))
     require_valid(params)
     return params
 
@@ -193,27 +189,31 @@ def _indented(value, indent: str = "\n") -> str:
 
 def _error_text(payload: dict) -> str:
     """A stderr error payload as one line of strict JSON."""
-    return json.dumps(_plain(payload), allow_nan=False) + "\n"
+    return json.dumps(payload, allow_nan=False) + "\n"
 
 
 def _require_size(value: int, flag: str, cap: int) -> None:
     # called before any work starts, since these sizes set work or memory
     if not 1 <= value <= cap:
-        raise CliError(f"{flag} must lie in 1..{cap}, got {value}")
+        raise ValueError(f"{flag} must lie in 1..{cap}, got {value}")
 
 
-def _refuse_outputs(*paths: Optional[str]) -> None:
-    """Refuse, before any work, an output file whose directory does not
-    exist, an output that names a directory and two output files that
-    resolve to one path."""
+def _refuse_outputs(config: Optional[str], *paths: Optional[str]) -> None:
+    """Refuse, before any work and before the --config file is read, an
+    output file whose directory does not exist, an output that names a
+    directory or the config, and two output files that resolve to one path."""
+    config = config and os.path.realpath(config)
     real = [os.path.realpath(_out_path(p)) for p in paths if p]
     for i, path in enumerate(real):
         if not os.path.isdir(os.path.dirname(path)):
-            raise CliError(f"no directory for output {path}")
+            raise ValueError(f"no directory for output {path}")
         if os.path.isdir(path):
-            raise CliError(f"output {path} is a directory")
+            raise ValueError(f"output {path} is a directory")
+        if path == config:
+            raise ValueError(f"output {path} would overwrite the "
+                             "--config input")
         if path in real[:i]:
-            raise CliError(f"two outputs would write to {path}")
+            raise ValueError(f"two outputs would write to {path}")
 
 
 @contextlib.contextmanager
@@ -226,27 +226,23 @@ def _opened(out: Optional[str]):
         yield sys.stdout
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    with _opened(out) as fh:
-        fh.write(text)
-
-
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _write(_indented(_plain(payload)) + "\n", out)
+    with _opened(out) as fh:
+        fh.write(_indented(_plain(payload)) + "\n")
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
-        raise CliError(f"{flag} expects LO:HI, got {text!r}")
+        raise ValueError(f"{flag} expects LO:HI, got {text!r}")
     # nan or inf in either end, or a width that overflows, makes hi - lo
     # non-finite; any of them would put nan into the figure's geometry
     if not math.isfinite(hi - lo):
-        raise CliError(f"{flag} requires finite LO, HI and HI - LO, "
-                       f"got {text!r}")
+        raise ValueError(f"{flag} requires finite LO, HI and HI - LO, "
+                         f"got {text!r}")
     if not hi > lo:
-        raise CliError(f"{flag} requires HI > LO, got {text!r}")
+        raise ValueError(f"{flag} requires HI > LO, got {text!r}")
     return lo, hi
 
 
@@ -255,35 +251,33 @@ def _parse_values(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"--values expects a comma list of numbers, got {text!r}")
+        raise ValueError(f"--values expects a comma list of numbers, got {text!r}")
     if not values:
-        raise CliError("--values is empty")
+        raise ValueError("--values is empty")
     return values
 
 
 def _played_point(args) -> tuple[ModelParams, ProfileMode]:
     """Check --seed, then read the point and the profile mode to play."""
     if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return _collect_params(args), _MODES[args.mode]
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> None:
     params = _collect_params(args)
     payload = {"params": params, "thresholds": compute_thresholds(params)}
     if args.intersection:
         payload["intersection"] = intersection_nonempty(params)
     _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     params = _collect_params(args)
     _emit_json({"params": params, "report": classify(params)}, args.out)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     params = _collect_params(args)
     values = _parse_values(args.values)
     reports = comparative_static(params, args.knob, values)
@@ -296,8 +290,8 @@ def _cmd_sweep(args) -> int:
         lines.append("%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s,%s" % (
             value, ts.cbar_D, ts.clow_D, ts.Clow, ts.postwar_mean,
             *(str(flag).lower() for flag in flags)))
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    with _opened(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # figure id -> (swept knob or None, default knob values, title)
@@ -322,44 +316,42 @@ def _panel_csvs(csv: str, knob: Optional[str],
     return [f"{stem}-{knob}-{format(v, '.6g')}{ext or '.csv'}" for v in values]
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> None:
     _require_size(args.resolution, "--resolution", _MAX_RESOLUTION)
     cr_range = _parse_range(args.cr_range, "--cr-range")
     cd_range = _parse_range(args.cd_range, "--cd-range")
-    params = _collect_params(args)
     knob, values, title = _FIGURES[args.figure_id]
-    if knob is None:
-        if args.values is not None:
-            raise CliError("--values applies to the shift figures, not regions")
-        points = [("base", params)]
-    else:
-        if args.values is not None:
-            values = _parse_values(args.values)
-        points = [(f"{knob} = {format(v, '.6g')}",
-                   params.with_overrides(**{knob: v})) for v in values]
-    # every panel is sized and checked before the first raster
-    _require_size(len(points) * args.resolution ** 2,
+    if args.values is not None:
+        if knob is None:
+            raise ValueError("--values applies to the shift figures, not regions")
+        values = _parse_values(args.values)
+    subtitles = [f"{knob} = {format(v, '.6g')}" for v in values] or ["base"]
+    # every panel is sized and labeled before the config is read, and
+    # checked before the first raster
+    _require_size(len(subtitles) * args.resolution ** 2,
                   "figure cells (panels x resolution^2)", _MAX_RESOLUTION ** 2)
     labels: set[str] = set()
-    for subtitle, point in points:
+    for subtitle in subtitles:
         # a repeated label would draw two panels alike and share a CSV twin
         if subtitle in labels:
-            raise CliError(f"--values gives two panels labeled {subtitle!r}")
+            raise ValueError(f"--values gives two panels labeled {subtitle!r}")
         labels.add(subtitle)
-        require_valid(point)
     csvs = _panel_csvs(args.csv, knob, values) if args.csv else []
     # a figure of several panels writes no file named --csv itself, so its
     # outputs are checked here, under the names it writes
-    _refuse_outputs(args.out, *csvs)
+    _refuse_outputs(args.config, args.out, *csvs)
+    params = _collect_params(args)
+    points = [params.with_overrides(**{knob: v}) for v in values] or [params]
+    for point in points:
+        require_valid(point)
     panels = [(subtitle, region_grid(point, cr_range, cd_range,
                                      args.resolution))
-              for subtitle, point in points]
+              for subtitle, point in zip(subtitles, points)]
     emit_figure(panels, title, _out_path(args.out),
                 [_out_path(path) for path in csvs])
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     _require_size(args.runs, "--runs", _MAX_RUNS)
     _require_size(args.horizon, "--horizon", _MAX_HORIZON)
     params, mode = _played_point(args)
@@ -374,19 +366,18 @@ def _cmd_simulate(args) -> int:
     payload = {"params": params, "mode": mode,
                "distribution": dist.describe(), "stats": stats}
     _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     if args.agreement_csv is not None and args.agreement is None:
-        raise CliError("--agreement-csv requires --agreement")
+        raise ValueError("--agreement-csv requires --agreement")
     if args.agreement is not None:
         _require_size(args.agreement, "--agreement", _MAX_AGREEMENT)
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     params, mode = _played_point(args)
     if args.agreement and not (args.out or args.agreement_csv):
-        raise CliError("two outputs would write to stdout")
+        raise ValueError("two outputs would write to stdout")
     report = verify_period1(params, mode, tol=args.tol)
     payload = {"params": params, "report": report}
     if args.thresholds:
@@ -398,12 +389,10 @@ def _cmd_verify(args) -> int:
             fh.write(AGREEMENT_CSV_HEADER + "\n")
             fh.writelines(row + "\n" for row
                           in agreement_rows(args.agreement, seed=args.seed))
-    return 0
 
 
-def _cmd_presets(args) -> int:
+def _cmd_presets(args) -> None:
     _emit_json({"presets": list_presets()}, args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,8 +498,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _parse(argv)
         _refuse_outputs(*(getattr(args, dest, None) for dest
-                          in ("out", "trace", "agreement_csv")))
-        return args.func(args)
+                          in ("config", "out", "trace", "agreement_csv")))
+        args.func(args)
+        return 0
     except SystemExit as e:
         # --help and friends
         return int(e.code or 0)
@@ -518,7 +508,7 @@ def run(argv: Sequence[str]) -> int:
         sys.stderr.write(_error_text({"error": "invalid parameters",
                                       "detail": list(e.violations)}))
         return 2
-    except (CliError, GameError, OSError, ValueError) as e:
+    except (GameError, OSError, ValueError) as e:
         sys.stderr.write(_error_text({"error": str(e)}))
         return 2
 

@@ -776,6 +776,61 @@ def test_shared_output_path_refused(argv, path, capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+# (argv, BARRIERGAME_OUTDIR under the working directory, the file each
+# argv names twice: as --config, read from the working directory, and as
+# an output, written under the output directory); link.json links to
+# cfg.json
+CONFIG_OUTPUTS = [
+    (["classify", "--config", "cfg.json", "-o", "cfg.json"], ".",
+     "cfg.json"),
+    (["simulate", "--config", "cfg.json", "--trace", "./cfg.json"], ".",
+     "cfg.json"),
+    (["verify", "--config", "cfg.json", "--agreement", "3", "-o", "r.json",
+      "--agreement-csv", "cfg.json"], ".", "cfg.json"),
+    (["figure", "regions", "--config", "cfg.json", "-o", "f.svg",
+      "--csv", "cfg.json"], ".", "cfg.json"),
+    # a figure of several panels writes f-mu-0.8.csv for --csv f.csv
+    (["figure", "mu-shift", "--config", "f-mu-0.8.csv", "-o", "f.svg",
+      "--csv", "f.csv"], ".", "f-mu-0.8.csv"),
+    (["classify", "--config", "out/cfg.json", "-o", "cfg.json"], "out",
+     "out/cfg.json"),
+    (["classify", "--config", "link.json", "-o", "cfg.json"], ".",
+     "cfg.json"),
+    (["classify", "--config", "cfg.json", "-o", "link.json"], ".",
+     "cfg.json"),
+]
+
+
+@pytest.mark.parametrize("argv,outdir,config", CONFIG_OUTPUTS,
+                         ids=[" ".join(a) for a, _, _ in CONFIG_OUTPUTS])
+def test_config_output_refused(argv, outdir, config, capsys, tmp_path,
+                               monkeypatch):
+    # an output that resolves to the --config input used to replace the
+    # user's parameters with the report; it is refused before the config
+    # is read and before any work, so no file changes or appears
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BARRIERGAME_OUTDIR", outdir)
+    (tmp_path / config).parent.mkdir(exist_ok=True)
+    q = get_preset("demo-b").params
+    (tmp_path / config).write_text(json.dumps(
+        {**q._asdict(), "elimination_mode": q.elimination_mode.value}))
+    (tmp_path / "link.json").symlink_to("cfg.json")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert_no_work(monkeypatch, ("_collect_params", "classify", "simulate",
+                                 "verify_period1", "agreement_rows",
+                                 "region_grid", "emit_figure"))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert strict_json(captured.err)["error"] == (
+        f"output {os.path.realpath(tmp_path / config)} would overwrite the "
+        f"--config input")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
+
+
 DIRECTORY_OUTPUTS = [
     (["figure", "regions", "-o", "f.svg", "--csv", "sub.csv",
       "--resolution", "20"], "sub.csv"),

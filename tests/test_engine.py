@@ -1068,6 +1068,30 @@ def existing_point(rng, mode):
     return q
 
 
+def first_interior_draws(seed):
+    """name -> (params, mode, draws): for each built-in mode in turn, the
+    first ``existing_point`` draw from one generator at which every raw
+    offer of ``compute_thresholds`` lies strictly inside (0, y), so the
+    period-1 cutoff is positive and the played game is the priced one,
+    with the number of draws it took."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, mode in (("efficient", ProfileMode.EFFICIENT_PEACE),
+                       ("inefficient", ProfileMode.INEFFICIENT_PEACE),
+                       ("cooperative", ProfileMode.COOPERATIVE_INEFFICIENT)):
+        draws = 0
+        while True:
+            draws += 1
+            q = existing_point(rng, mode)
+            ts = compute_thresholds(q)
+            if (0.0 < ts.offer1_efficient < 1.0
+                    and 0.0 < ts.offer1_inefficient < q.h0
+                    and 0.0 < ts.offer_stationary < 1.0):
+                break
+        out[f"sampled-{name}"] = (q, mode, draws)
+    return out
+
+
 class TestOnPathReference:
     """The on-path run evaluates the profile only until play turns
     stationary; its stats and trace bytes equal those of a run that plays
@@ -1172,11 +1196,15 @@ class TestOffPathRule:
     is met with war at once, and its payoff is the oracle's war value for
     that deviation."""
 
-    # demo-b, and the interior point: at c_D = 25 a war replay's 4 SE +
-    # tail_bound exceeds 0.1, so three of demo-b's six war replays miss a
-    # gain mispriced by 0.1; each interior one catches it
+    # demo-b, the interior point and three sampled interior points, one
+    # per mode: at c_D = 25 a war replay's 4 SE + tail_bound exceeds 0.1,
+    # so three of demo-b's six war replays miss a gain mispriced by 0.1;
+    # each of the others catches it.  At each sampled point the first draw
+    # with interior offers already held 4 SE + tail_bound under 0.1
+    DEMO_B = ("efficient", "inefficient", "cooperative")
     INTERIOR = ("interior-efficient", "interior-inefficient",
                 "interior-cooperative")
+    SAMPLED = first_interior_draws(20261022)
     CASES = {
         "efficient": (make(c_D=35.0), ProfileMode.EFFICIENT_PEACE),
         "inefficient": (make(c_D=25.0), ProfileMode.INEFFICIENT_PEACE),
@@ -1184,9 +1212,28 @@ class TestOffPathRule:
             make(c_D=25.0, elimination_mode=EliminationMode.COOPERATIVE),
             ProfileMode.COOPERATIVE_INEFFICIENT),
         **{name: TestOnPathStreams.CASES[name] for name in INTERIOR},
+        **{name: (q, mode) for name, (q, mode, _) in SAMPLED.items()},
     }
-    DIST = BarrierDistribution.uniform_with_mean(0.8, 0.2)
     HORIZON = 200
+
+    @staticmethod
+    def dist(params):
+        # barrier values drawn uniformly about the point's mu, 0.2 wide
+        # where [0, 1] allows
+        return BarrierDistribution.uniform_with_mean(params.mu, 0.2)
+
+    def test_sampled_draws_pinned(self):
+        # a change to the sampler changes the sampled cases: this shows it
+        assert {name: draws for name, (_, _, draws)
+                in self.SAMPLED.items()} == {"sampled-efficient": 38,
+                                             "sampled-inefficient": 24,
+                                             "sampled-cooperative": 8}
+
+    def assert_war_priced(self, name, stats, war_r):
+        bound = 4.0 * stats.payoff_r_se + stats.tail_bound
+        assert abs(stats.payoff_r_mean - war_r) <= bound
+        # off demo-b a gain mispriced by 0.1 falls outside the bound
+        assert name in self.DEMO_B or bound < 0.1
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_flipped_vote_meets_priced_war(self, name):
@@ -1194,8 +1241,8 @@ class TestOffPathRule:
         profile = replayed(StrategyProfile(mode, params), flip_period=1)
         buf = io.StringIO()
         n_runs = 4000
-        stats = simulate(profile, params, self.DIST, self.HORIZON, n_runs,
-                         seed=16, trace=buf)
+        stats = simulate(profile, params, self.dist(params), self.HORIZON,
+                         n_runs, seed=16, trace=buf)
         assert stats.war_frequency == 1.0
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert len(records) == n_runs
@@ -1206,9 +1253,8 @@ class TestOffPathRule:
         gain = (report.diagnostics["keep_trigger"]
                 if mode is ProfileMode.EFFICIENT_PEACE
                 else report.gains["eliminate_then_war"])
-        war_r = gain + raw_payoffs(params, mode)[0]
-        assert abs(stats.payoff_r_mean - war_r) <= \
-            4.0 * stats.payoff_r_se + stats.tail_bound
+        self.assert_war_priced(name, stats,
+                               gain + raw_payoffs(params, mode)[0])
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_rejected_offer_meets_priced_war(self, name):
@@ -1220,12 +1266,12 @@ class TestOffPathRule:
         barrier_after = not builtin.prescribed_votes(1, True)[0]
         assert builtin.acceptance_cutoff(1, barrier_after) > 0.0
         stats = simulate(replayed(builtin, offers={1: 0.0}), params,
-                         self.DIST, self.HORIZON, n_runs=4000, seed=16)
+                         self.dist(params), self.HORIZON, n_runs=4000,
+                         seed=16)
         assert stats.war_frequency == 1.0
-        war_r = (verify_period1(params, mode).gains["war_period1"]
-                 + raw_payoffs(params, mode)[0])
-        assert abs(stats.payoff_r_mean - war_r) <= \
-            4.0 * stats.payoff_r_se + stats.tail_bound
+        self.assert_war_priced(
+            name, stats, verify_period1(params, mode).gains["war_period1"]
+            + raw_payoffs(params, mode)[0])
 
     @pytest.mark.parametrize("name", INTERIOR)
     def test_stationary_offer_meets_priced_war(self, name):
@@ -1237,7 +1283,8 @@ class TestOffPathRule:
         builtin = StrategyProfile(mode, params)
         assert_close(builtin.acceptance_cutoff(2, False), 0.1)
         stats = simulate(replayed(builtin, offers={2: 0.0}), params,
-                         self.DIST, self.HORIZON, n_runs=4000, seed=16)
+                         self.dist(params), self.HORIZON, n_runs=4000,
+                         seed=16)
         assert stats.war_frequency == 1.0
         war_r = raw_payoffs(params, mode)[0] + params.delta * \
             verify_period1(params, mode).gains["proposer_stationary"]
@@ -1251,9 +1298,10 @@ class TestOffPathRule:
         params, mode = self.CASES[name]
         builtin = StrategyProfile(mode, params)
         got, want = io.StringIO(), io.StringIO()
-        stats = simulate(replayed(builtin), params, self.DIST, horizon=6,
+        dist = self.dist(params)
+        stats = simulate(replayed(builtin), params, dist, horizon=6,
                          n_runs=1, seed=16, trace=got)
-        assert stats == simulate(builtin, params, self.DIST, horizon=6,
+        assert stats == simulate(builtin, params, dist, horizon=6,
                                  n_runs=1, trace=want)
         assert got.getvalue() == want.getvalue()
 
@@ -1261,9 +1309,10 @@ class TestOffPathRule:
     def test_replayed_profile_stays_at_peace(self, name):
         params, mode = self.CASES[name]
         builtin = StrategyProfile(mode, params)
-        got = simulate(replayed(builtin), params, self.DIST, self.HORIZON,
+        dist = self.dist(params)
+        got = simulate(replayed(builtin), params, dist, self.HORIZON,
                        n_runs=20, seed=16)
-        want = simulate(builtin, params, self.DIST, self.HORIZON, n_runs=20)
+        want = simulate(builtin, params, dist, self.HORIZON, n_runs=20)
         assert got.war_frequency == 0.0
         assert got.elimination_periods == want.elimination_periods
         for a, b in ((got.payoff_r_mean, want.payoff_r_mean),

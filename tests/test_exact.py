@@ -214,15 +214,25 @@ def test_float_verdicts_equal_exact_verdicts():
 
 def test_exact_reports_are_exact():
     # on Fraction parameters every gain and diagnostic is a Fraction, or
-    # -inf for a deviation that cannot be made: no float enters the path
-    leaks = []
+    # -inf for a deviation that cannot be made: no float enters the path.
+    # The identity rows are exact too: the responder is held at its war
+    # value, and the stationary war lotteries equal the flows p/(1-delta)
+    # and (1-p)/(1-delta), so these rows cross-check war_lottery
+    leaks, identities = [], []
     for q in criterion_1_points()[:300]:
         for mode in BUILT_IN_MODES:
-            report = verify_period1(exact(playable(q, mode)), mode)
+            x = exact(playable(q, mode))
+            report = verify_period1(x, mode)
             leaks += [(q, mode, key) for key, v in
                       (*report.gains.items(), *report.diagnostics.items())
                       if not (isinstance(v, Fraction) or v == -math.inf)]
+            rows = tuple(report.gains[key] for key in (
+                "responder_period1", "responder_stationary",
+                "proposer_stationary"))
+            if rows != (0, 0, -(x.c_R + x.c_D)):
+                identities.append((q, mode, rows))
     assert leaks == []
+    assert identities == []
 
 
 def test_golden_figure_cells_have_their_exact_labels(tmp_path, monkeypatch):
